@@ -4,7 +4,8 @@
 // bench sweeps t_scale and locates the regime boundary empirically: the
 // fraction of θ=0 instances with opt ≤ 2α jumps from ~0 to ~1 as t grows
 // past n^{1/α}-ish. This is the calibration evidence behind every t_scale
-// chosen in the tests and benches (DESIGN.md "asymptotic constants").
+// chosen in the tests and benches: the paper's 2^{-15} is proof headroom
+// and would make t < 2 at any n a laptop can hold.
 
 #include <cmath>
 #include <iostream>

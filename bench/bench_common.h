@@ -11,8 +11,8 @@
 
 /// \file bench_common.h
 /// Shared scaffolding for the experiment binaries. Each bench regenerates
-/// one DESIGN.md experiment (E1..E12) as self-describing tables; see
-/// EXPERIMENTS.md for the paper-claim-vs-measured record.
+/// one experiment (E1..E17, A1..A3) as self-describing tables whose banner
+/// names the paper claim it measures.
 ///
 /// Besides the human-readable tables, benches can accumulate BenchResult
 /// rows into a BenchJson sink, which writes a machine-readable

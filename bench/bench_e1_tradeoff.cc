@@ -20,7 +20,8 @@ namespace {
 // 1, i.e. "store everything") at laptop-scale n, flattening the n^{1/alpha}
 // exponent the bench is after. A uniform boost < 1 rescales the constant
 // for every row equally, preserving the shape while keeping the rate in
-// (0, 1). DESIGN.md documents this substitution.
+// (0, 1). Only the constant changes; the rate's n^{-1/alpha} factor is the
+// paper's.
 constexpr double kBoost = 1.0 / 64.0;
 
 void SweepAlpha() {

@@ -142,6 +142,7 @@ AssadiGuessResult AssadiSetCover::RunWithGuess(SetStream& stream,
           projections,
           DynamicBitset::Full(sub.size(), DynamicBitset::Allocator(table)),
           exact_options, ctx.alloc<SetId>());
+      CountExactSubsolve(sub_result, ctx.counters());
       if (sub_result.feasible) {
         chosen_local = sub_result.solution.chosen;
       } else if (!sub_result.complete) {

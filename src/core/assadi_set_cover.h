@@ -29,7 +29,8 @@
 /// The driver runs O(log n / ε) geometric guesses. The paper runs guesses
 /// in parallel within shared passes; we run them sequentially from the
 /// smallest guess and stop at the first success, which preserves the space
-/// bound per guess and reports the actual pass count (see DESIGN.md).
+/// bound per guess but spends up to 2α+2 passes per guess tried; the
+/// reported pass count is the actual total, not the paper's 2α+1.
 
 namespace streamsc {
 

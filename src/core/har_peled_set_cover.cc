@@ -118,6 +118,7 @@ SetCoverRunResult HarPeledSetCover::RunWithGuess(
         projections,
         DynamicBitset::Full(sub.size(), DynamicBitset::Allocator(table)),
         exact_options, ctx.alloc<SetId>());
+    CountExactSubsolve(sub_result, ctx.counters());
     ArenaVector<SetId> chosen_local(ctx.alloc<SetId>());
     if (sub_result.feasible) {
       chosen_local = sub_result.solution.chosen;

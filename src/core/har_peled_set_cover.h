@@ -22,8 +22,9 @@
 ///   2. sampling pass: store projections at rate with ρ = n^{-2/α}
 ///      (so the stored sample is ~n^{2/α}·õpt·log m — the c = 2 exponent);
 ///   3. solve the sub-instance optimally; subtraction pass.
-/// This is a faithful re-implementation *in spirit* of the comparator (the
-/// original is not open source); see DESIGN.md, substitutions.
+/// This is a faithful re-implementation *in spirit* of the comparator: the
+/// original is not open source, so the steps above follow its published
+/// description, with the same exact sub-solver and passes as Algorithm 1.
 
 namespace streamsc {
 

@@ -6,6 +6,8 @@
 #include <vector>
 
 #include "instance/set_system.h"
+#include "obs/counters.h"
+#include "offline/exact_set_cover.h"
 #include "stream/set_stream.h"
 #include "util/arena.h"
 #include "util/bitset.h"
@@ -41,6 +43,12 @@ SetId StoreProjection(SetSystem& system, ProjectedSet projection);
 
 /// A borrowed view of a projection (for comparisons and read-only use).
 SetView ViewOf(const ProjectedSet& projection);
+
+/// Counts one exact sub-solve into \p counters: its search nodes as
+/// "offline.exact_nodes", plus one "offline.exact_budget_hits" when the
+/// node budget ran out before the search finished.
+void CountExactSubsolve(const ExactSetCoverResult& result,
+                        CounterSet& counters);
 
 /// A sampled subset of the universe with a dense re-indexing
 /// {sampled elements} -> [0, sample_size).

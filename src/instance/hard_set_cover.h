@@ -24,7 +24,8 @@
 /// opt > 2α w.h.p.
 ///
 /// The paper's t_scale = 2^-15 exists for proof headroom; callers choose a
-/// t_scale that keeps t >= 2 at laptop scale (see DESIGN.md substitutions).
+/// t_scale that keeps t >= 2 at laptop scale (bench_a3_tscale_regime
+/// locates the regime boundary such a choice must respect).
 
 namespace streamsc {
 

@@ -13,8 +13,8 @@
 namespace streamsc {
 namespace {
 
-/// 128-bit content key for a bitset (two independent multiplicative
-/// hashes), used by the transposition table. Collision probability over
+/// 128-bit content key for a bitset (two independent hash chains over its
+/// words), used by the transposition table. Collision probability over
 /// millions of entries is negligible (~2^-90).
 struct StateKey {
   std::uint64_t h1;
@@ -28,13 +28,29 @@ struct StateKeyHash {
   }
 };
 
+// splitmix64's and murmur3's 64-bit finalizers: two unrelated bijective
+// mixers, one per half of the key.
+std::uint64_t MixA(std::uint64_t x) {
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+std::uint64_t MixB(std::uint64_t x) {
+  x = (x ^ (x >> 33)) * 0xff51afd7ed558ccdull;
+  x = (x ^ (x >> 33)) * 0xc4ceb9fe1a85ec53ull;
+  return x ^ (x >> 33);
+}
+
+// One mixing step per backing word: n/64 steps per node.
 StateKey KeyOf(const DynamicBitset& bs) {
   std::uint64_t h1 = 0x243f6a8885a308d3ull;
   std::uint64_t h2 = 0x13198a2e03707344ull;
-  bs.ForEach([&](ElementId e) {
-    h1 = (h1 ^ (e + 0x9e3779b97f4a7c15ull)) * 0xff51afd7ed558ccdull;
-    h2 = (h2 + e) * 0xc4ceb9fe1a85ec53ull + (h2 >> 29);
-  });
+  const DynamicBitset::Word* words = bs.WordData();
+  for (std::size_t w = 0; w < bs.WordCount(); ++w) {
+    h1 = MixA(h1 ^ words[w]);
+    h2 = MixB(h2 + words[w]);
+  }
   return {h1, h2};
 }
 
@@ -43,8 +59,12 @@ StateKey KeyOf(const DynamicBitset& bs) {
 /// containers live on the thread's table arena — the solve entry point
 /// brackets it with a checkpoint.
 struct SearchState {
-  const SetSystem* system = nullptr;
   ExactSetCoverOptions options;
+  // The system's sets, resolved to views once per call.
+  ArenaVector<SetView> sets{ArenaAllocator<SetView>::Table()};
+  // degree[e] = number of sets containing element e. Fixed for the whole
+  // search: branching never changes the sets, only the uncovered region.
+  ArenaVector<std::uint32_t> degree{ArenaAllocator<std::uint32_t>::Table()};
   ArenaVector<SetId> current{ArenaAllocator<SetId>::Table()};
   ArenaVector<SetId> best{ArenaAllocator<SetId>::Table()};
   bool best_feasible = false;
@@ -59,8 +79,10 @@ struct SearchState {
 };
 
 // Returns an uncovered element with (approximately) the fewest covering
-// sets. Scans at most 64 uncovered elements: min-degree is a branching
-// heuristic, so an approximate argmin is fine and keeps node cost bounded.
+// sets: the first one of least degree among at most the first 64
+// uncovered elements. Min-degree is a branching heuristic, so an
+// approximate argmin is fine; degrees come from the call's static table,
+// so each scanned element costs one load.
 ElementId PickBranchElement(const SearchState& state,
                             const DynamicBitset& uncovered,
                             std::size_t& degree_out) {
@@ -70,12 +92,7 @@ ElementId PickBranchElement(const SearchState& state,
   for (ElementId e = uncovered.FindFirst();
        e != kInvalidElementId && scanned < 64 && best_degree > 1;
        e = uncovered.FindNext(e), ++scanned) {
-    std::size_t degree = 0;
-    for (SetId i = 0; i < state.system->num_sets(); ++i) {
-      if (state.system->set(i).Test(e)) {
-        if (++degree >= best_degree) break;
-      }
-    }
+    const std::size_t degree = state.degree[e];
     if (degree < best_degree) {
       best_degree = degree;
       best_e = e;
@@ -113,12 +130,23 @@ void Search(SearchState& state, const DynamicBitset& uncovered) {
     it->second = state.current.size();
   }
 
+  // Per-node temporaries stage LIFO in the scratch arena: the gain and
+  // candidate lists under a node checkpoint, each branch bitset under a
+  // per-child checkpoint so sibling subtrees reuse the same bytes.
+  MonotonicArena& scratch = ThreadScratchArena();
+  const ArenaCheckpoint node_checkpoint(scratch);
+  const std::size_t m = state.sets.size();
+
   // Per-node counting lower bound using the best achievable single-set
-  // gain against the *current* uncovered region.
+  // gain against the *current* uncovered region. The gains are kept for
+  // the candidate list below.
   const Count remaining = uncovered.CountSet();
+  ArenaVector<Count> gains{ArenaAllocator<Count>(&scratch)};
+  gains.resize(m);
   Count max_gain = 0;
-  for (SetId i = 0; i < state.system->num_sets(); ++i) {
-    max_gain = std::max(max_gain, state.system->set(i).CountAnd(uncovered));
+  for (SetId i = 0; i < m; ++i) {
+    gains[i] = state.sets[i].CountAnd(uncovered);
+    max_gain = std::max(max_gain, gains[i]);
   }
   if (max_gain == 0) return;  // infeasible branch
   const std::size_t lb =
@@ -129,20 +157,14 @@ void Search(SearchState& state, const DynamicBitset& uncovered) {
   const ElementId e = PickBranchElement(state, uncovered, degree);
   if (degree == 0) return;  // e is coverable by no set: infeasible branch
 
-  // Per-node temporaries stage LIFO in the scratch arena: the candidate
-  // list under a node checkpoint, each branch bitset under a per-child
-  // checkpoint so sibling subtrees reuse the same bytes.
-  MonotonicArena& scratch = ThreadScratchArena();
-  const ArenaCheckpoint node_checkpoint(scratch);
-
-  // Candidate sets containing e, largest marginal gain first.
+  // Candidate sets containing e, largest marginal gain first. Built in
+  // increasing set id order, so the (unstable) sort sees the same
+  // sequence on every run and the search order is reproducible.
   using Candidate = std::pair<Count, SetId>;
   ArenaVector<Candidate> candidates{ArenaAllocator<Candidate>(&scratch)};
   candidates.reserve(degree);
-  for (SetId i = 0; i < state.system->num_sets(); ++i) {
-    if (state.system->set(i).Test(e)) {
-      candidates.emplace_back(state.system->set(i).CountAnd(uncovered), i);
-    }
+  for (SetId i = 0; i < m; ++i) {
+    if (state.sets[i].Test(e)) candidates.emplace_back(gains[i], i);
   }
   std::sort(candidates.begin(), candidates.end(),
             [](const auto& x, const auto& y) { return x.first > y.first; });
@@ -154,7 +176,7 @@ void Search(SearchState& state, const DynamicBitset& uncovered) {
     {
       const ArenaCheckpoint child_checkpoint(scratch);
       DynamicBitset next(uncovered, DynamicBitset::Allocator(&scratch));
-      state.system->set(id).AndNotInto(next);
+      state.sets[id].AndNotInto(next);
       Search(state, next);
     }
     state.current.pop_back();
@@ -172,6 +194,7 @@ ExactSetCoverResult SolveExactSetCover(const SetSystem& system,
   result.solution = Solution(result_alloc);
   if (universe.None()) {
     result.feasible = true;
+    result.complete = true;
     result.proven_optimal = true;
     return result;
   }
@@ -183,8 +206,14 @@ ExactSetCoverResult SolveExactSetCover(const SetSystem& system,
   const ArenaCheckpoint table_checkpoint(ThreadTableArena());
   {
     SearchState state;
-    state.system = &system;
     state.options = options;
+    state.sets.reserve(system.num_sets());
+    state.degree.assign(system.universe_size(), 0);
+    for (SetId i = 0; i < system.num_sets(); ++i) {
+      const SetView set = system.set(i);
+      state.sets.push_back(set);
+      set.ForEach([&state](ElementId e) { ++state.degree[e]; });
+    }
 
     // Greedy warm start gives the incumbent upper bound (if feasible and
     // within the requested size limit). The warm-start solution is

@@ -16,12 +16,21 @@
 /// after which it degrades gracefully to the best solution found (flagged
 /// as not proven optimal).
 ///
-/// Arena discipline: per-node temporaries (candidate lists, branch
-/// bitsets) stage LIFO in the calling thread's scratch arena; the
-/// call-scoped search state (incumbent, transposition table) brackets the
-/// thread's table arena and is rewound before returning. \p result_alloc
-/// backs the returned solution and therefore must be neither the scratch
-/// nor the table binding — pass a pinned run arena or the heap default.
+/// Work that never changes during a search is done once per call: the
+/// sets are resolved to SetViews, and a degree table (n × u32, one pass
+/// over the sets) gives each element's number of covering sets, so the
+/// branching rule costs one load per element it scans. A node then
+/// costs one popcount sweep over the m sets (the bound and the candidate
+/// gains), a hash of the uncovered bitset's n/64 words for the
+/// transposition table, and one word-level copy per child.
+///
+/// Arena discipline: per-node temporaries (gain and candidate lists,
+/// branch bitsets) stage LIFO in the calling thread's scratch arena; the
+/// call-scoped search state (set views, degree table, incumbent,
+/// transposition table) brackets the thread's table arena and is rewound
+/// before returning. \p result_alloc backs the returned solution and
+/// therefore must be neither the scratch nor the table binding — pass a
+/// pinned run arena or the heap default.
 
 namespace streamsc {
 

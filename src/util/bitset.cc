@@ -1,5 +1,6 @@
 #include "util/bitset.h"
 #include "util/check.h"
+#include "util/word_kernels.h"
 
 #include <algorithm>
 #include <bit>
@@ -28,9 +29,7 @@ void DynamicBitset::Fill() {
 }
 
 Count DynamicBitset::CountSet() const {
-  Count total = 0;
-  for (Word w : words_) total += static_cast<Count>(std::popcount(w));
-  return total;
+  return PopcountWords(words_.data(), words_.size());
 }
 
 bool DynamicBitset::None() const {
@@ -71,20 +70,12 @@ DynamicBitset DynamicBitset::Difference(const DynamicBitset& other) const {
 
 Count DynamicBitset::CountAnd(const DynamicBitset& other) const {
   STREAMSC_DCHECK(size_ == other.size_);
-  Count total = 0;
-  for (std::size_t i = 0; i < words_.size(); ++i) {
-    total += static_cast<Count>(std::popcount(words_[i] & other.words_[i]));
-  }
-  return total;
+  return CountAndWords(words_.data(), other.words_.data(), words_.size());
 }
 
 Count DynamicBitset::CountAndNot(const DynamicBitset& other) const {
   STREAMSC_DCHECK(size_ == other.size_);
-  Count total = 0;
-  for (std::size_t i = 0; i < words_.size(); ++i) {
-    total += static_cast<Count>(std::popcount(words_[i] & ~other.words_[i]));
-  }
-  return total;
+  return CountAndNotWords(words_.data(), other.words_.data(), words_.size());
 }
 
 bool DynamicBitset::Intersects(const DynamicBitset& other) const {
@@ -137,11 +128,7 @@ std::vector<ElementId> DynamicBitset::ToIndices() const {
 
 Count DynamicBitset::HammingDistance(const DynamicBitset& other) const {
   STREAMSC_DCHECK(size_ == other.size_);
-  Count total = 0;
-  for (std::size_t i = 0; i < words_.size(); ++i) {
-    total += static_cast<Count>(std::popcount(words_[i] ^ other.words_[i]));
-  }
-  return total;
+  return CountXorWords(words_.data(), other.words_.data(), words_.size());
 }
 
 std::string DynamicBitset::ToString() const {

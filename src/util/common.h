@@ -11,12 +11,12 @@
 /// sets. We use zero-based element ids {0, ..., n-1} and set ids
 /// {0, ..., m-1} throughout.
 
-// The library requires C++20: util/bitset.cc uses std::popcount from <bit>,
-// which is absent in C++17 and earlier. The build pins -std=c++20; this
+// The library requires C++20: the set substrate uses <bit> and std::span,
+// which are absent in C++17 and earlier. The build pins -std=c++20; this
 // guard turns a stray-toolchain misconfiguration into a clear diagnostic
 // instead of a cascade of template errors.
 static_assert(__cplusplus >= 202002L,
-              "streamsc requires C++20 (std::popcount from <bit>); "
+              "streamsc requires C++20 (<bit>, std::span); "
               "compile with -std=c++20 or newer");
 
 namespace streamsc {

@@ -1,8 +1,8 @@
 #include "util/check.h"
 #include "util/set_span.h"
+#include "util/word_kernels.h"
 
 #include <algorithm>
-#include <bit>
 #include <sstream>
 
 namespace streamsc {
@@ -26,10 +26,7 @@ std::string RenderIndices(const std::vector<ElementId>& ids) {
 // ---- DenseSpan -------------------------------------------------------------
 
 Count DenseSpan::CountSet() const {
-  Count total = 0;
-  const std::size_t words = WordCount();
-  for (std::size_t w = 0; w < words; ++w) total += std::popcount(words_[w]);
-  return total;
+  return PopcountWords(words_, WordCount());
 }
 
 bool DenseSpan::None() const {
@@ -42,22 +39,12 @@ bool DenseSpan::None() const {
 
 Count DenseSpan::CountAnd(const DynamicBitset& other) const {
   STREAMSC_DCHECK(other.size() == size_);
-  Count total = 0;
-  const std::size_t words = WordCount();
-  for (std::size_t w = 0; w < words; ++w) {
-    total += std::popcount(words_[w] & other.GetWord(w));
-  }
-  return total;
+  return CountAndWords(words_, other.WordData(), WordCount());
 }
 
 Count DenseSpan::CountAndNot(const DynamicBitset& other) const {
   STREAMSC_DCHECK(other.size() == size_);
-  Count total = 0;
-  const std::size_t words = WordCount();
-  for (std::size_t w = 0; w < words; ++w) {
-    total += std::popcount(words_[w] & ~other.GetWord(w));
-  }
-  return total;
+  return CountAndNotWords(words_, other.WordData(), WordCount());
 }
 
 bool DenseSpan::Intersects(const DynamicBitset& other) const {

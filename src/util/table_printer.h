@@ -9,7 +9,7 @@
 /// \file table_printer.h
 /// Aligned plain-text table rendering for the benchmark harness. Every
 /// experiment binary prints its results as one or more of these tables so
-/// that EXPERIMENTS.md rows can be regenerated mechanically.
+/// that two runs can be compared row by row.
 
 namespace streamsc {
 

@@ -83,6 +83,31 @@ TEST(AssadiSetCoverTest, GuessBelowOptFailsCleanly) {
   EXPECT_FALSE(result.feasible && result.within_budget);
 }
 
+TEST(AssadiSetCoverTest, CountsExactSubsolveWork) {
+  Rng rng(3);
+  const SetSystem system = UniformRandomInstance(300, 40, 30, rng);
+  const CounterId nodes = CounterId::Counter("offline.exact_nodes");
+  const CounterId budget_hits = CounterId::Counter("offline.exact_budget_hits");
+  {
+    VectorSetStream stream(system);
+    AssadiSetCover algorithm(DefaultConfig());
+    const SetCoverRunResult result = algorithm.Run(stream);
+    ASSERT_TRUE(result.feasible);
+    EXPECT_GT(result.stats.counters.value(nodes), 0u);
+  }
+  {
+    // A one-node budget stops every non-trivial sub-solve.
+    VectorSetStream stream(system);
+    AssadiConfig config = DefaultConfig();
+    config.exact_node_budget = 1;
+    AssadiSetCover algorithm(config);
+    const SetCoverRunResult result = algorithm.Run(stream);
+    EXPECT_GE(result.stats.counters.value(budget_hits), 1u);
+    EXPECT_GE(result.stats.counters.value(nodes),
+              result.stats.counters.value(budget_hits));
+  }
+}
+
 TEST(AssadiSetCoverTest, AlphaOneStoresEverythingAndIsNearExact) {
   // α = 1: ρ = 1/n, so the sampling rate clamps to 1 and one iteration
   // stores the full residual instance — solution within (1+ε)·opt.

@@ -33,6 +33,30 @@ TEST(HarPeledSetCoverTest, KnownOptWorks) {
   ASSERT_TRUE(result.feasible);
 }
 
+TEST(HarPeledSetCoverTest, CountsExactSubsolveWork) {
+  Rng rng(2);
+  const SetSystem system = UniformRandomInstance(300, 40, 30, rng);
+  const CounterId nodes = CounterId::Counter("offline.exact_nodes");
+  const CounterId budget_hits = CounterId::Counter("offline.exact_budget_hits");
+  HarPeledConfig config;
+  config.alpha = 2;
+  {
+    VectorSetStream stream(system);
+    HarPeledSetCover algorithm(config);
+    const SetCoverRunResult result = algorithm.Run(stream);
+    ASSERT_TRUE(result.feasible);
+    EXPECT_GT(result.stats.counters.value(nodes), 0u);
+  }
+  {
+    // A one-node budget stops every non-trivial sub-solve.
+    VectorSetStream stream(system);
+    config.exact_node_budget = 1;
+    HarPeledSetCover algorithm(config);
+    const SetCoverRunResult result = algorithm.Run(stream);
+    EXPECT_GE(result.stats.counters.value(budget_hits), 1u);
+  }
+}
+
 TEST(HarPeledSetCoverTest, UsesMoreSpaceThanAssadiAtEqualAlpha) {
   // The paper's point (Section 3.4): the sharper element-sampling rate
   // (ρ = n^{-1/α} instead of n^{-2/α}) shrinks the space-dominant stored

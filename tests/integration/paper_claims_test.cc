@@ -14,8 +14,9 @@
 namespace streamsc {
 namespace {
 
-// One test per paper claim, at laptop scale. These are the source rows of
-// EXPERIMENTS.md; the benches sweep the same claims over parameter grids.
+// One test per paper claim, at laptop scale, each named after the lemma or
+// theorem it checks; the benches sweep the same claims over parameter
+// grids.
 
 // Lemma 2.2: a collection of k independent random (n-s)-subsets leaves at
 // least (|U|/2)(s/2n)^k of U uncovered, w.h.p.

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "instance/generators.h"
 #include "offline/greedy.h"
 #include "util/random.h"
@@ -24,6 +27,7 @@ TEST(ExactSetCoverTest, EmptyUniverse) {
   const ExactSetCoverResult result =
       SolveExactSetCover(system, DynamicBitset(4));
   EXPECT_TRUE(result.feasible);
+  EXPECT_TRUE(result.complete);
   EXPECT_TRUE(result.proven_optimal);
   EXPECT_TRUE(result.solution.empty());
 }
@@ -145,6 +149,112 @@ TEST(ExactSetCoverTest, ReportsNodeCount) {
   system.AddSetFromIndices({0, 1, 2, 3});
   const ExactSetCoverResult result = SolveExactSetCover(system);
   EXPECT_GE(result.nodes, 1u);
+}
+
+// Golden pin of the search order. Each row fixes a uniform instance, a
+// size limit and a node budget, and records what the branch-and-bound
+// returned when these values were captured: node count, completion,
+// feasibility and the chosen ids in order. The 4096/128/512 rows are the
+// exact_subsolve family at the size limits assadi's õpt guesses reach;
+// most of them run out of budget, so only the node count and the greedy
+// incumbent show. The 512/48/64 rows improve on greedy before the budget
+// runs out and the 256/40/32 rows finish, so their chosen ids and node
+// counts move with any change to branching, candidate order or pruning.
+// A performance change to the solver must leave every row as it is.
+struct GoldenSearch {
+  std::size_t n, m, set_size;
+  std::uint64_t seed;
+  std::size_t size_limit;
+  std::uint64_t max_nodes;
+  std::uint64_t nodes;
+  bool complete;
+  bool feasible;
+  std::vector<SetId> chosen;
+};
+
+constexpr std::size_t kNoLimit = ~std::size_t{0};
+
+const std::vector<GoldenSearch>& GoldenSearches() {
+  static const std::vector<GoldenSearch> rows = {
+      {4096, 128, 512, 11, 8, 2000, 11, true, false, {}},
+      {4096, 128, 512, 11, 12, 2000, 2001, false, false, {}},
+      {4096, 128, 512, 11, 18, 2000, 2001, false, false, {}},
+      {4096, 128, 512, 11, 26, 2000, 2001, false, false, {}},
+      {4096, 128, 512, 11, 39, 2000, 2001, false, true,
+       {10, 4,  24, 1,  33,  75,  119, 91, 113, 28, 124, 97,
+        22, 15, 108, 65, 66,  83,  17,  5,  52,  77, 7,   27,
+        105, 11, 70, 39, 73, 67, 44, 85, 104, 38, 125, 0}},
+      {4096, 128, 512, 12, 8, 2000, 6, true, false, {}},
+      {4096, 128, 512, 12, 12, 2000, 2001, false, false, {}},
+      {4096, 128, 512, 12, 18, 2000, 2001, false, false, {}},
+      {4096, 128, 512, 12, 26, 2000, 2001, false, false, {}},
+      {4096, 128, 512, 12, 39, 2000, 2001, false, true,
+       {0,  41, 100, 72, 43, 22, 91, 38,  122, 14, 112, 119,
+        114, 117, 19, 50, 56, 10, 7,  18, 27, 65,  81, 8,
+        32, 20, 51, 84, 75, 61, 82, 103, 6,  34, 67}},
+      {4096, 128, 512, 13, 8, 2000, 7, true, false, {}},
+      {4096, 128, 512, 13, 12, 2000, 2001, false, false, {}},
+      {4096, 128, 512, 13, 18, 2000, 2001, false, false, {}},
+      {4096, 128, 512, 13, 26, 2000, 2001, false, false, {}},
+      {4096, 128, 512, 13, 39, 2000, 2001, false, true,
+       {0,  18, 53, 92, 123, 4,  119, 60, 29, 81, 11, 63,
+        87, 100, 111, 83, 78, 115, 2,  17, 44, 82, 89, 21,
+        39, 64, 28, 38, 40, 73, 19, 59, 62, 102, 67}},
+      {4096, 128, 512, 14, 8, 2000, 10, true, false, {}},
+      {4096, 128, 512, 14, 12, 2000, 2001, false, false, {}},
+      {4096, 128, 512, 14, 18, 2000, 2001, false, false, {}},
+      {4096, 128, 512, 14, 26, 2000, 2001, false, false, {}},
+      {4096, 128, 512, 14, 39, 2000, 2001, false, true,
+       {9,  57, 76,  116, 42, 65, 5,   86,  112, 15, 111, 36,
+        100, 4, 102, 119, 81, 48, 110, 126, 107, 90, 104, 28,
+        113, 25, 43, 93, 121, 68, 39, 18, 44, 50, 66}},
+      {512, 48, 64, 11, kNoLimit, 20000, 20001, false, true,
+       {11, 5, 43, 13, 23, 35, 30, 47, 39, 24, 2, 40,
+        29, 19, 20, 14, 15, 9, 41, 31, 44, 0, 16, 10}},
+      {512, 48, 64, 12, kNoLimit, 20000, 20001, false, true,
+       {7,  6,  15, 5,  14, 32, 25, 44, 29, 17, 13, 19, 42,
+        48, 28, 24, 45, 41, 8,  20, 38, 16, 46, 36, 21}},
+      {512, 48, 64, 13, kNoLimit, 20000, 20001, false, true,
+       {4,  39, 20, 46, 42, 41, 43, 8,  27, 48, 6,  5,  28,
+        13, 37, 24, 2,  25, 45, 15, 31, 7,  44, 14, 47}},
+      {512, 48, 64, 14, kNoLimit, 20000, 13008, true, true,
+       {29, 24, 15, 8,  45, 43, 30, 23, 48, 5,  46, 13, 32, 10,
+        26, 16, 35, 18, 9,  0,  39, 7,  11, 40, 22, 19, 1}},
+      {256, 40, 32, 11, kNoLimit, 20000, 8875, true, true,
+       {40, 0, 4, 10, 34, 36, 8, 20, 31, 22, 3, 37, 29, 1, 12, 24, 26, 6, 21,
+        18}},
+      {256, 40, 32, 12, kNoLimit, 20000, 11530, true, true,
+       {18, 40, 36, 37, 12, 10, 30, 17, 35, 38, 31, 5, 15, 13, 25, 4, 20, 22,
+        34, 39}},
+      {256, 40, 32, 13, kNoLimit, 20000, 5866, true, true,
+       {14, 27, 15, 40, 32, 19, 2, 4, 24, 30, 26, 3, 5, 23, 9, 28, 21, 10, 38,
+        0}},
+      {256, 40, 32, 14, kNoLimit, 20000, 467, true, true,
+       {4, 30, 25, 38, 32, 16, 34, 17, 31, 19, 18, 12, 7, 28, 15, 11, 37, 39,
+        24, 8}},
+  };
+  return rows;
+}
+
+TEST(ExactSetCoverTest, GoldenSearchOrderIsPinned) {
+  for (const GoldenSearch& row : GoldenSearches()) {
+    SCOPED_TRACE("n=" + std::to_string(row.n) + " m=" + std::to_string(row.m) +
+                 " seed=" + std::to_string(row.seed) +
+                 " limit=" + std::to_string(row.size_limit));
+    Rng rng(row.seed);
+    const SetSystem system =
+        UniformRandomInstance(row.n, row.m, row.set_size, rng);
+    ExactSetCoverOptions options;
+    options.max_nodes = row.max_nodes;
+    options.size_limit = row.size_limit;
+    const ExactSetCoverResult result = SolveExactSetCover(system, options);
+    EXPECT_EQ(result.nodes, row.nodes);
+    EXPECT_EQ(result.complete, row.complete);
+    EXPECT_EQ(result.feasible, row.feasible);
+    EXPECT_EQ(std::vector<SetId>(result.solution.chosen.begin(),
+                                 result.solution.chosen.end()),
+              row.chosen);
+  }
 }
 
 // Exhaustive cross-check against brute force on random tiny instances.

@@ -149,6 +149,7 @@ AssadiGuessResult AssadiSetCover::RunWithGuess(SetStream& stream,
         // Node budget exhausted without a within-budget cover: fall back
         // to greedy; if even greedy exceeds the guess budget, the guess
         // fails.
+        CountGreedyFallback(ctx.counters());
         const Solution greedy = GreedySetCover(projections, table);
         if (projections.IsFeasibleCover(greedy.chosen) &&
             greedy.chosen.size() <= opt_guess) {

@@ -123,6 +123,7 @@ SetCoverRunResult HarPeledSetCover::RunWithGuess(
     if (sub_result.feasible) {
       chosen_local = sub_result.solution.chosen;
     } else if (!sub_result.complete) {
+      CountGreedyFallback(ctx.counters());
       const Solution greedy = GreedySetCover(projections, table);
       if (projections.IsFeasibleCover(greedy.chosen) &&
           greedy.chosen.size() <= opt_guess) {

@@ -169,6 +169,12 @@ void CountExactSubsolve(const ExactSetCoverResult& result,
   if (!result.complete) counters.Add(budget_hits, 1);
 }
 
+void CountGreedyFallback(CounterSet& counters) {
+  static const CounterId fallbacks =
+      CounterId::Counter("offline.greedy_fallbacks");
+  counters.Add(fallbacks, 1);
+}
+
 DynamicBitset SubUniverse::Lift(const DynamicBitset& sample_set,
                                 DynamicBitset::Allocator alloc) const {
   DynamicBitset out(full_size_, alloc);

@@ -50,6 +50,10 @@ SetView ViewOf(const ProjectedSet& projection);
 void CountExactSubsolve(const ExactSetCoverResult& result,
                         CounterSet& counters);
 
+/// Counts one "offline.greedy_fallbacks": a sub-solve whose exact search
+/// ran out of budget and was answered by greedy instead.
+void CountGreedyFallback(CounterSet& counters);
+
 /// A sampled subset of the universe with a dense re-indexing
 /// {sampled elements} -> [0, sample_size).
 ///

@@ -88,12 +88,15 @@ TEST(AssadiSetCoverTest, CountsExactSubsolveWork) {
   const SetSystem system = UniformRandomInstance(300, 40, 30, rng);
   const CounterId nodes = CounterId::Counter("offline.exact_nodes");
   const CounterId budget_hits = CounterId::Counter("offline.exact_budget_hits");
+  const CounterId fallbacks = CounterId::Counter("offline.greedy_fallbacks");
   {
     VectorSetStream stream(system);
     AssadiSetCover algorithm(DefaultConfig());
     const SetCoverRunResult result = algorithm.Run(stream);
     ASSERT_TRUE(result.feasible);
     EXPECT_GT(result.stats.counters.value(nodes), 0u);
+    EXPECT_EQ(result.stats.counters.value(budget_hits), 0u);
+    EXPECT_EQ(result.stats.counters.value(fallbacks), 0u);
   }
   {
     // A one-node budget stops every non-trivial sub-solve.
@@ -104,6 +107,10 @@ TEST(AssadiSetCoverTest, CountsExactSubsolveWork) {
     const SetCoverRunResult result = algorithm.Run(stream);
     EXPECT_GE(result.stats.counters.value(budget_hits), 1u);
     EXPECT_GE(result.stats.counters.value(nodes),
+              result.stats.counters.value(budget_hits));
+    // Every budget hit without a within-limit cover falls back to greedy.
+    EXPECT_GE(result.stats.counters.value(fallbacks), 1u);
+    EXPECT_LE(result.stats.counters.value(fallbacks),
               result.stats.counters.value(budget_hits));
   }
 }

@@ -38,6 +38,7 @@ TEST(HarPeledSetCoverTest, CountsExactSubsolveWork) {
   const SetSystem system = UniformRandomInstance(300, 40, 30, rng);
   const CounterId nodes = CounterId::Counter("offline.exact_nodes");
   const CounterId budget_hits = CounterId::Counter("offline.exact_budget_hits");
+  const CounterId fallbacks = CounterId::Counter("offline.greedy_fallbacks");
   HarPeledConfig config;
   config.alpha = 2;
   {
@@ -46,6 +47,8 @@ TEST(HarPeledSetCoverTest, CountsExactSubsolveWork) {
     const SetCoverRunResult result = algorithm.Run(stream);
     ASSERT_TRUE(result.feasible);
     EXPECT_GT(result.stats.counters.value(nodes), 0u);
+    EXPECT_EQ(result.stats.counters.value(budget_hits), 0u);
+    EXPECT_EQ(result.stats.counters.value(fallbacks), 0u);
   }
   {
     // A one-node budget stops every non-trivial sub-solve.
@@ -54,6 +57,9 @@ TEST(HarPeledSetCoverTest, CountsExactSubsolveWork) {
     HarPeledSetCover algorithm(config);
     const SetCoverRunResult result = algorithm.Run(stream);
     EXPECT_GE(result.stats.counters.value(budget_hits), 1u);
+    EXPECT_GE(result.stats.counters.value(fallbacks), 1u);
+    EXPECT_LE(result.stats.counters.value(fallbacks),
+              result.stats.counters.value(budget_hits));
   }
 }
 

@@ -257,6 +257,43 @@ TEST(ExactSetCoverTest, GoldenSearchOrderIsPinned) {
   }
 }
 
+// Whenever the search reports no cover, greedy on the same system and
+// universe has none within the limit either: the search starts from the
+// greedy cover as its incumbent whenever that cover fits the limit. This
+// is why a budget-stopped sub-solve of the sampling solvers fails its
+// guess without running greedy again.
+TEST(ExactSetCoverTest, InfeasibleMeansGreedyMissesTheLimitToo) {
+  std::size_t infeasible = 0;
+  std::size_t budget_stopped = 0;
+  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+    Rng rng(seed);
+    const SetSystem system = UniformRandomInstance(
+        32 + 4 * (seed % 8), 16 + seed % 24, 3 + seed % 10, rng);
+    const DynamicBitset universe =
+        DynamicBitset::Full(system.universe_size());
+    const Solution greedy = GreedySetCover(system, universe);
+    const bool greedy_covers = system.IsFeasibleCover(greedy.chosen);
+    for (const std::uint64_t budget : {1, 5, 50, 2000}) {
+      for (std::size_t limit = 1; limit <= 32; ++limit) {
+        ExactSetCoverOptions options;
+        options.max_nodes = budget;
+        options.size_limit = limit;
+        const ExactSetCoverResult result =
+            SolveExactSetCover(system, universe, options);
+        if (result.feasible) continue;
+        ++infeasible;
+        if (!result.complete) ++budget_stopped;
+        EXPECT_TRUE(!greedy_covers || greedy.size() > limit)
+            << "seed=" << seed << " budget=" << budget << " limit=" << limit
+            << " greedy size=" << greedy.size();
+      }
+    }
+  }
+  // The sweep must reach both infeasible outcomes it argues about.
+  EXPECT_GT(infeasible, budget_stopped);
+  EXPECT_GT(budget_stopped, 0u);
+}
+
 // Exhaustive cross-check against brute force on random tiny instances.
 class ExactSetCoverBruteForceTest : public ::testing::TestWithParam<int> {};
 

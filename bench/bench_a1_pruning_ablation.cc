@@ -56,8 +56,7 @@ void RunFamily(const std::string& family, const SetSystem& system,
     config.epsilon = 0.5;
     AssadiSetCover algorithm(config);
     Rng rng(11);
-    const AssadiGuessResult result =
-        algorithm.RunWithGuess(stream, opt_guess, rng);
+    const GuessResult result = algorithm.RunWithGuess(stream, opt_guess, rng);
     table.BeginRow();
     table.AddCell(family);
     table.AddCell("one-shot (Assadi)");
@@ -72,14 +71,12 @@ void RunFamily(const std::string& family, const SetSystem& system,
     config.alpha = 3;
     HarPeledSetCover algorithm(config);
     Rng rng(12);
-    const SetCoverRunResult result =
-        algorithm.RunWithGuess(stream, opt_guess, rng);
+    const GuessResult result = algorithm.RunWithGuess(stream, opt_guess, rng);
     table.BeginRow();
     table.AddCell(family);
     table.AddCell("iterative (Har-Peled)");
-    table.AddCell(result.stats.passes);
-    table.AddCell(static_cast<double>(result.stats.peak_space_bytes) * 8.0,
-                  0);
+    table.AddCell(result.passes);
+    table.AddCell(static_cast<double>(result.peak_space_bytes) * 8.0, 0);
     table.AddCell(static_cast<std::uint64_t>(result.solution.size()));
     table.AddCell(result.feasible ? "yes" : "NO");
   }

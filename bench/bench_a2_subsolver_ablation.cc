@@ -85,8 +85,7 @@ void GuessRejection() {
       VectorSetStream stream(system);
       AssadiSetCover algorithm(MakeConfig(exact));
       Rng run_rng(guess * 13 + (exact ? 1 : 0));
-      const AssadiGuessResult result =
-          algorithm.RunWithGuess(stream, guess, run_rng);
+      const GuessResult result = algorithm.RunWithGuess(stream, guess, run_rng);
       accepted[exact ? 0 : 1] = result.feasible && result.within_budget;
     }
     table.BeginRow();

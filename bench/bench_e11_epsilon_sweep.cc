@@ -31,8 +31,7 @@ void EpsSweepSingleGuess() {
     config.epsilon = eps;
     AssadiSetCover algorithm(config);
     Rng run_rng(static_cast<std::uint64_t>(eps * 100) + 3);
-    const AssadiGuessResult result =
-        algorithm.RunWithGuess(stream, opt, run_rng);
+    const GuessResult result = algorithm.RunWithGuess(stream, opt, run_rng);
     const double budget = (static_cast<double>(alpha) + eps) * opt;
     table.BeginRow();
     table.AddCell(eps, 3);

@@ -44,8 +44,7 @@ void SweepAlpha() {
     config.sampling_boost = kBoost;
     AssadiSetCover algorithm(config);
     Rng run_rng(100 + alpha);
-    const AssadiGuessResult result =
-        algorithm.RunWithGuess(stream, opt, run_rng);
+    const GuessResult result = algorithm.RunWithGuess(stream, opt, run_rng);
     const double predicted_bits =
         static_cast<double>(m) *
             NthRoot(static_cast<double>(n), static_cast<double>(alpha)) *
@@ -83,8 +82,7 @@ void SweepN() {
     config.sampling_boost = kBoost;
     AssadiSetCover algorithm(config);
     Rng run_rng(200 + n);
-    const AssadiGuessResult result =
-        algorithm.RunWithGuess(stream, opt, run_rng);
+    const GuessResult result = algorithm.RunWithGuess(stream, opt, run_rng);
     const double bits = static_cast<double>(result.peak_space_bytes) * 8.0;
     const double norm =
         bits / (static_cast<double>(m) * NthRoot(n, 2.0) *
@@ -117,8 +115,7 @@ void SweepM() {
     config.sampling_boost = kBoost;
     AssadiSetCover algorithm(config);
     Rng run_rng(300 + m);
-    const AssadiGuessResult result =
-        algorithm.RunWithGuess(stream, opt, run_rng);
+    const GuessResult result = algorithm.RunWithGuess(stream, opt, run_rng);
     const double bits = static_cast<double>(result.peak_space_bytes) * 8.0;
     table.BeginRow();
     table.AddCell(static_cast<std::uint64_t>(m));

@@ -52,7 +52,7 @@ void SweepSamplingBoost() {
       config.exact_node_budget = 200'000;  // degrade to greedy quickly
       AssadiSetCover algorithm(config);
       Rng run_rng(trial + 5);
-      const AssadiGuessResult result =
+      const GuessResult result =
           algorithm.RunWithGuess(stream, opt_guess, run_rng);
       space_sum += static_cast<double>(result.peak_space_bytes) * 8.0;
       ratio_sum += static_cast<double>(result.solution.size()) /
@@ -92,8 +92,7 @@ void SpaceTimesPasses() {
     config.epsilon = 0.5;
     AssadiSetCover algorithm(config);
     Rng run_rng(alpha + 77);
-    const AssadiGuessResult result =
-        algorithm.RunWithGuess(stream, opt, run_rng);
+    const GuessResult result = algorithm.RunWithGuess(stream, opt, run_rng);
     const double ps = static_cast<double>(result.passes) *
                       static_cast<double>(result.peak_space_bytes) * 8.0;
     const double bound =

@@ -48,8 +48,7 @@ int main(int argc, char** argv) {
     config.epsilon = 0.5;
     AssadiSetCover algorithm(config);
     Rng run_rng(alpha * 97);
-    const AssadiGuessResult result =
-        algorithm.RunWithGuess(stream, opt, run_rng);
+    const GuessResult result = algorithm.RunWithGuess(stream, opt, run_rng);
     table.BeginRow();
     table.AddCell(static_cast<std::uint64_t>(alpha));
     table.AddCell(result.passes);

@@ -76,21 +76,37 @@ run_registry_smoke() {
     echo "registry smoke (${build_dir}): ${solver}"
     "${tool}" solve "${tmp}/smoke.sscb1" "${solver}" threads=2 >/dev/null
   done < <("${tool}" solvers --names)
-  # Traced solve through the same CLI surface: arms a TraceRecorder
-  # (--trace/--stats), then proves the chrome-trace sidecar is loadable
-  # JSON with at least one complete span. Under the sanitizer lanes this
-  # runs the whole emit/merge/export pipeline instrumented.
+  # Traced solves through the same CLI surface: arm a TraceRecorder
+  # (--trace/--stats), then prove each chrome-trace sidecar is loadable
+  # JSON with complete spans. Under the sanitizer lanes this runs the
+  # whole emit/merge/export pipeline instrumented. perfbench's per-layer
+  # rows (core.subsolve_ms, core.guesses) find the solvers' phases by
+  # span name, so the phase spans are required by name too: renaming one
+  # fails here instead of silently zeroing those rows.
   echo "registry smoke (${build_dir}): traced assadi solve"
   "${tool}" solve "${tmp}/smoke.sscb1" assadi alpha=2 threads=2 \
     --trace="${tmp}/trace.json" --stats >/dev/null
+  echo "registry smoke (${build_dir}): traced demaine solve"
+  "${tool}" solve "${tmp}/smoke.sscb1" demaine alpha=2 threads=2 \
+    --trace="${tmp}/demaine_trace.json" >/dev/null
   if command -v python3 >/dev/null 2>&1; then
-    python3 - "${tmp}/trace.json" <<'PYEOF'
+    python3 - "${tmp}/trace.json" "${tmp}/demaine_trace.json" <<'PYEOF'
 import json, sys
-with open(sys.argv[1]) as fh:
-    trace = json.load(fh)
-events = trace["traceEvents"]
-assert any(e.get("ph") == "X" for e in events), "no complete spans"
-print(f"registry smoke: trace ok ({len(events)} events)")
+
+def complete_span_names(path):
+    with open(path) as fh:
+        events = json.load(fh)["traceEvents"]
+    names = {e.get("name") for e in events if e.get("ph") == "X"}
+    assert names, f"{path}: no complete spans"
+    return names, len(events)
+
+assadi, count = complete_span_names(sys.argv[1])
+missing = {"guess", "prune", "iteration", "subsolve"} - assadi
+assert not missing, f"traced assadi solve lacks spans {sorted(missing)}"
+demaine, _ = complete_span_names(sys.argv[2])
+assert "greedy_subsolve" in demaine, \
+    "traced demaine solve lacks the greedy_subsolve span"
+print(f"registry smoke: trace ok ({count} events)")
 PYEOF
   fi
 }

@@ -4,7 +4,7 @@
 #include <cstdint>
 #include <string>
 
-#include "stream/engine_context.h"
+#include "core/guess_driver.h"
 #include "stream/stream_algorithm.h"
 #include "util/random.h"
 
@@ -26,11 +26,8 @@
 /// Total: 2α+1 passes, ≤ (α+ε)·õpt sets, and U shrinks by ~n^{1/α} per
 /// iteration w.h.p. (Lemma 3.11).
 ///
-/// The driver runs O(log n / ε) geometric guesses. The paper runs guesses
-/// in parallel within shared passes; we run them sequentially from the
-/// smallest guess and stop at the first success, which preserves the space
-/// bound per guess but spends up to 2α+2 passes per guess tried; the
-/// reported pass count is the actual total, not the paper's 2α+1.
+/// The driver runs O(log n / ε) geometric guesses (core/guess_driver.h,
+/// which also notes how its pass count departs from the paper's).
 
 namespace streamsc {
 
@@ -52,18 +49,6 @@ struct AssadiConfig {
   std::size_t known_opt = 0;    ///< If > 0, skip guessing and use this õpt.
 };
 
-/// Outcome of a single-guess run (the (2α+1)-pass core).
-struct AssadiGuessResult {
-  Solution solution;
-  bool feasible = false;         ///< Covered everything.
-  bool within_budget = false;    ///< Used ≤ (α+ε)·õpt sets.
-  std::uint64_t passes = 0;
-  Bytes peak_space_bytes = 0;
-  std::uint64_t residual_after_iterations = 0;  ///< |U| left before cleanup.
-  EnginePassStats engine_stats;  ///< Deterministic per-guess pass counters.
-  CounterSet counters;           ///< Full per-guess counter snapshot.
-};
-
 /// Algorithm 1 with the geometric-guess driver.
 class AssadiSetCover : public StreamingSetCoverAlgorithm {
  public:
@@ -80,11 +65,11 @@ class AssadiSetCover : public StreamingSetCoverAlgorithm {
   SetCoverRunResult Run(SetStream& stream,
                         const RunContext& context) override;
 
-  /// Runs the (2α+1)-pass core for one guess õpt. Exposed for the benches
-  /// that study the per-guess space/pass behaviour (Theorem 2's headline).
-  AssadiGuessResult RunWithGuess(SetStream& stream, std::size_t opt_guess,
-                                 Rng& rng,
-                                 const RunContext& context = {}) const;
+  /// Runs the (2α+1)-pass core for one guess õpt; within budget means
+  /// ≤ (α+ε)·õpt sets. Exposed for the benches that study the per-guess
+  /// space/pass behaviour (Theorem 2's headline).
+  GuessResult RunWithGuess(SetStream& stream, std::size_t opt_guess,
+                           Rng& rng, const RunContext& context = {}) const;
 
   const AssadiConfig& config() const { return config_; }
 

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 
+#include "core/guess_driver.h"
 #include "stream/stream_algorithm.h"
 #include "util/random.h"
 
@@ -53,14 +54,14 @@ class DemaineSetCover : public StreamingSetCoverAlgorithm {
   SetCoverRunResult Run(SetStream& stream,
                         const RunContext& context) override;
 
-  /// Single-guess core; exposed for the per-guess space benches.
-  SetCoverRunResult RunWithGuess(SetStream& stream, std::size_t opt_guess,
-                                 Rng& rng,
-                                 const RunContext& context = {}) const;
+  /// Single-guess core (within budget means ≤ α·õpt sets); exposed for
+  /// the per-guess space benches.
+  GuessResult RunWithGuess(SetStream& stream, std::size_t opt_guess,
+                           Rng& rng, const RunContext& context = {}) const;
 
   /// The space exponent δ = ln 4 / ln α this configuration targets
   /// (clamped to (0, 1]); stored sample sizes scale as n^δ.
-  double SpaceExponent(std::size_t n) const;
+  double SpaceExponent() const;
 
   const DemaineConfig& config() const { return config_; }
 

@@ -1,0 +1,231 @@
+#include "core/guess_driver.h"
+
+#include <algorithm>
+#include <cmath>
+
+#include "core/sampling.h"
+#include "obs/trace.h"
+#include "offline/exact_set_cover.h"
+#include "offline/greedy.h"
+#include "util/stopwatch.h"
+
+namespace streamsc {
+namespace {
+
+// Space charged for the solution id list.
+Bytes SolutionBytes(std::size_t size) { return size * sizeof(SetId); }
+
+// Interned metering categories (hot path: array index per Charge).
+const SpaceCategory kUncoveredCat("uncovered");
+const SpaceCategory kSolutionCat("solution");
+const SpaceCategory kProjectionsCat("projections");
+
+// Counts one exact sub-solve: its search nodes as "offline.exact_nodes",
+// plus one "offline.exact_budget_hits" when the node budget ran out before
+// the search finished.
+void CountExactSubsolve(const ExactSetCoverResult& result,
+                        CounterSet& counters) {
+  static const CounterId nodes = CounterId::Counter("offline.exact_nodes");
+  static const CounterId budget_hits =
+      CounterId::Counter("offline.exact_budget_hits");
+  counters.Add(nodes, result.nodes);
+  if (!result.complete) counters.Add(budget_hits, 1);
+}
+
+// Counts one "offline.greedy_fallbacks": a budget-stopped sub-solve with
+// no cover within õpt (the guess fails).
+void CountGreedyFallback(CounterSet& counters) {
+  static const CounterId fallbacks =
+      CounterId::Counter("offline.greedy_fallbacks");
+  counters.Add(fallbacks, 1);
+}
+
+}  // namespace
+
+GuessRun::GuessRun(SetStream& stream, const RunContext& context,
+                   std::size_t opt_guess, double budget_factor)
+    : passes_before_(stream.passes()),
+      opt_guess_(opt_guess),
+      budget_(budget_factor * static_cast<double>(opt_guess)),
+      ctx_(stream, context),
+      // Run-lived state (U, the solution ids) comes from the run arena;
+      // each Step brackets the thread's table arena for its own state.
+      uncovered_(DynamicBitset::Full(stream.universe_size(),
+                                     ctx_.alloc<DynamicBitset::Word>())),
+      solution_(ctx_.alloc<SetId>()) {
+  meter_.Charge(uncovered_.ByteSize(), kUncoveredCat);
+}
+
+void GuessRun::Take(SetId id) {
+  solution_.chosen.push_back(id);
+  meter_.SetCategory(SolutionBytes(solution_.size()), kSolutionCat);
+}
+
+void GuessRun::Prune(double threshold) {
+  const TraceSpan phase(ctx_.trace(), TraceCategory::kPhase, "prune");
+  ctx_.ThresholdPass(threshold, uncovered_, [this](SetId id) { Take(id); });
+}
+
+bool GuessRun::Step(double rate, Rng& rng, const char* subsolve_span,
+                    SubSolveFn solve) {
+  // Everything this step builds — the sample, the projections, the
+  // sub-solution — dies with it: bracket the thread's table arena. (Not
+  // the scratch arena: TransformPass stages inside scratch and rewinds
+  // it, which would free anything the commit callbacks had kept there.)
+  const ArenaCheckpoint step_checkpoint(ThreadTableArena());
+  const auto table = ArenaAllocator<SetId>::Table();
+
+  // (a) Sample U_smpl from the still-uncovered universe.
+  const DynamicBitset sampled =
+      SampleElements(uncovered_, rate, rng, DynamicBitset::Allocator(table));
+  if (sampled.None()) return true;  // nothing sampled; the step is a no-op
+  const SubUniverse sub(sampled, table);
+
+  // (b) One pass storing the projections S'_i = S_i ∩ U_smpl. This is
+  // the space-dominant structure: m projections of |U_smpl| bits each
+  // dense, fewer when the hybrid store sparsifies them. Worker threads
+  // project into their own scratch; the commit re-homes each projection
+  // into the table-backed system.
+  SetSystem projections(sub.size(), SetSystem::kDefaultSparsityThreshold,
+                        &ThreadTableArena());
+  ArenaVector<SetId> projection_ids(table);
+  projection_ids.reserve(ctx_.stream().num_sets());
+  ctx_.TransformPass<ProjectedSet>(
+      [&](const StreamItem& it) {
+        return sub.ProjectAdaptive(it.set,
+                                   ArenaAllocator<ElementId>::Scratch());
+      },
+      [&](const StreamItem& it, ProjectedSet proj) {
+        const SetId pid = StoreProjection(projections, std::move(proj));
+        meter_.Charge(projections.SetBytes(pid) + sizeof(SetId),
+                      kProjectionsCat);
+        projection_ids.push_back(it.id);
+      });
+
+  // (c) The solver's offline sub-solve. Manual span: the sub-solve ends
+  // mid-scope (before the subtract pass), so an RAII span would swallow
+  // the rest of the step.
+  ArenaVector<SetId> chosen(table);
+  const std::int64_t subsolve_start =
+      ctx_.trace() != nullptr ? TraceRecorder::NowNs() : 0;
+  const bool solved = solve(projections, chosen);
+  if (ctx_.trace() != nullptr) {
+    ctx_.trace()->Emit(TraceCategory::kPhase, subsolve_span, subsolve_start,
+                       TraceRecorder::NowNs() - subsolve_start);
+  }
+  // Stored projections are dropped once the sub-instance is solved.
+  meter_.Release(meter_.CategoryCurrent(kProjectionsCat), kProjectionsCat);
+  if (!solved) return false;
+
+  for (SetId& id : chosen) {
+    id = projection_ids[id];
+    solution_.chosen.push_back(id);
+  }
+  meter_.SetCategory(SolutionBytes(solution_.size()), kSolutionCat);
+  ctx_.RecordTakes(chosen.size(), 0);
+
+  // (d) One pass subtracting the chosen sets' *full* contents from U.
+  // (The paper stores only projections, so recovering the full contents
+  // of OPT' requires this extra pass.)
+  ctx_.SubtractPass(chosen, uncovered_);
+  return true;
+}
+
+bool GuessRun::SolveExactly(const SetSystem& projections,
+                            std::uint64_t node_budget,
+                            ArenaVector<SetId>& chosen) {
+  ExactSetCoverOptions options;
+  options.max_nodes = node_budget;
+  options.size_limit = opt_guess_;
+  // The result lands on the run arena: the exact solver brackets the
+  // table arena internally, so its result must live elsewhere.
+  const ExactSetCoverResult result = SolveExactSetCover(
+      projections,
+      DynamicBitset::Full(projections.universe_size(),
+                          DynamicBitset::Allocator::Table()),
+      options, ctx_.alloc<SetId>());
+  CountExactSubsolve(result, ctx_.counters());
+  if (!result.feasible) {
+    // No cover within õpt: either proven (õpt < opt) or the node budget
+    // ran out first. Greedy cannot rescue the latter — the search starts
+    // from the greedy cover whenever it fits õpt — so both fail the guess.
+    if (!result.complete) CountGreedyFallback(ctx_.counters());
+    return false;
+  }
+  chosen.assign(result.solution.chosen.begin(), result.solution.chosen.end());
+  return true;
+}
+
+GuessResult GuessRun::Finish(bool guess_ok, bool cover_residue) {
+  GuessResult result;
+  result.residual_after_iterations = uncovered_.CountSet();
+
+  // Optional cleanup pass guaranteeing feasibility. W.h.p. U is already
+  // empty (Lemma 3.11); at laptop scale a small residue can survive, and
+  // the paper requires the returned solution to always be feasible.
+  if (guess_ok && cover_residue && !uncovered_.None()) {
+    ctx_.CoverResiduePass(uncovered_, [this](SetId id) { Take(id); });
+  }
+
+  result.feasible = guess_ok && uncovered_.None();
+  result.within_budget =
+      result.feasible && static_cast<double>(solution_.size()) <= budget_;
+  result.solution = std::move(solution_);
+  result.passes = ctx_.stream().passes() - passes_before_;
+  result.peak_space_bytes = meter_.peak();
+  result.engine_stats = ctx_.stats();
+  result.counters = ctx_.counters();
+  return result;
+}
+
+void GreedySubsolve(const SetSystem& projections,
+                    ArenaVector<SetId>& chosen) {
+  const Solution greedy =
+      GreedySetCover(projections, ArenaAllocator<SetId>::Table());
+  chosen.assign(greedy.chosen.begin(), greedy.chosen.end());
+}
+
+SetCoverRunResult RunGuesses(
+    SetStream& stream, const RunContext& context, double growth,
+    std::size_t known_opt, std::uint64_t seed,
+    FunctionRef<GuessResult(std::size_t opt_guess, Rng& rng)> run_guess) {
+  Stopwatch timer;
+  const std::uint64_t passes_before = stream.passes();
+  Rng rng(seed);
+  SetCoverRunResult out;
+
+  const auto try_guess = [&](std::size_t guess) {
+    TraceSpan guess_span(context.trace, TraceCategory::kPhase, "guess");
+    guess_span.AddArg("opt_guess", guess);
+    GuessResult r = run_guess(guess, rng);
+    out.stats.peak_space_bytes =
+        std::max(out.stats.peak_space_bytes, r.peak_space_bytes);
+    out.stats.sets_taken += r.engine_stats.sets_taken;
+    out.stats.elements_covered += r.engine_stats.elements_covered;
+    out.stats.counters.MergeFrom(r.counters);
+    if (!r.within_budget) return false;
+    out.solution = std::move(r.solution);
+    out.feasible = true;
+    return true;
+  };
+
+  if (known_opt > 0) {
+    try_guess(known_opt);
+  } else {
+    std::size_t prev = 0;
+    for (double g = 1.0; static_cast<std::size_t>(g) <= stream.universe_size();
+         g *= growth) {
+      const std::size_t guess = static_cast<std::size_t>(std::ceil(g));
+      if (guess == prev) continue;
+      prev = guess;
+      if (try_guess(guess)) break;
+    }
+  }
+
+  out.stats.passes = stream.passes() - passes_before;
+  out.stats.items_seen = out.stats.passes * stream.num_sets();
+  out.stats.wall_seconds = timer.ElapsedSeconds();
+  return out;
+}
+
+}  // namespace streamsc

@@ -1,0 +1,115 @@
+#ifndef STREAMSC_CORE_GUESS_DRIVER_H_
+#define STREAMSC_CORE_GUESS_DRIVER_H_
+
+#include <cstdint>
+
+#include "instance/set_system.h"
+#include "stream/engine_context.h"
+#include "stream/stream_algorithm.h"
+#include "util/function_ref.h"
+#include "util/random.h"
+#include "util/space_meter.h"
+
+/// \file guess_driver.h
+/// The shape Algorithm 1 (Theorem 2) shares with its two baselines,
+/// Har-Peled et al. (PODS 2016) and DIMV'14: guess the optimum õpt
+/// geometrically, and per guess repeat one step — sample U, store the
+/// projections of every set onto the sample, solve that sub-instance
+/// offline, subtract the chosen sets' full contents from U. This file
+/// holds the guess loop (RunGuesses) and the per-guess state with its
+/// step (GuessRun) once; each solver keeps only its pruning, its sampling
+/// rate and its sub-solver.
+///
+/// The paper runs the O(log n) guesses in parallel within shared passes;
+/// RunGuesses runs them sequentially from the smallest guess and stops at
+/// the first success. That preserves the space bound per guess but spends
+/// a full pass budget on every guess tried, so the reported pass count is
+/// the actual total, not the paper's 2α+1.
+
+namespace streamsc {
+
+/// Outcome of one guess õpt (one RunWithGuess of a sampling solver).
+struct GuessResult {
+  Solution solution;
+  bool feasible = false;         ///< Covered everything.
+  bool within_budget = false;    ///< Feasible with ≤ budget_factor·õpt sets.
+  std::uint64_t passes = 0;
+  Bytes peak_space_bytes = 0;
+  std::uint64_t residual_after_iterations = 0;  ///< |U| left before cleanup.
+  EnginePassStats engine_stats;  ///< Deterministic per-guess pass counters.
+  CounterSet counters;           ///< Full per-guess counter snapshot.
+};
+
+/// Solves a projected sub-instance: writes the chosen local set ids into
+/// \p chosen (empty on entry) and returns false iff the guess fails.
+using SubSolveFn =
+    FunctionRef<bool(const SetSystem& projections, ArenaVector<SetId>& chosen)>;
+
+/// The state of one guess: its engine context, space meter, uncovered
+/// elements U and solution so far.
+class GuessRun {
+ public:
+  /// A guess succeeds with a feasible cover of at most
+  /// budget_factor·opt_guess sets.
+  GuessRun(SetStream& stream, const RunContext& context,
+           std::size_t opt_guess, double budget_factor);
+
+  GuessRun(const GuessRun&) = delete;
+  GuessRun& operator=(const GuessRun&) = delete;
+
+  const DynamicBitset& uncovered() const { return uncovered_; }
+  TraceRecorder* trace() const { return ctx_.trace(); }
+
+  /// One "prune" pass taking every set that still covers at least
+  /// \p threshold uncovered elements.
+  void Prune(double threshold);
+
+  /// One sample/store/solve/subtract step: samples U at \p rate; if the
+  /// sample is non-empty, stores every set's projection onto it in one
+  /// pass, runs \p solve under a \p subsolve_span trace span, takes the
+  /// chosen sets and subtracts their full contents from U in a second
+  /// pass. Returns false iff \p solve failed the guess (nothing is taken
+  /// then).
+  bool Step(double rate, Rng& rng, const char* subsolve_span,
+            SubSolveFn solve);
+
+  /// The paper's *optimal* sub-solve (step 3c of Algorithm 1) under a
+  /// node budget: a cover of at most õpt sets, or false.
+  bool SolveExactly(const SetSystem& projections, std::uint64_t node_budget,
+                    ArenaVector<SetId>& chosen);
+
+  /// Closes the guess. If \p cover_residue and the guess has not failed,
+  /// a cleanup pass first covers whatever U still holds.
+  GuessResult Finish(bool guess_ok, bool cover_residue);
+
+ private:
+  void Take(SetId id);
+
+  std::uint64_t passes_before_;
+  std::size_t opt_guess_;
+  double budget_;
+  EngineContext ctx_;
+  SpaceMeter meter_;
+  DynamicBitset uncovered_;
+  Solution solution_;
+};
+
+/// Greedy on the projections: \p chosen gets its picks, which cover as
+/// much of the sample as the sets can.
+void GreedySubsolve(const SetSystem& projections, ArenaVector<SetId>& chosen);
+
+/// The geometric-guess driver: runs \p run_guess on õpt = known_opt alone
+/// if it is set, else on õpt = ceil(growth^j) for j = 0, 1, ... up to the
+/// universe size, stopping at the first guess whose result is within
+/// budget (larger guesses only allow larger covers). Every guess runs in
+/// a "guess" trace span and shares one Rng seeded with \p seed. Passes,
+/// take counters and interned counters add up over the guesses tried,
+/// peak space is their maximum.
+SetCoverRunResult RunGuesses(
+    SetStream& stream, const RunContext& context, double growth,
+    std::size_t known_opt, std::uint64_t seed,
+    FunctionRef<GuessResult(std::size_t opt_guess, Rng& rng)> run_guess);
+
+}  // namespace streamsc
+
+#endif  // STREAMSC_CORE_GUESS_DRIVER_H_

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 
+#include "core/guess_driver.h"
 #include "stream/stream_algorithm.h"
 #include "util/random.h"
 
@@ -51,10 +52,10 @@ class HarPeledSetCover : public StreamingSetCoverAlgorithm {
   SetCoverRunResult Run(SetStream& stream,
                         const RunContext& context) override;
 
-  /// Single-guess core; exposed for the comparison benches.
-  SetCoverRunResult RunWithGuess(SetStream& stream, std::size_t opt_guess,
-                                 Rng& rng,
-                                 const RunContext& context = {}) const;
+  /// Single-guess core (within budget means ≤ (α+1)·õpt sets); exposed
+  /// for the comparison benches.
+  GuessResult RunWithGuess(SetStream& stream, std::size_t opt_guess,
+                           Rng& rng, const RunContext& context = {}) const;
 
  private:
   HarPeledConfig config_;

@@ -160,21 +160,6 @@ SetView ViewOf(const ProjectedSet& projection) {
   return std::visit([](const auto& set) { return SetView(set); }, projection);
 }
 
-void CountExactSubsolve(const ExactSetCoverResult& result,
-                        CounterSet& counters) {
-  static const CounterId nodes = CounterId::Counter("offline.exact_nodes");
-  static const CounterId budget_hits =
-      CounterId::Counter("offline.exact_budget_hits");
-  counters.Add(nodes, result.nodes);
-  if (!result.complete) counters.Add(budget_hits, 1);
-}
-
-void CountGreedyFallback(CounterSet& counters) {
-  static const CounterId fallbacks =
-      CounterId::Counter("offline.greedy_fallbacks");
-  counters.Add(fallbacks, 1);
-}
-
 DynamicBitset SubUniverse::Lift(const DynamicBitset& sample_set,
                                 DynamicBitset::Allocator alloc) const {
   DynamicBitset out(full_size_, alloc);

@@ -6,8 +6,6 @@
 #include <vector>
 
 #include "instance/set_system.h"
-#include "obs/counters.h"
-#include "offline/exact_set_cover.h"
 #include "stream/set_stream.h"
 #include "util/arena.h"
 #include "util/bitset.h"
@@ -43,16 +41,6 @@ SetId StoreProjection(SetSystem& system, ProjectedSet projection);
 
 /// A borrowed view of a projection (for comparisons and read-only use).
 SetView ViewOf(const ProjectedSet& projection);
-
-/// Counts one exact sub-solve into \p counters: its search nodes as
-/// "offline.exact_nodes", plus one "offline.exact_budget_hits" when the
-/// node budget ran out before the search finished.
-void CountExactSubsolve(const ExactSetCoverResult& result,
-                        CounterSet& counters);
-
-/// Counts one "offline.greedy_fallbacks": a sub-solve whose exact search
-/// ran out of budget and was answered by greedy instead.
-void CountGreedyFallback(CounterSet& counters);
 
 /// A sampled subset of the universe with a dense re-indexing
 /// {sampled elements} -> [0, sample_size).

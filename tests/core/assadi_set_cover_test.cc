@@ -65,7 +65,7 @@ TEST(AssadiSetCoverTest, SingleGuessPassBudget) {
   VectorSetStream stream(system);
   AssadiSetCover algorithm(DefaultConfig(3));
   Rng run_rng(5);
-  const AssadiGuessResult result = algorithm.RunWithGuess(stream, 3, run_rng);
+  const GuessResult result = algorithm.RunWithGuess(stream, 3, run_rng);
   // 1 pruning + per-iteration (store + subtract) + optional cleanup.
   EXPECT_LE(result.passes, 2 * 3 + 1 + 1);
   EXPECT_GE(result.passes, 1u);
@@ -79,7 +79,7 @@ TEST(AssadiSetCoverTest, GuessBelowOptFailsCleanly) {
   VectorSetStream stream(system);
   AssadiSetCover algorithm(DefaultConfig());
   Rng run_rng(7);
-  const AssadiGuessResult result = algorithm.RunWithGuess(stream, 1, run_rng);
+  const GuessResult result = algorithm.RunWithGuess(stream, 1, run_rng);
   EXPECT_FALSE(result.feasible && result.within_budget);
 }
 
@@ -146,7 +146,7 @@ TEST(AssadiSetCoverTest, SpaceShrinksWithAlpha) {
     config.sampling_boost = 1.0 / 16.0;
     AssadiSetCover algorithm(config);
     Rng run_rng(10);
-    const AssadiGuessResult result = algorithm.RunWithGuess(stream, 4, run_rng);
+    const GuessResult result = algorithm.RunWithGuess(stream, 4, run_rng);
     if (!first) {
       EXPECT_LT(result.peak_space_bytes, previous);
     }
@@ -165,7 +165,7 @@ TEST(AssadiSetCoverTest, SpaceBelowDenseInputSize) {
   config.known_opt = 4;
   AssadiSetCover algorithm(config);
   Rng run_rng(12);
-  const AssadiGuessResult result = algorithm.RunWithGuess(stream, 4, run_rng);
+  const GuessResult result = algorithm.RunWithGuess(stream, 4, run_rng);
   const Bytes dense_input = static_cast<Bytes>(m) * n / 8;
   EXPECT_LT(result.peak_space_bytes, dense_input / 2);
 }
@@ -232,7 +232,7 @@ TEST(AssadiSetCoverTest, SamplingBoostIncreasesSpace) {
     config.sampling_boost = boost;
     AssadiSetCover algorithm(config);
     Rng run_rng(18);
-    const AssadiGuessResult result = algorithm.RunWithGuess(stream, 4, run_rng);
+    const GuessResult result = algorithm.RunWithGuess(stream, 4, run_rng);
     (boost < 1.0 ? space_low : space_high) = result.peak_space_bytes;
   }
   EXPECT_LT(space_low, space_high);

@@ -59,11 +59,11 @@ TEST(DemaineSetCoverTest, PassBudgetIsLinearInAlpha) {
 TEST(DemaineSetCoverTest, SpaceExponentIsLogarithmicInAlpha) {
   DemaineConfig config;
   config.alpha = 4;
-  EXPECT_NEAR(DemaineSetCover(config).SpaceExponent(1024), 1.0, 1e-9);
+  EXPECT_NEAR(DemaineSetCover(config).SpaceExponent(), 1.0, 1e-9);
   config.alpha = 16;
-  EXPECT_NEAR(DemaineSetCover(config).SpaceExponent(1024), 0.5, 1e-9);
+  EXPECT_NEAR(DemaineSetCover(config).SpaceExponent(), 0.5, 1e-9);
   config.alpha = 256;
-  EXPECT_NEAR(DemaineSetCover(config).SpaceExponent(1024), 0.25, 1e-9);
+  EXPECT_NEAR(DemaineSetCover(config).SpaceExponent(), 0.25, 1e-9);
 }
 
 TEST(DemaineSetCoverTest, UsesMoreSpaceThanAssadiAtEqualAlpha) {
@@ -81,7 +81,7 @@ TEST(DemaineSetCoverTest, UsesMoreSpaceThanAssadiAtEqualAlpha) {
   d_config.alpha = alpha;
   DemaineSetCover demaine(d_config);
   Rng rng_d(5);
-  const SetCoverRunResult d_result = demaine.RunWithGuess(stream_d, 1, rng_d);
+  const GuessResult d_result = demaine.RunWithGuess(stream_d, 1, rng_d);
 
   VectorSetStream stream_a(system);
   AssadiConfig a_config;
@@ -89,9 +89,9 @@ TEST(DemaineSetCoverTest, UsesMoreSpaceThanAssadiAtEqualAlpha) {
   a_config.epsilon = 0.5;
   AssadiSetCover assadi(a_config);
   Rng rng_a(6);
-  const AssadiGuessResult a_result = assadi.RunWithGuess(stream_a, 1, rng_a);
+  const GuessResult a_result = assadi.RunWithGuess(stream_a, 1, rng_a);
 
-  EXPECT_GT(d_result.stats.peak_space_bytes, a_result.peak_space_bytes);
+  EXPECT_GT(d_result.peak_space_bytes, a_result.peak_space_bytes);
 }
 
 TEST(DemaineSetCoverTest, DeterministicGivenSeed) {

@@ -372,55 +372,34 @@ TEST(GuessDriverGoldenTest, RegistryRunsMatchThePinnedFingerprints) {
 // A known õpt is one guess: Run must report exactly what RunWithGuess
 // reports for that guess (same seed), so the driver adds no passes, no
 // space and no sets of its own.
-TEST(GuessDriverGoldenTest, KnownOptRunMatchesRunWithGuess) {
+template <typename Solver, typename Config>
+void ExpectKnownOptRunMatchesRunWithGuess(Config config,
+                                          const SetSystem& system) {
   const std::size_t opt = 4;
+  config.known_opt = opt;
+  VectorSetStream run_stream(system);
+  const SetCoverRunResult run = Solver(config).Run(run_stream);
+  VectorSetStream guess_stream(system);
+  Rng rng(config.seed);
+  const GuessResult guess = Solver(config).RunWithGuess(guess_stream, opt, rng);
+  EXPECT_EQ(run.stats.passes, guess.passes);
+  EXPECT_EQ(run.stats.peak_space_bytes, guess.peak_space_bytes);
+  EXPECT_EQ(run.stats.sets_taken, guess.engine_stats.sets_taken);
+  EXPECT_EQ(run.stats.elements_covered, guess.engine_stats.elements_covered);
+  EXPECT_EQ(run.feasible, guess.within_budget);
+  if (run.feasible) {
+    EXPECT_EQ(run.solution.chosen, guess.solution.chosen);
+  }
+}
+
+TEST(GuessDriverGoldenTest, KnownOptRunMatchesRunWithGuess) {
   for (const SetSystem& system : {PlantedInstance(), UniformInstance()}) {
-    {
-      AssadiConfig config;
-      config.known_opt = opt;
-      VectorSetStream run_stream(system);
-      const SetCoverRunResult run = AssadiSetCover(config).Run(run_stream);
-      VectorSetStream guess_stream(system);
-      Rng rng(config.seed);
-      const AssadiGuessResult guess =
-          AssadiSetCover(config).RunWithGuess(guess_stream, opt, rng);
-      EXPECT_EQ(run.stats.passes, guess.passes);
-      EXPECT_EQ(run.stats.peak_space_bytes, guess.peak_space_bytes);
-      EXPECT_EQ(run.feasible, guess.feasible && guess.within_budget);
-      if (run.feasible) {
-        EXPECT_EQ(run.solution.chosen, guess.solution.chosen);
-      }
-    }
-    {
-      HarPeledConfig config;
-      config.known_opt = opt;
-      VectorSetStream run_stream(system);
-      const SetCoverRunResult run = HarPeledSetCover(config).Run(run_stream);
-      VectorSetStream guess_stream(system);
-      Rng rng(config.seed);
-      const SetCoverRunResult guess =
-          HarPeledSetCover(config).RunWithGuess(guess_stream, opt, rng);
-      EXPECT_EQ(run.stats.passes, guess.stats.passes);
-      EXPECT_EQ(run.stats.peak_space_bytes, guess.stats.peak_space_bytes);
-      if (run.feasible) {
-        EXPECT_EQ(run.solution.chosen, guess.solution.chosen);
-      }
-    }
-    {
-      DemaineConfig config;
-      config.known_opt = opt;
-      VectorSetStream run_stream(system);
-      const SetCoverRunResult run = DemaineSetCover(config).Run(run_stream);
-      VectorSetStream guess_stream(system);
-      Rng rng(config.seed);
-      const SetCoverRunResult guess =
-          DemaineSetCover(config).RunWithGuess(guess_stream, opt, rng);
-      EXPECT_EQ(run.stats.passes, guess.stats.passes);
-      EXPECT_EQ(run.stats.peak_space_bytes, guess.stats.peak_space_bytes);
-      if (run.feasible) {
-        EXPECT_EQ(run.solution.chosen, guess.solution.chosen);
-      }
-    }
+    ExpectKnownOptRunMatchesRunWithGuess<AssadiSetCover>(AssadiConfig{},
+                                                         system);
+    ExpectKnownOptRunMatchesRunWithGuess<HarPeledSetCover>(HarPeledConfig{},
+                                                           system);
+    ExpectKnownOptRunMatchesRunWithGuess<DemaineSetCover>(DemaineConfig{},
+                                                          system);
   }
 }
 

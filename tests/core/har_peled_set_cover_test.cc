@@ -83,7 +83,7 @@ TEST(HarPeledSetCoverTest, UsesMoreSpaceThanAssadiAtEqualAlpha) {
   assadi_config.epsilon = 0.5;
   AssadiSetCover assadi(assadi_config);
   Rng rng_a(4);
-  const AssadiGuessResult assadi_result =
+  const GuessResult assadi_result =
       assadi.RunWithGuess(stream_a, /*opt_guess=*/1, rng_a);
 
   VectorSetStream stream_h(system);
@@ -91,10 +91,10 @@ TEST(HarPeledSetCoverTest, UsesMoreSpaceThanAssadiAtEqualAlpha) {
   hp_config.alpha = alpha;
   HarPeledSetCover har_peled(hp_config);
   Rng rng_h(5);
-  const SetCoverRunResult hp_result =
+  const GuessResult hp_result =
       har_peled.RunWithGuess(stream_h, /*opt_guess=*/1, rng_h);
 
-  EXPECT_LT(assadi_result.peak_space_bytes, hp_result.stats.peak_space_bytes);
+  EXPECT_LT(assadi_result.peak_space_bytes, hp_result.peak_space_bytes);
 }
 
 TEST(HarPeledSetCoverTest, FewerIterationsThanAlpha) {

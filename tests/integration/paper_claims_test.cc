@@ -92,8 +92,7 @@ TEST(PaperClaims, Theorem2PassesApproximationSpace) {
     config.epsilon = 0.5;
     AssadiSetCover algorithm(config);
     Rng run_rng(4);
-    const AssadiGuessResult result =
-        algorithm.RunWithGuess(stream, opt, run_rng);
+    const GuessResult result = algorithm.RunWithGuess(stream, opt, run_rng);
     ASSERT_TRUE(result.feasible);
     // Pass budget 2α+1 (+1 cleanup allowance).
     EXPECT_LE(result.passes, 2 * alpha + 2);

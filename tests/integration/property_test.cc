@@ -172,8 +172,7 @@ TEST_P(GuessMonotonicityTest, LargerGuessStaysFeasible) {
   for (const std::size_t guess : {opt, opt * 2, opt * 4}) {
     VectorSetStream stream(system);
     Rng run_rng(config.seed + guess);
-    const AssadiGuessResult result =
-        algorithm.RunWithGuess(stream, guess, run_rng);
+    const GuessResult result = algorithm.RunWithGuess(stream, guess, run_rng);
     if (result.feasible) seen_feasible = true;
     // Once a guess >= opt works, all larger guesses must also produce
     // feasible covers (budgets only grow).

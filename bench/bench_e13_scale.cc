@@ -32,7 +32,7 @@
 #include "bench_common.h"
 #include "core/sampling.h"
 #include "instance/set_system.h"
-#include "stream/parallel_pass_engine.h"
+#include "stream/engine_context.h"
 #include "stream/set_stream.h"
 #include "util/random.h"
 #include "util/stopwatch.h"
@@ -77,7 +77,7 @@ std::uint64_t HashBitset(const DynamicBitset& bs) { return bs.Hash(); }
 
 std::uint64_t HashRun(const std::vector<SetId>& taken,
                       const DynamicBitset& uncovered,
-                      const std::vector<ProjectedSet>& projections) {
+                      const SetSystem& projections) {
   std::uint64_t h = 1469598103934665603ull;
   const auto mix = [&h](std::uint64_t v) {
     h ^= v;
@@ -86,8 +86,10 @@ std::uint64_t HashRun(const std::vector<SetId>& taken,
   for (SetId id : taken) mix(id);
   mix(HashBitset(uncovered));
   // Hash the dense materialization so the value depends only on content,
-  // not on which representation ProjectAll chose.
-  for (const auto& p : projections) mix(HashBitset(ViewOf(p).ToDense()));
+  // not on which representation the projection pass chose.
+  for (SetId id = 0; id < projections.num_sets(); ++id) {
+    mix(HashBitset(projections.set(id).ToDense()));
+  }
   return h;
 }
 
@@ -191,7 +193,7 @@ int main(int argc, char** argv) {
             view.AndNotInto(uncovered);
           }
         }
-        hash = HashRun(taken, uncovered, {});
+        hash = HashRun(taken, uncovered, SetSystem(0));
       });
       return hash;
     };
@@ -240,18 +242,27 @@ int main(int argc, char** argv) {
                                       std::size_t{8}}) {
       ParallelPassEngine engine(threads);
       VectorSetStream stream(hybrid);
+      EngineContext ctx(stream, &engine);
 
       Stopwatch timer;
-      std::vector<StreamItem> items = DrainPass(stream);
       DynamicBitset uncovered = DynamicBitset::Full(n);
       std::vector<SetId> taken;
-      ThresholdScan(items, threshold, uncovered, &engine,
-                    [&taken](SetId id) { taken.push_back(id); });
+      ctx.ThresholdPass(threshold, uncovered,
+                        [&taken](SetId id) { taken.push_back(id); });
       const double scan_ms = timer.ElapsedMillis();
 
+      // Workers project into their own scratch; the commit re-homes each
+      // projection into a heap system, in stream order.
       timer.Restart();
-      const std::vector<ProjectedSet> projections =
-          ProjectAll(sub, items, &engine);
+      SetSystem projections(sub.size());
+      ctx.TransformPass<ProjectedSet>(
+          [&sub](const StreamItem& item) {
+            return sub.ProjectAdaptive(item.set,
+                                       ArenaAllocator<ElementId>::Scratch());
+          },
+          [&projections](const StreamItem&, ProjectedSet projection) {
+            StoreProjection(projections, std::move(projection));
+          });
       const double project_ms = timer.ElapsedMillis();
 
       const std::uint64_t hash = HashRun(taken, uncovered, projections);

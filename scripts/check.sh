@@ -58,10 +58,12 @@ compiler_supports_sanitizer() {
 
 # Registry smoke slice: exercises the string-keyed CLI surface headlessly
 # — `workload_tool solvers` plus one registry-driven solve per registered
-# solver (2-thread session pool) over a tiny generated instance. The
-# instance plants a 2-set optimum so every solver, including pair_finder,
-# genuinely succeeds; any solver erroring or reporting infeasible fails
-# the run.
+# solver (2-thread session pool) over two tiny generated instances. The
+# planted instance plants a 2-set optimum so every solver, including
+# pair_finder, genuinely succeeds; it stores every set dense. The uniform
+# instance stores all but one set sparse, so every solver also reads
+# sparse spans straight from the mapping. Any solver erroring or
+# reporting infeasible fails the run.
 run_registry_smoke() {
   local build_dir="$1"
   local tool="${build_dir}/examples/workload_tool"
@@ -75,6 +77,23 @@ run_registry_smoke() {
   while IFS= read -r solver; do
     echo "registry smoke (${build_dir}): ${solver}"
     "${tool}" solve "${tmp}/smoke.sscb1" "${solver}" threads=2 >/dev/null
+  done < <("${tool}" solvers --names)
+  "${tool}" gen uniform 2048 96 40 7 "${tmp}/sparse.ssc" >/dev/null
+  "${tool}" convert "${tmp}/sparse.ssc" "${tmp}/sparse.sscb1" >/dev/null
+  local sparse_sets
+  sparse_sets="$("${tool}" info "${tmp}/sparse.sscb1" |
+    awk -F'|' '/sparse sets/ { split($3, v, "/"); print v[1] + 0 }')"
+  if [[ -z "${sparse_sets}" || "${sparse_sets}" -eq 0 ]]; then
+    echo "check.sh: FATAL: registry smoke: sparse instance has no sparse" \
+      "sets" >&2
+    exit 1
+  fi
+  while IFS= read -r solver; do
+    # The uniform instance has no two sets covering the universe, so
+    # pair_finder correctly reports that no covering pair exists.
+    [[ "${solver}" == "pair_finder" ]] && continue
+    echo "registry smoke (${build_dir}): ${solver} (${sparse_sets} sparse sets)"
+    "${tool}" solve "${tmp}/sparse.sscb1" "${solver}" threads=2 >/dev/null
   done < <("${tool}" solvers --names)
   # Traced solves through the same CLI surface: arm a TraceRecorder
   # (--trace/--stats), then prove each chrome-trace sidecar is loadable

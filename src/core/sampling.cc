@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <bit>
 
-#include "stream/parallel_pass_engine.h"
-
 namespace streamsc {
 namespace {
 
@@ -57,12 +55,11 @@ SubUniverse::SubUniverse(const DynamicBitset& sampled,
   }
 }
 
-template <typename WordAt>
-DynamicBitset SubUniverse::ProjectGather(
-    WordAt&& word_at, DynamicBitset::Allocator alloc) const {
+DynamicBitset SubUniverse::ProjectGather(const Word* words,
+                                         DynamicBitset::Allocator alloc) const {
   DynamicBitset out(sample_to_full_.size(), alloc);
   for (const GatherBlock& block : gather_) {
-    const Word bits = ExtractBits(word_at(block.src_word), block.mask);
+    const Word bits = ExtractBits(words[block.src_word], block.mask);
     if (bits == 0) continue;
     const std::size_t word = block.dst_bit / DynamicBitset::kBitsPerWord;
     const std::size_t offset = block.dst_bit % DynamicBitset::kBitsPerWord;
@@ -77,13 +74,11 @@ DynamicBitset SubUniverse::ProjectGather(
 }
 
 template <typename Emit>
-void SubUniverse::ForEachSampled(const ElementId* ids, std::size_t count,
-                                 Emit&& emit) const {
+void SubUniverse::ForEachSampled(const SparseSpan& span, Emit&& emit) const {
   // O(k) rank computations — independent of both n and the sample size.
   // Source ids are sorted, and full -> sample rank is monotone, so the
   // emitted sample ids are sorted too.
-  for (std::size_t i = 0; i < count; ++i) {
-    const ElementId e = ids[i];
+  span.ForEach([&](ElementId e) {
     const std::size_t w = e / DynamicBitset::kBitsPerWord;
     const std::size_t b = e % DynamicBitset::kBitsPerWord;
     const Word mask = sampled_words_[w];
@@ -91,36 +86,16 @@ void SubUniverse::ForEachSampled(const ElementId* ids, std::size_t count,
       emit(word_rank_[w] + static_cast<std::uint32_t>(
                                std::popcount(mask & ((Word{1} << b) - 1))));
     }
-  }
-}
-
-DynamicBitset SubUniverse::Project(const DynamicBitset& full_set,
-                                   DynamicBitset::Allocator alloc) const {
-  return ProjectGather([&](std::size_t w) { return full_set.GetWord(w); },
-                       alloc);
+  });
 }
 
 DynamicBitset SubUniverse::Project(SetView full_set,
                                    DynamicBitset::Allocator alloc) const {
-  if (const DynamicBitset* dense = full_set.dense()) {
-    return Project(*dense, alloc);
-  }
-  if (const DenseSpan* span = full_set.dense_span()) {
-    return ProjectGather([&](std::size_t w) { return span->GetWord(w); },
-                         alloc);
-  }
-  const ElementId* ids = nullptr;
-  std::size_t count = 0;
-  if (const SparseSet* sparse = full_set.sparse()) {
-    ids = sparse->elements().data();
-    count = sparse->elements().size();
-  } else {
-    const SparseSpan* span = full_set.sparse_span();
-    ids = span->elements();
-    count = static_cast<std::size_t>(span->CountSet());
+  if (full_set.is_dense_rep()) {
+    return ProjectGather(full_set.dense_span().WordData(), alloc);
   }
   DynamicBitset out(sample_to_full_.size(), alloc);
-  ForEachSampled(ids, count, [&](std::uint32_t s) { out.Set(s); });
+  ForEachSampled(full_set.sparse_span(), [&](std::uint32_t s) { out.Set(s); });
   return out;
 }
 
@@ -130,20 +105,10 @@ ProjectedSet SubUniverse::ProjectAdaptive(SetView full_set,
   if (full_set.is_dense_rep()) {
     return Project(full_set, DynamicBitset::Allocator(alloc));
   }
-  const ElementId* ids = nullptr;
-  std::size_t count = 0;
-  if (const SparseSet* sparse = full_set.sparse()) {
-    ids = sparse->elements().data();
-    count = sparse->elements().size();
-  } else {
-    const SparseSpan* span = full_set.sparse_span();
-    ids = span->elements();
-    count = static_cast<std::size_t>(span->CountSet());
-  }
+  const SparseSpan span = full_set.sparse_span();
   ArenaVector<ElementId> projected(alloc);
-  projected.reserve(count);
-  ForEachSampled(ids, count,
-                 [&](std::uint32_t s) { projected.push_back(s); });
+  projected.reserve(static_cast<std::size_t>(span.CountSet()));
+  ForEachSampled(span, [&](std::uint32_t s) { projected.push_back(s); });
   // ForEachSampled emits strictly increasing in-range sample ids, so the
   // per-item hot path can skip the release-mode re-validation.
   return SparseSet::FromSortedIndicesUnchecked(sample_to_full_.size(),
@@ -171,22 +136,6 @@ DynamicBitset SampleElements(const DynamicBitset& universe, double rate,
                              Rng& rng, DynamicBitset::Allocator alloc) {
   // Rng::BernoulliSubsample owns the documented [0,1]/NaN clamp.
   return rng.BernoulliSubsample(universe, rate, alloc);
-}
-
-std::vector<ProjectedSet> ProjectAll(const SubUniverse& sub,
-                                     const std::vector<StreamItem>& items,
-                                     ParallelPassEngine* pool) {
-  std::vector<ProjectedSet> out(items.size());
-  if (pool == nullptr || pool->num_threads() <= 1) {
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      out[i] = sub.ProjectAdaptive(items[i].set);
-    }
-    return out;
-  }
-  pool->ParallelFor(items.size(), [&](std::size_t i) {
-    out[i] = sub.ProjectAdaptive(items[i].set);
-  });
-  return out;
 }
 
 }  // namespace streamsc

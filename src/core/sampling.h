@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "instance/set_system.h"
-#include "stream/set_stream.h"
 #include "util/arena.h"
 #include "util/bitset.h"
 #include "util/random.h"
@@ -27,8 +26,6 @@
 /// lookups.
 
 namespace streamsc {
-
-class ParallelPassEngine;
 
 /// A projection result in its natural representation: dense sources gather
 /// into a DynamicBitset, sparse sources re-index straight into a SparseSet
@@ -64,24 +61,18 @@ class SubUniverse {
   /// Full-universe size this sample came from.
   std::size_t full_size() const { return full_size_; }
 
-  /// Projects a full-universe dense set onto the sample (dense indexing)
-  /// via the word-level gather plan. The result is allocated from
-  /// \p alloc.
-  DynamicBitset Project(const DynamicBitset& full_set,
-                        DynamicBitset::Allocator alloc = {}) const;
-
-  /// Projects a full-universe set of any representation (owning or span):
-  /// dense sets go through the word gather, sparse sets through per-member
-  /// re-indexing. Always emits a dense result; see ProjectAdaptive for the
-  /// representation-preserving variant.
+  /// Projects a full-universe set onto the sample (dense indexing): dense
+  /// sets go through the word gather, sparse sets through per-member
+  /// re-indexing. Always emits a dense result, allocated from \p alloc; see
+  /// ProjectAdaptive for the representation-preserving variant.
   DynamicBitset Project(SetView full_set,
                         DynamicBitset::Allocator alloc = {}) const;
 
   /// Projects onto the sample, keeping the source's representation: dense
-  /// and dense-span sources emit a DynamicBitset via the word gather,
-  /// sparse and sparse-span sources emit a SparseSet directly in O(k) —
-  /// skipping the dense intermediate entirely, so a stored sparse
-  /// projection never touches O(sample_size) memory. The result is
+  /// sources emit a DynamicBitset via the word gather, sparse sources emit
+  /// a SparseSet directly in O(k) — skipping the dense intermediate
+  /// entirely, so a stored sparse projection never touches O(sample_size)
+  /// memory. The result is
   /// allocated from \p alloc (the engine's sharded TransformPass passes
   /// the worker-scratch binding here).
   ProjectedSet ProjectAdaptive(SetView full_set,
@@ -95,19 +86,16 @@ class SubUniverse {
   ElementId ToFull(std::size_t i) const { return sample_to_full_[i]; }
 
  private:
-  // Word-gather core shared by the dense and dense-span paths; \p word_at
-  // returns the source set's w-th backing word. Defined in sampling.cc
-  // (only instantiated there).
-  template <typename WordAt>
-  DynamicBitset ProjectGather(WordAt&& word_at,
+  // Word-gather core of the dense path: projects the full-universe words
+  // at \p words.
+  DynamicBitset ProjectGather(const DynamicBitset::Word* words,
                               DynamicBitset::Allocator alloc) const;
 
-  // Sparse re-indexing core shared by the sparse and sparse-span paths:
-  // calls \p emit(sample_id) for each sampled member of the sorted id run,
-  // in increasing sample order. Defined in sampling.cc.
+  // Sparse re-indexing core: calls \p emit(sample_id) for each sampled
+  // member of \p span, in increasing sample order. Defined in sampling.cc
+  // (only instantiated there).
   template <typename Emit>
-  void ForEachSampled(const ElementId* ids, std::size_t count,
-                      Emit&& emit) const;
+  void ForEachSampled(const SparseSpan& span, Emit&& emit) const;
 
   // One gather step: the sampled bits of full-universe word `src_word`
   // land, compacted, at output bit position `dst_bit`.
@@ -135,16 +123,6 @@ class SubUniverse {
 /// whole \p universe. The result is allocated from \p alloc.
 DynamicBitset SampleElements(const DynamicBitset& universe, double rate,
                              Rng& rng, DynamicBitset::Allocator alloc = {});
-
-/// Projects every buffered item onto \p sub (via ProjectAdaptive, so each
-/// projection keeps its source's representation); out[i] corresponds to
-/// items[i]. With a pool the projections are computed in parallel — each
-/// item's output slot is fixed by its stream position, so the result is
-/// bit-identical for any thread count. Pass pool == nullptr for the
-/// sequential path.
-std::vector<ProjectedSet> ProjectAll(const SubUniverse& sub,
-                                     const std::vector<StreamItem>& items,
-                                     ParallelPassEngine* pool);
 
 }  // namespace streamsc
 

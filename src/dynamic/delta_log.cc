@@ -45,8 +45,6 @@ DeltaLog::DeltaLog(const std::string& path) {
     record_count_ = 0;
     touched_base_.clear();
     appended_.clear();
-    dense_.clear();
-    sparse_.clear();
   }
 }
 
@@ -129,8 +127,6 @@ Status DeltaLog::Load(const std::string& path) {
       case sscd1::kReplaceSet: {
         const std::byte* payload = file_.data() + offset + sizeof(record);
         Slot slot;
-        slot.from_delta = true;
-        slot.rep = static_cast<sscb1::Rep>(record.rep);
         slot.version = i + 1;
         if (record.rep == sscb1::kDense) {
           const Word* words = reinterpret_cast<const Word*>(payload);
@@ -148,8 +144,7 @@ Status DeltaLog::Load(const std::string& path) {
             return Malformed(where +
                              "payload popcount mismatches the record count");
           }
-          dense_.push_back(span);
-          slot.payload = static_cast<std::uint32_t>(dense_.size() - 1);
+          slot.payload = span;
         } else {
           const ElementId* ids = reinterpret_cast<const ElementId*>(payload);
           for (std::uint32_t k = 0; k < record.count; ++k) {
@@ -169,8 +164,7 @@ Status DeltaLog::Load(const std::string& path) {
               return Malformed(where + "nonzero sparse payload padding");
             }
           }
-          sparse_.push_back(SparseSpan(ids, record.count, universe_size_));
-          slot.payload = static_cast<std::uint32_t>(sparse_.size() - 1);
+          slot.payload = SparseSpan(ids, record.count, universe_size_);
         }
         if (record.type == sscd1::kAddSet) {
           appended_.push_back(slot);
@@ -199,9 +193,7 @@ SetView DeltaLog::slot_view(std::uint64_t slot) const {
   STREAMSC_CHECK(status_.ok() && slot < num_slots() && slot_from_delta(slot),
                  "DeltaLog::slot_view: invalid log, slot, or base-backed "
                  "slot");
-  const Slot& s = SlotRef(slot);
-  if (s.rep == sscb1::kDense) return SetView(dense_[s.payload]);
-  return SetView(sparse_[s.payload]);
+  return SlotRef(slot).payload;
 }
 
 // ---------------------------------------------------------------------------
@@ -289,8 +281,8 @@ Status DeltaLogWriter::WritePayloadRecord(sscd1::RecordType type,
         "sscd1: set universe size mismatches the log header"));
   }
   const Count count = set.CountSet();
-  const bool sparse = static_cast<double>(count) <
-                      sparsity_threshold_ * static_cast<double>(universe_size_);
+  const bool sparse = SetPayloadEncoder::StoresSparse(count, universe_size_,
+                                                      sparsity_threshold_);
 
   RecordHeader record = {};
   record.type = static_cast<std::uint16_t>(type);
@@ -300,34 +292,11 @@ Status DeltaLogWriter::WritePayloadRecord(sscd1::RecordType type,
   record.record_bytes = static_cast<std::uint32_t>(
       sparse ? sscd1::SparseRecordBytes(count)
              : sscd1::DenseRecordBytes(universe_size_));
-  bool written = WriteBytes(&record, sizeof(record));
-
-  if (sparse) {
-    scratch_ids_.clear();
-    scratch_ids_.reserve(static_cast<std::size_t>(count));
-    set.ForEach([&](ElementId e) { scratch_ids_.push_back(e); });
-    if (written && !scratch_ids_.empty()) {
-      written = WriteBytes(scratch_ids_.data(),
-                           scratch_ids_.size() * sizeof(ElementId));
-    }
-    const std::uint64_t raw = scratch_ids_.size() * sizeof(ElementId);
-    const std::uint64_t padded = sscb1::SparsePayloadBytes(count);
-    if (written && padded > raw) {
-      const std::uint64_t zero = 0;
-      written = WriteBytes(&zero, static_cast<std::size_t>(padded - raw));
-    }
-  } else if (const DynamicBitset* dense = set.dense()) {
-    written = written && WriteBytes(dense->WordData(),
-                                    dense->WordCount() * sizeof(Word));
-  } else if (const DenseSpan* span = set.dense_span()) {
-    written = written &&
-              WriteBytes(span->WordData(), span->WordCount() * sizeof(Word));
-  } else {
-    // Sparse-represented set dense enough to store dense: materialize once.
-    const DynamicBitset materialized = set.ToDense();
-    written = written && WriteBytes(materialized.WordData(),
-                                    materialized.WordCount() * sizeof(Word));
-  }
+  const bool written =
+      WriteBytes(&record, sizeof(record)) &&
+      payload_.Write(set, sparse, [this](const void* bytes, std::size_t n) {
+        return WriteBytes(bytes, n);
+      });
   if (!written) {
     return Fail(Status::Internal("write to '" + path_ + "' failed"));
   }

@@ -11,6 +11,7 @@
 #include "dynamic/delta_format.h"
 #include "instance/set_system.h"
 #include "storage/mmap_file.h"
+#include "storage/set_payload.h"
 #include "util/set_span.h"
 #include "util/set_view.h"
 #include "util/status.h"
@@ -81,7 +82,7 @@ class DeltaLog {
   /// True iff \p slot's current payload lives in this log (added or
   /// replaced) rather than in the base. Precondition: slot < num_slots().
   bool slot_from_delta(std::uint64_t slot) const {
-    return SlotRef(slot).from_delta;
+    return SlotRef(slot).payload.valid();
   }
 
   /// Version of \p slot: 0 for a base slot no record has touched, else
@@ -103,10 +104,8 @@ class DeltaLog {
  private:
   struct Slot {
     bool live = true;
-    bool from_delta = false;
-    sscb1::Rep rep = sscb1::kDense;
-    std::uint32_t payload = 0;  // into dense_ / sparse_ when from_delta
     std::uint64_t version = 0;
+    SetView payload;  // the delta payload over the mapping; invalid = base
   };
 
   Status Load(const std::string& path);
@@ -130,8 +129,6 @@ class DeltaLog {
   // to a shared default (live, version 0, base payload).
   std::unordered_map<std::uint64_t, Slot> touched_base_;
   std::vector<Slot> appended_;  // slots base_num_sets_ .. num_slots()-1
-  std::vector<DenseSpan> dense_;
-  std::vector<SparseSpan> sparse_;
 };
 
 /// Incremental sscd1 writer. Not copyable. Construct in create mode (new
@@ -205,7 +202,7 @@ class DeltaLogWriter {
   // table, memory scales with the mutations, not the claimed base size.
   std::uint64_t num_slots_ = 0;
   std::unordered_set<std::uint64_t> dead_;
-  std::vector<ElementId> scratch_ids_;  // reused per sparse payload
+  SetPayloadEncoder payload_;
   bool finished_ = false;
 };
 

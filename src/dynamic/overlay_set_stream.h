@@ -28,8 +28,8 @@
 ///
 /// ItemsRemainValid() is honestly true: every view points into the base
 /// mapping/system or the delta mapping, both of which live as long as the
-/// stream — so DrainPass / ParallelPassEngine can buffer and shard a pass
-/// over a composed instance exactly as over a plain mmap.
+/// stream — so DrainPassInto / ParallelPassEngine can buffer and shard a
+/// pass over a composed instance exactly as over a plain mmap.
 ///
 /// RefreshDelta() re-reads the delta file (the watch-mode beat): the base
 /// stays untouched, the log is re-validated and re-replayed, and the live

@@ -78,41 +78,18 @@ Status BinaryInstanceWriter::AddSet(SetView set) {
   }
 
   const Count count = set.CountSet();
-  const bool sparse = static_cast<double>(count) <
-                      sparsity_threshold_ * static_cast<double>(universe_size_);
+  const bool sparse = SetPayloadEncoder::StoresSparse(count, universe_size_,
+                                                      sparsity_threshold_);
 
   SetIndexEntry entry = {};
   entry.offset = offset_;
   entry.count = static_cast<std::uint32_t>(count);
   entry.rep = sparse ? sscb1::kSparse : sscb1::kDense;
 
-  bool written = true;
-  if (sparse) {
-    scratch_ids_.clear();
-    scratch_ids_.reserve(static_cast<std::size_t>(count));
-    set.ForEach([&](ElementId e) { scratch_ids_.push_back(e); });
-    if (!scratch_ids_.empty()) {
-      written = WriteBytes(scratch_ids_.data(),
-                           scratch_ids_.size() * sizeof(ElementId));
-    }
-    const std::uint64_t raw = scratch_ids_.size() * sizeof(ElementId);
-    const std::uint64_t padded = sscb1::SparsePayloadBytes(count);
-    if (written && padded > raw) {
-      const std::uint64_t zero = 0;
-      written = WriteBytes(&zero, static_cast<std::size_t>(padded - raw));
-    }
-  } else if (const DynamicBitset* dense = set.dense()) {
-    written = WriteBytes(dense->WordData(),
-                         dense->WordCount() * sizeof(DynamicBitset::Word));
-  } else if (const DenseSpan* span = set.dense_span()) {
-    written = WriteBytes(span->WordData(),
-                         span->WordCount() * sizeof(DynamicBitset::Word));
-  } else {
-    // Sparse-represented set dense enough to store dense: materialize once.
-    const DynamicBitset dense = set.ToDense();
-    written = WriteBytes(dense.WordData(),
-                         dense.WordCount() * sizeof(DynamicBitset::Word));
-  }
+  const bool written =
+      payload_.Write(set, sparse, [this](const void* bytes, std::size_t n) {
+        return WriteBytes(bytes, n);
+      });
   if (!written) {
     return Fail(Status::Internal("write to '" + path_ + "' failed"));
   }

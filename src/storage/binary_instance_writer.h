@@ -7,6 +7,7 @@
 
 #include "instance/set_system.h"
 #include "storage/binary_format.h"
+#include "storage/set_payload.h"
 #include "util/set_view.h"
 #include "util/status.h"
 
@@ -71,7 +72,7 @@ class BinaryInstanceWriter {
   double sparsity_threshold_ = 0.0;
   std::uint64_t offset_ = 0;  // current write position
   std::vector<sscb1::SetIndexEntry> index_;
-  std::vector<ElementId> scratch_ids_;  // reused per sparse payload
+  SetPayloadEncoder payload_;
   bool finished_ = false;
 };
 

@@ -26,9 +26,8 @@ MmapSetStream::MmapSetStream(const std::string& path) {
     // Leave a well-defined empty stream so accidental use without a
     // status check streams nothing instead of reading junk.
     universe_size_ = 0;
-    slots_.clear();
-    dense_.clear();
-    sparse_.clear();
+    sets_.clear();
+    sparse_sets_ = 0;
   }
 }
 
@@ -52,9 +51,8 @@ Status MmapSetStream::Load(const std::string& path) {
 
   universe_size_ = static_cast<std::size_t>(header.universe_size);
   const std::size_t m = static_cast<std::size_t>(header.num_sets);
-  slots_.reserve(m);
+  sets_.reserve(m);
 
-  std::size_t dense_count = 0, sparse_count = 0;
   std::vector<SetIndexEntry> entries(m);
   if (m > 0) {
     std::memcpy(entries.data(), file_.data() + header.index_offset,
@@ -63,10 +61,7 @@ Status MmapSetStream::Load(const std::string& path) {
   for (std::size_t id = 0; id < m; ++id) {
     status = sscb1::ValidateIndexEntry(header, entries[id], id);
     if (!status.ok()) return status;
-    (entries[id].rep == sscb1::kDense ? dense_count : sparse_count) += 1;
   }
-  dense_.reserve(dense_count);
-  sparse_.reserve(sparse_count);
 
   const std::size_t word_count = (universe_size_ + 63) / 64;
   for (std::size_t id = 0; id < m; ++id) {
@@ -88,9 +83,7 @@ Status MmapSetStream::Load(const std::string& path) {
         return Malformed("set " + std::to_string(id) +
                          ": payload popcount mismatches the index count");
       }
-      dense_.push_back(span);
-      slots_.push_back(
-          {sscb1::kDense, static_cast<std::uint32_t>(dense_.size() - 1)});
+      sets_.push_back(span);
     } else {
       const ElementId* ids = reinterpret_cast<const ElementId*>(payload);
       // Sorted, unique, in-range: everything SparseSpan's O(k) operations
@@ -106,9 +99,8 @@ Status MmapSetStream::Load(const std::string& path) {
                            ": elements not strictly increasing");
         }
       }
-      sparse_.push_back(SparseSpan(ids, entry.count, universe_size_));
-      slots_.push_back(
-          {sscb1::kSparse, static_cast<std::uint32_t>(sparse_.size() - 1)});
+      sets_.push_back(SparseSpan(ids, entry.count, universe_size_));
+      ++sparse_sets_;
     }
   }
   return Status::Ok();
@@ -121,7 +113,7 @@ void MmapSetStream::BeginPass() {
 
 bool MmapSetStream::Next(StreamItem* item) {
   STREAMSC_DCHECK(passes_ > 0 && "BeginPass() before Next()");
-  if (cursor_ >= slots_.size()) return false;
+  if (cursor_ >= sets_.size()) return false;
   const SetId id = static_cast<SetId>(cursor_++);
   item->id = id;
   item->set = set(id);
@@ -129,11 +121,9 @@ bool MmapSetStream::Next(StreamItem* item) {
 }
 
 SetView MmapSetStream::set(SetId id) const {
-  STREAMSC_CHECK(status_.ok() && id < slots_.size(),
+  STREAMSC_CHECK(status_.ok() && id < sets_.size(),
                  "MmapSetStream::set: invalid stream or id");
-  const Slot& slot = slots_[id];
-  if (slot.rep == sscb1::kDense) return SetView(dense_[slot.index]);
-  return SetView(sparse_[slot.index]);
+  return sets_[id];
 }
 
 bool IsBinaryInstanceFile(const std::string& path) {

@@ -10,6 +10,7 @@
 #include "storage/mmap_file.h"
 #include "stream/set_stream.h"
 #include "util/set_span.h"
+#include "util/set_view.h"
 #include "util/status.h"
 
 /// \file mmap_set_stream.h
@@ -21,9 +22,9 @@
 ///   * a pass costs zero parsing — BeginPass() is a cursor reset, and a
 ///     set's bytes are only touched when the algorithm reads them;
 ///   * ItemsRemainValid() is true — views stay valid for the stream's
-///     whole lifetime, so DrainPass / ParallelPassEngine can buffer and
+///     whole lifetime, so DrainPassInto / ParallelPassEngine can buffer and
 ///     shard a disk-resident pass across workers;
-///   * resident memory is O(m) span bookkeeping plus whatever pages the
+///   * resident memory is O(m) view bookkeeping plus whatever pages the
 ///     OS keeps warm — never O(mn), preserving the streaming model's
 ///     honesty at multi-GB scale.
 ///
@@ -53,12 +54,12 @@ class MmapSetStream : public SetStream {
   const Status& status() const { return status_; }
 
   std::size_t universe_size() const override { return universe_size_; }
-  std::size_t num_sets() const override { return slots_.size(); }
+  std::size_t num_sets() const override { return sets_.size(); }
   void BeginPass() override;
   bool Next(StreamItem* item) override;
   std::uint64_t passes() const override { return passes_; }
   /// Views borrow the mapping, which lives as long as the stream: a
-  /// buffered pass (DrainPass / ParallelPassEngine) is safe.
+  /// buffered pass (DrainPassInto / ParallelPassEngine) is safe.
   bool ItemsRemainValid() const override { return true; }
 
   /// Random access to the \p id-th set (the index makes this O(1) — a
@@ -67,26 +68,20 @@ class MmapSetStream : public SetStream {
   SetView set(SetId id) const;
 
   /// Number of sets stored sparsely (for tooling/info output).
-  std::size_t sparse_sets() const { return sparse_.size(); }
+  std::size_t sparse_sets() const { return sparse_sets_; }
 
   /// Mapped file size in bytes.
   std::uint64_t file_bytes() const { return file_.size(); }
 
  private:
-  // Validates everything and builds the span tables.
+  // Validates everything and builds the view table.
   Status Load(const std::string& path);
-
-  struct Slot {
-    sscb1::Rep rep;
-    std::uint32_t index;  // into dense_ or sparse_
-  };
 
   Status status_;
   MmapFile file_;
   std::size_t universe_size_ = 0;
-  std::vector<Slot> slots_;
-  std::vector<DenseSpan> dense_;
-  std::vector<SparseSpan> sparse_;
+  std::vector<SetView> sets_;  // one view per set, over the mapping
+  std::size_t sparse_sets_ = 0;
   std::size_t cursor_ = 0;
   std::uint64_t passes_ = 0;
 };

@@ -77,7 +77,7 @@ void EngineContext::GainScanPassNamed(
     return;
   }
   // One copy of the chunked snapshot-filter + in-order-commit logic lives
-  // in GainFilteredScan (shared with the free-standing ThresholdScan).
+  // in GainFilteredScan.
   DrainPassInto(stream_, items_);
   GainFilteredScan(items_, uncovered, engine_, visit, trace_);
 }

@@ -20,7 +20,7 @@
 /// EngineContext: the shared plumbing between a streaming solver and the
 /// ParallelPassEngine. Before it existed, every solver that wanted sharded
 /// passes hand-rolled the same four lines — "do I have an engine, can this
-/// stream buffer a pass, DrainPass or BeginPass/Next, ThresholdScan or the
+/// stream buffer a pass, buffer it or BeginPass/Next, sharded scan or the
 /// sequential loop" — so only the two solvers whose authors bothered
 /// (Assadi, threshold-greedy) ever ran in parallel. EngineContext owns
 /// that decision once, exposes the pass shapes every solver in core/ is

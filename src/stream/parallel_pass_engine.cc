@@ -144,18 +144,6 @@ void ParallelPassEngine::ParallelFor(std::size_t count,
   }
 }
 
-std::vector<StreamItem> DrainPass(SetStream& stream) {
-  STREAMSC_CHECK(stream.ItemsRemainValid(),
-                 "DrainPass: stream invalidates items mid-pass; "
-                 "buffering would read dangling views");
-  std::vector<StreamItem> items;
-  items.reserve(stream.num_sets());
-  stream.BeginPass();
-  StreamItem item;
-  while (stream.Next(&item)) items.push_back(item);
-  return items;
-}
-
 void DrainPassInto(SetStream& stream, ArenaVector<StreamItem>& items) {
   STREAMSC_CHECK(stream.ItemsRemainValid(),
                  "DrainPassInto: stream invalidates items mid-pass; "
@@ -206,14 +194,6 @@ void GainFilteredScan(
       }
     }
   }
-}
-
-void ThresholdScan(std::span<const StreamItem> items, double threshold,
-                   DynamicBitset& uncovered, ParallelPassEngine* engine,
-                   FunctionRef<void(SetId)> on_take) {
-  const auto take = [&](SetId id, Count) { on_take(id); };
-  const ThresholdTakeVisitor visitor(threshold, uncovered, take);
-  GainFilteredScan(items, uncovered, engine, visitor);
 }
 
 }  // namespace streamsc

@@ -25,7 +25,7 @@
 /// are **bit-identical for any thread count** (including the engine-less
 /// sequential path). Parallelism is used only where item work is
 /// independent (projection) or where a parallel phase can be proven
-/// equivalent to the sequential loop (ThresholdScan's monotone-gain
+/// equivalent to the sequential loop (GainFilteredScan's monotone-gain
 /// filter + in-order commit). Merges happen in stream order at pass end;
 /// no result ever depends on thread scheduling.
 ///
@@ -116,18 +116,16 @@ class ParallelPassEngine {
   std::vector<std::shared_ptr<Job>> job_pool_;
 };
 
-/// Starts a new pass on \p stream and buffers all its items. Requires
-/// stream.ItemsRemainValid() (CHECK-fails otherwise): the returned views
-/// borrow from the stream and stay valid until its next pass.
-std::vector<StreamItem> DrainPass(SetStream& stream);
-
-/// Reusing-buffer form of DrainPass: clears \p items and refills it,
-/// retaining capacity (and, with an arena-bound vector, retaining the
-/// arena's chunks) across passes — the zero-allocation steady state.
+/// Starts a new pass on \p stream and buffers all its items into \p items
+/// (cleared first; capacity — and, with an arena-bound vector, the arena's
+/// chunks — is retained across passes: the zero-allocation steady state).
+/// Requires stream.ItemsRemainValid() (CHECK-fails otherwise): the
+/// buffered views borrow from the stream and stay valid until its next
+/// pass.
 void DrainPassInto(SetStream& stream, ArenaVector<StreamItem>& items);
 
-/// The monotone-gain filter core shared by ThresholdScan and
-/// EngineContext::GainScanPass — the one copy of the chunked
+/// The monotone-gain filter core under EngineContext::GainScanPass and
+/// ThresholdPass — the one copy of the chunked
 /// snapshot-filter + in-order-commit logic. Calls
 /// visit(item, gain_bound, bound_is_exact) in stream order for every item
 /// whose bound is positive; sequentially (null/1-thread engine) the bound
@@ -149,8 +147,8 @@ void GainFilteredScan(std::span<const StreamItem> items,
 /// eligibility rule: a below-threshold bound is a proof of ineligibility
 /// (gains only shrink); survivors re-evaluate against the live `uncovered`
 /// and, when still eligible, are taken (on_take receives the exact
-/// committed gain) and subtracted. Shared by ThresholdScan and
-/// EngineContext::ThresholdPass. Non-owning: \p uncovered and the
+/// committed gain) and subtracted. Used by EngineContext::ThresholdPass.
+/// Non-owning: \p uncovered and the
 /// callable behind \p on_take must outlive the visitor.
 class ThresholdTakeVisitor {
  public:
@@ -175,25 +173,6 @@ class ThresholdTakeVisitor {
   DynamicBitset* uncovered_;
   FunctionRef<void(SetId, Count)> on_take_;
 };
-
-/// The pruning-scan primitive shared by the threshold-style passes:
-/// sequentially equivalent to
-///
-///   for item in items:                       # in stream order
-///     gain = |item.set & uncovered|
-///     if gain > 0 and gain >= threshold:
-///       on_take(item.id); uncovered \= item.set
-///
-/// With an engine, gains are precomputed in parallel against a chunk
-/// snapshot of `uncovered` and candidates are re-evaluated in stream
-/// order. Because `uncovered` only shrinks within a pass, a set whose
-/// snapshot gain is below the threshold can never reach it later, so the
-/// filter drops no taker — the output is bit-identical to the sequential
-/// loop for every thread count. Pass engine == nullptr for the plain
-/// sequential scan.
-void ThresholdScan(std::span<const StreamItem> items, double threshold,
-                   DynamicBitset& uncovered, ParallelPassEngine* engine,
-                   FunctionRef<void(SetId)> on_take);
 
 }  // namespace streamsc
 

@@ -202,7 +202,14 @@ bool FileSetStream::Next(StreamItem* item) {
   if (!(row >> k)) {
     return fail("bad set line in '" + path_ + "'");
   }
-  current_ = DynamicBitset(universe_size_);
+  // Reuse the buffer: the item's view borrows it, so a fresh allocation per
+  // set would leave a view held past Next() dangling instead of merely
+  // stale (holding one is a contract violation either way).
+  if (current_.size() == universe_size_) {
+    current_.Clear();
+  } else {
+    current_ = DynamicBitset(universe_size_);
+  }
   for (std::uint64_t i = 0; i < k; ++i) {
     std::uint64_t e = 0;
     if (!(row >> e) || e >= universe_size_) {

@@ -1,6 +1,6 @@
 #include "util/bitset.h"
 #include "util/check.h"
-#include "util/word_kernels.h"
+#include "util/set_span.h"
 
 #include <algorithm>
 #include <bit>
@@ -28,35 +28,6 @@ void DynamicBitset::Fill() {
   TrimTail();
 }
 
-Count DynamicBitset::CountSet() const {
-  return PopcountWords(words_.data(), words_.size());
-}
-
-bool DynamicBitset::None() const {
-  for (Word w : words_) {
-    if (w != 0) return false;
-  }
-  return true;
-}
-
-DynamicBitset& DynamicBitset::operator|=(const DynamicBitset& other) {
-  STREAMSC_DCHECK(size_ == other.size_);
-  for (std::size_t i = 0; i < words_.size(); ++i) words_[i] |= other.words_[i];
-  return *this;
-}
-
-DynamicBitset& DynamicBitset::operator&=(const DynamicBitset& other) {
-  STREAMSC_DCHECK(size_ == other.size_);
-  for (std::size_t i = 0; i < words_.size(); ++i) words_[i] &= other.words_[i];
-  return *this;
-}
-
-DynamicBitset& DynamicBitset::AndNot(const DynamicBitset& other) {
-  STREAMSC_DCHECK(size_ == other.size_);
-  for (std::size_t i = 0; i < words_.size(); ++i) words_[i] &= ~other.words_[i];
-  return *this;
-}
-
 void DynamicBitset::Complement() {
   for (Word& w : words_) w = ~w;
   TrimTail();
@@ -66,32 +37,6 @@ DynamicBitset DynamicBitset::Difference(const DynamicBitset& other) const {
   DynamicBitset out = *this;
   out.AndNot(other);
   return out;
-}
-
-Count DynamicBitset::CountAnd(const DynamicBitset& other) const {
-  STREAMSC_DCHECK(size_ == other.size_);
-  return CountAndWords(words_.data(), other.words_.data(), words_.size());
-}
-
-Count DynamicBitset::CountAndNot(const DynamicBitset& other) const {
-  STREAMSC_DCHECK(size_ == other.size_);
-  return CountAndNotWords(words_.data(), other.words_.data(), words_.size());
-}
-
-bool DynamicBitset::Intersects(const DynamicBitset& other) const {
-  STREAMSC_DCHECK(size_ == other.size_);
-  for (std::size_t i = 0; i < words_.size(); ++i) {
-    if ((words_[i] & other.words_[i]) != 0) return true;
-  }
-  return false;
-}
-
-bool DynamicBitset::IsSubsetOf(const DynamicBitset& other) const {
-  STREAMSC_DCHECK(size_ == other.size_);
-  for (std::size_t i = 0; i < words_.size(); ++i) {
-    if ((words_[i] & ~other.words_[i]) != 0) return false;
-  }
-  return true;
 }
 
 ElementId DynamicBitset::FindFirst() const {
@@ -120,27 +65,11 @@ ElementId DynamicBitset::FindNext(std::size_t i) const {
 }
 
 std::vector<ElementId> DynamicBitset::ToIndices() const {
-  std::vector<ElementId> out;
-  out.reserve(static_cast<std::size_t>(CountSet()));
-  ForEach([&out](ElementId e) { out.push_back(e); });
-  return out;
-}
-
-Count DynamicBitset::HammingDistance(const DynamicBitset& other) const {
-  STREAMSC_DCHECK(size_ == other.size_);
-  return CountXorWords(words_.data(), other.words_.data(), words_.size());
+  return DenseSpan(*this).ToIndices();
 }
 
 std::string DynamicBitset::ToString() const {
-  std::string out = "{";
-  bool first = true;
-  ForEach([&](ElementId e) {
-    if (!first) out += ", ";
-    out += std::to_string(e);
-    first = false;
-  });
-  out += "}";
-  return out;
+  return DenseSpan(*this).ToString();
 }
 
 std::uint64_t DynamicBitset::Hash() const {

@@ -9,12 +9,15 @@
 #include "util/arena.h"
 #include "util/check.h"
 #include "util/common.h"
+#include "util/word_kernels.h"
 
 /// \file bitset.h
 /// DynamicBitset: a fixed-universe bit vector used to represent subsets of
 /// the universe [n]. This is the core data representation for sets in the
 /// set cover / maximum coverage machinery, so it favours tight loops
 /// (popcount-based counting, word-wise boolean algebra) over generality.
+/// The word loops themselves live once, in util/word_kernels, shared with
+/// the borrowed DenseSpan (util/set_span.h).
 
 namespace streamsc {
 
@@ -92,22 +95,34 @@ class DynamicBitset {
   void Fill();
 
   /// Number of elements in the set (popcount).
-  Count CountSet() const;
+  Count CountSet() const { return PopcountWords(words_.data(), words_.size()); }
 
   /// True iff the set is empty.
-  bool None() const;
+  bool None() const { return NoneWords(words_.data(), words_.size()); }
 
   /// True iff the set equals the whole universe.
   bool All() const { return CountSet() == size_; }
 
   /// In-place union: *this |= other.
-  DynamicBitset& operator|=(const DynamicBitset& other);
+  DynamicBitset& operator|=(const DynamicBitset& other) {
+    STREAMSC_DCHECK(size_ == other.size_);
+    OrWords(words_.data(), other.words_.data(), words_.size());
+    return *this;
+  }
 
   /// In-place intersection: *this &= other.
-  DynamicBitset& operator&=(const DynamicBitset& other);
+  DynamicBitset& operator&=(const DynamicBitset& other) {
+    STREAMSC_DCHECK(size_ == other.size_);
+    AndWords(words_.data(), other.words_.data(), words_.size());
+    return *this;
+  }
 
   /// In-place difference: *this \= other.
-  DynamicBitset& AndNot(const DynamicBitset& other);
+  DynamicBitset& AndNot(const DynamicBitset& other) {
+    STREAMSC_DCHECK(size_ == other.size_);
+    AndNotWords(words_.data(), other.words_.data(), words_.size());
+    return *this;
+  }
 
   /// In-place complement (within the universe).
   void Complement();
@@ -125,16 +140,29 @@ class DynamicBitset {
   DynamicBitset Difference(const DynamicBitset& other) const;
 
   /// |*this & other| computed without allocating.
-  Count CountAnd(const DynamicBitset& other) const;
+  Count CountAnd(const DynamicBitset& other) const {
+    STREAMSC_DCHECK(size_ == other.size_);
+    return CountAndWords(words_.data(), other.words_.data(), words_.size());
+  }
 
   /// |*this \ other| computed without allocating.
-  Count CountAndNot(const DynamicBitset& other) const;
+  Count CountAndNot(const DynamicBitset& other) const {
+    STREAMSC_DCHECK(size_ == other.size_);
+    return CountAndNotWords(words_.data(), other.words_.data(),
+                            words_.size());
+  }
 
   /// True iff the two sets share at least one element.
-  bool Intersects(const DynamicBitset& other) const;
+  bool Intersects(const DynamicBitset& other) const {
+    STREAMSC_DCHECK(size_ == other.size_);
+    return IntersectsWords(words_.data(), other.words_.data(), words_.size());
+  }
 
   /// True iff *this ⊆ other.
-  bool IsSubsetOf(const DynamicBitset& other) const;
+  bool IsSubsetOf(const DynamicBitset& other) const {
+    STREAMSC_DCHECK(size_ == other.size_);
+    return IsSubsetWords(words_.data(), other.words_.data(), words_.size());
+  }
 
   /// Index of the smallest element, or kInvalidElementId if empty.
   ElementId FindFirst() const;
@@ -155,7 +183,10 @@ class DynamicBitset {
   }
 
   /// Hamming distance |*this Δ other| (symmetric difference size).
-  Count HammingDistance(const DynamicBitset& other) const;
+  Count HammingDistance(const DynamicBitset& other) const {
+    STREAMSC_DCHECK(size_ == other.size_);
+    return CountXorWords(words_.data(), other.words_.data(), words_.size());
+  }
 
   /// Logical size of this bitset in bytes (for space accounting):
   /// one bit per universe element, rounded up to whole words.
@@ -186,8 +217,15 @@ class DynamicBitset {
   }
 
   /// Contiguous backing words (read-only; for word-level bulk consumers
-  /// like the sscb1 writer). Valid while the bitset is alive and unsized.
+  /// like the sscb1 writer and the DenseSpan / SetView a bitset hands out).
+  /// Valid while the bitset is alive and not assigned to: a copy or move
+  /// assignment may replace the buffer.
   const Word* WordData() const { return words_.data(); }
+
+  /// Writable backing words, for the word kernels that update a bitset
+  /// from a borrowed span. The caller must preserve the tail invariant:
+  /// no bits at positions >= size().
+  Word* MutableWordData() { return words_.data(); }
 
   /// "{0, 3, 7}" style debug rendering.
   std::string ToString() const;
@@ -202,14 +240,7 @@ class DynamicBitset {
   /// Calls \p fn(ElementId) for every member element in increasing order.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    for (std::size_t w = 0; w < words_.size(); ++w) {
-      Word word = words_[w];
-      while (word != 0) {
-        const int bit = __builtin_ctzll(word);
-        fn(static_cast<ElementId>(w * kBitsPerWord + bit));
-        word &= word - 1;
-      }
-    }
+    ForEachSetBit(words_.data(), words_.size(), static_cast<Fn&&>(fn));
   }
 
  private:

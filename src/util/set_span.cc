@@ -1,99 +1,38 @@
-#include "util/check.h"
 #include "util/set_span.h"
-#include "util/word_kernels.h"
 
 #include <algorithm>
-#include <sstream>
+
+#include "util/check.h"
 
 namespace streamsc {
 namespace {
 
-using Word = DynamicBitset::Word;
-
-std::string RenderIndices(const std::vector<ElementId>& ids) {
-  std::ostringstream out;
-  out << '{';
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    if (i > 0) out << ", ";
-    out << ids[i];
-  }
-  out << '}';
-  return out.str();
+// The one "{0, 3, 7}" renderer, over either span's ForEach.
+template <typename Span>
+std::string RenderMembers(const Span& span) {
+  std::string out = "{";
+  bool first = true;
+  span.ForEach([&](ElementId e) {
+    if (!first) out += ", ";
+    out += std::to_string(e);
+    first = false;
+  });
+  out += "}";
+  return out;
 }
 
 }  // namespace
 
 // ---- DenseSpan -------------------------------------------------------------
 
-Count DenseSpan::CountSet() const {
-  return PopcountWords(words_, WordCount());
-}
-
-bool DenseSpan::None() const {
-  const std::size_t words = WordCount();
-  for (std::size_t w = 0; w < words; ++w) {
-    if (words_[w] != 0) return false;
-  }
-  return true;
-}
-
-Count DenseSpan::CountAnd(const DynamicBitset& other) const {
-  STREAMSC_DCHECK(other.size() == size_);
-  return CountAndWords(words_, other.WordData(), WordCount());
-}
-
-Count DenseSpan::CountAndNot(const DynamicBitset& other) const {
-  STREAMSC_DCHECK(other.size() == size_);
-  return CountAndNotWords(words_, other.WordData(), WordCount());
-}
-
-bool DenseSpan::Intersects(const DynamicBitset& other) const {
-  STREAMSC_DCHECK(other.size() == size_);
-  const std::size_t words = WordCount();
-  for (std::size_t w = 0; w < words; ++w) {
-    if ((words_[w] & other.GetWord(w)) != 0) return true;
-  }
-  return false;
-}
-
-bool DenseSpan::IsSubsetOf(const DynamicBitset& other) const {
-  STREAMSC_DCHECK(other.size() == size_);
-  const std::size_t words = WordCount();
-  for (std::size_t w = 0; w < words; ++w) {
-    if ((words_[w] & ~other.GetWord(w)) != 0) return false;
-  }
-  return true;
-}
-
-void DenseSpan::AndNotInto(DynamicBitset& target) const {
-  STREAMSC_DCHECK(target.size() == size_);
-  const std::size_t words = WordCount();
-  // Target tail bits are already zero, so ANDing with ~word keeps them so.
-  for (std::size_t w = 0; w < words; ++w) target.AndWord(w, ~words_[w]);
-}
-
-void DenseSpan::OrInto(DynamicBitset& target) const {
-  STREAMSC_DCHECK(target.size() == size_);
-  const std::size_t words = WordCount();
-  // The span's tail invariant (no bits beyond size()) carries over.
-  for (std::size_t w = 0; w < words; ++w) target.OrWord(w, words_[w]);
-}
-
-DynamicBitset DenseSpan::ToBitset() const {
-  DynamicBitset out(size_);
-  const std::size_t words = WordCount();
-  for (std::size_t w = 0; w < words; ++w) out.OrWord(w, words_[w]);
-  return out;
-}
-
 std::vector<ElementId> DenseSpan::ToIndices() const {
   std::vector<ElementId> out;
   out.reserve(static_cast<std::size_t>(CountSet()));
-  ForEach([&](ElementId e) { out.push_back(e); });
+  ForEach([&out](ElementId e) { out.push_back(e); });
   return out;
 }
 
-std::string DenseSpan::ToString() const { return RenderIndices(ToIndices()); }
+std::string DenseSpan::ToString() const { return RenderMembers(*this); }
 
 // ---- SparseSpan ------------------------------------------------------------
 
@@ -111,10 +50,7 @@ Count SparseSpan::CountAnd(const DynamicBitset& other) const {
 }
 
 Count SparseSpan::CountAndNot(const DynamicBitset& other) const {
-  STREAMSC_DCHECK(other.size() == size_);
-  Count total = 0;
-  for (std::size_t i = 0; i < count_; ++i) total += !other.Test(elements_[i]);
-  return total;
+  return count_ - CountAnd(other);
 }
 
 bool SparseSpan::Intersects(const DynamicBitset& other) const {
@@ -143,12 +79,12 @@ void SparseSpan::OrInto(DynamicBitset& target) const {
   for (std::size_t i = 0; i < count_; ++i) target.Set(elements_[i]);
 }
 
-DynamicBitset SparseSpan::ToBitset() const {
-  DynamicBitset out(size_);
-  for (std::size_t i = 0; i < count_; ++i) out.Set(elements_[i]);
+DynamicBitset SparseSpan::ToBitset(DynamicBitset::Allocator alloc) const {
+  DynamicBitset out(size_, alloc);
+  OrInto(out);
   return out;
 }
 
-std::string SparseSpan::ToString() const { return RenderIndices(ToIndices()); }
+std::string SparseSpan::ToString() const { return RenderMembers(*this); }
 
 }  // namespace streamsc

@@ -7,19 +7,23 @@
 #include "util/bitset.h"
 #include "util/check.h"
 #include "util/common.h"
+#include "util/word_kernels.h"
 
 /// \file set_span.h
-/// Non-owning span representations of one set, mirroring the owning pair
-/// DynamicBitset / SparseSet:
+/// The two borrowed representations of one set, and the only two a
+/// SetView (util/set_view.h) can hold:
 ///
 /// * DenseSpan  — a borrowed run of packed 64-bit words (n bits).
 /// * SparseSpan — a borrowed run of sorted, duplicate-free member ids.
 ///
-/// These exist so storage that is not heap-resident — most importantly the
-/// mmap'd payloads of an sscb1 file (storage/mmap_set_stream.h) — can be
-/// read through SetView without copying a single byte. The spans implement
-/// the same const surface as their owning counterparts; SetView dispatches
-/// to whichever representation it holds.
+/// Storage that is not heap-resident — most importantly the mmap'd payloads
+/// of an sscb1 file (storage/mmap_set_stream.h) — hands these out without
+/// copying a byte, and so do the owning sets: a DynamicBitset lends its
+/// word buffer (DenseSpan(bitset)) and a SparseSet its id buffer
+/// (SparseSet::span()). Each set operation is therefore written once per
+/// representation: DenseSpan's are one-liners over util/word_kernels (the
+/// loops DynamicBitset shares), SparseSpan's loops live in set_span.cc and
+/// SparseSet delegates to them.
 ///
 /// Invariants are the *storage side's* responsibility (they are what
 /// MmapSetStream validates at open): a DenseSpan's tail bits beyond size()
@@ -27,8 +31,8 @@
 
 namespace streamsc {
 
-/// A borrowed dense set: \p word_count = ceil(size / 64) packed words.
-/// The span does not own the words; they must outlive it.
+/// A borrowed dense set: ceil(size / 64) packed words. The span does not
+/// own the words; they must outlive it.
 class DenseSpan {
  public:
   using Word = DynamicBitset::Word;
@@ -41,6 +45,11 @@ class DenseSpan {
   DenseSpan(const Word* words, std::size_t size) : words_(words), size_(size) {
     STREAMSC_DCHECK(size == 0 || words != nullptr);
   }
+
+  /// Borrows \p set's word buffer (valid until \p set is destroyed or
+  /// assigned to).
+  explicit DenseSpan(const DynamicBitset& set)
+      : DenseSpan(set.WordData(), set.size()) {}
 
   /// Universe size (number of addressable bits).
   std::size_t size() const { return size_; }
@@ -66,34 +75,56 @@ class DenseSpan {
   }
 
   /// Number of elements in the set (popcount over the words).
-  Count CountSet() const;
+  Count CountSet() const { return PopcountWords(words_, WordCount()); }
 
   /// True iff the set is empty.
-  bool None() const;
+  bool None() const { return NoneWords(words_, WordCount()); }
 
   /// True iff the set equals the whole universe.
   bool All() const { return CountSet() == size_; }
 
   /// |*this & other|.
-  Count CountAnd(const DynamicBitset& other) const;
+  Count CountAnd(const DynamicBitset& other) const {
+    STREAMSC_DCHECK(other.size() == size_);
+    return CountAndWords(words_, other.WordData(), WordCount());
+  }
 
   /// |*this \ other|.
-  Count CountAndNot(const DynamicBitset& other) const;
+  Count CountAndNot(const DynamicBitset& other) const {
+    STREAMSC_DCHECK(other.size() == size_);
+    return CountAndNotWords(words_, other.WordData(), WordCount());
+  }
 
   /// True iff the two sets share at least one element.
-  bool Intersects(const DynamicBitset& other) const;
+  bool Intersects(const DynamicBitset& other) const {
+    STREAMSC_DCHECK(other.size() == size_);
+    return IntersectsWords(words_, other.WordData(), WordCount());
+  }
 
   /// True iff *this ⊆ other.
-  bool IsSubsetOf(const DynamicBitset& other) const;
+  bool IsSubsetOf(const DynamicBitset& other) const {
+    STREAMSC_DCHECK(other.size() == size_);
+    return IsSubsetWords(words_, other.WordData(), WordCount());
+  }
 
   /// target \= *this.
-  void AndNotInto(DynamicBitset& target) const;
+  void AndNotInto(DynamicBitset& target) const {
+    STREAMSC_DCHECK(target.size() == size_);
+    AndNotWords(target.MutableWordData(), words_, WordCount());
+  }
 
-  /// target |= *this.
-  void OrInto(DynamicBitset& target) const;
+  /// target |= *this. The span's zero tail carries over.
+  void OrInto(DynamicBitset& target) const {
+    STREAMSC_DCHECK(target.size() == size_);
+    OrWords(target.MutableWordData(), words_, WordCount());
+  }
 
-  /// Materializes an owning dense copy.
-  DynamicBitset ToBitset() const;
+  /// Materializes an owning dense copy into \p alloc (heap by default).
+  DynamicBitset ToBitset(DynamicBitset::Allocator alloc = {}) const {
+    DynamicBitset out(size_, alloc);
+    OrInto(out);
+    return out;
+  }
 
   /// All member elements in increasing order.
   std::vector<ElementId> ToIndices() const;
@@ -107,15 +138,7 @@ class DenseSpan {
   /// Calls \p fn(ElementId) for every member element in increasing order.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    const std::size_t words = WordCount();
-    for (std::size_t w = 0; w < words; ++w) {
-      Word word = words_[w];
-      while (word != 0) {
-        const int bit = __builtin_ctzll(word);
-        fn(static_cast<ElementId>(w * kBitsPerWord + bit));
-        word &= word - 1;
-      }
-    }
+    ForEachSetBit(words_, WordCount(), static_cast<Fn&&>(fn));
   }
 
  private:
@@ -124,7 +147,9 @@ class DenseSpan {
 };
 
 /// A borrowed sparse set: \p count sorted, duplicate-free member ids of a
-/// universe of \p size elements. The span does not own the ids.
+/// universe of \p size elements. The span does not own the ids. The loops
+/// here are the only copy of the sparse set operations: SparseSet
+/// delegates to them through SparseSet::span().
 class SparseSpan {
  public:
   SparseSpan() = default;
@@ -172,8 +197,8 @@ class SparseSpan {
   /// target |= *this.
   void OrInto(DynamicBitset& target) const;
 
-  /// Materializes an owning dense copy.
-  DynamicBitset ToBitset() const;
+  /// Materializes an owning dense copy into \p alloc (heap by default).
+  DynamicBitset ToBitset(DynamicBitset::Allocator alloc = {}) const;
 
   /// All member elements in increasing order (a copy).
   std::vector<ElementId> ToIndices() const {

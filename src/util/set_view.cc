@@ -1,21 +1,32 @@
 #include "util/set_view.h"
 
+#include <algorithm>
+
 namespace streamsc {
 
 bool operator==(const SetView& a, const SetView& b) {
   if (!a.valid() || !b.valid()) return a.valid() == b.valid();
   if (a.size() != b.size()) return false;
-  // Same-representation fast paths.
-  if (a.rep_ == b.rep_ && a.target_ == b.target_) return true;
-  if (a.dense() && b.dense()) return *a.dense() == *b.dense();
-  if (a.sparse() && b.sparse()) return *a.sparse() == *b.sparse();
-  // Mixed representations: equal cardinality plus one-sided containment
-  // (subset + equal count => equal). Membership probes are O(1) dense and
-  // O(log k) sparse — fine for the comparison-heavy test paths this
-  // serves.
-  if (a.CountSet() != b.CountSet()) return false;
+  if (a.rep_ == b.rep_) {
+    if (a.data_ == b.data_ && a.count_ == b.count_) return true;
+    if (a.is_dense_rep()) {
+      const DenseSpan x = a.dense_span(), y = b.dense_span();
+      return std::equal(x.WordData(), x.WordData() + x.WordCount(),
+                        y.WordData());
+    }
+    const SparseSpan x = a.sparse_span(), y = b.sparse_span();
+    return x.CountSet() == y.CountSet() &&
+           std::equal(x.elements(), x.elements() + x.CountSet(),
+                      y.elements());
+  }
+  // Mixed representations: equal cardinality plus sparse ⊆ dense.
+  const SetView& sparse_view = a.is_dense_rep() ? b : a;
+  const SetView& dense_view = a.is_dense_rep() ? a : b;
+  const SparseSpan sparse = sparse_view.sparse_span();
+  const DenseSpan dense = dense_view.dense_span();
+  if (sparse.CountSet() != dense.CountSet()) return false;
   bool subset = true;
-  a.ForEach([&](ElementId e) { subset = subset && b.Test(e); });
+  sparse.ForEach([&](ElementId e) { subset = subset && dense.Test(e); });
   return subset;
 }
 

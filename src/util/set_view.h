@@ -14,106 +14,84 @@
 /// \file set_view.h
 /// SetView: a non-owning, representation-agnostic view of one set.
 ///
-/// The hybrid set substrate stores each set in one of four shapes — owning
-/// dense (DynamicBitset), owning sparse (SparseSet), or the borrowed span
-/// forms DenseSpan / SparseSpan that the mmap-backed instance store serves
-/// straight out of a mapped file — and SetView is the uniform read API the
-/// algorithms consume. A pruning scan or projection pass runs at the cost
-/// of the *representation* (n/64 word ops dense, k element ops sparse)
-/// without the algorithm knowing which it got. Views are a tagged pointer
-/// — pass by value. A view borrows its target: it is invalidated by
-/// anything that invalidates the target (e.g. SetSystem::AddSet growing
-/// storage, or an MmapSetStream being destroyed).
+/// The hybrid set substrate keeps each set either dense (n bits) or sparse
+/// (sorted member ids), and SetView is the uniform read API the algorithms
+/// consume. A view is a small tagged value holding exactly one of the two
+/// borrowed representations of util/set_span.h: a DenseSpan or a
+/// SparseSpan. The owning DynamicBitset and SparseSet convert to a view by
+/// lending their buffer, and the mmap-backed instance store serves spans
+/// straight out of a mapped file, so a pruning scan or projection pass runs
+/// at the cost of the *representation* (n/64 word ops dense, k element ops
+/// sparse) without the algorithm knowing where the set lives.
+///
+/// Views are pass-by-value. A view borrows a buffer: it is invalidated by
+/// anything that frees or replaces that buffer — destroying or assigning
+/// to the owning set (a move assignment installs a different buffer; the
+/// view does not follow it), SetSystem::AddSet growing storage, or an
+/// MmapSetStream being destroyed.
 
 namespace streamsc {
 
-/// A borrowed view of a dense or sparse set, owning or span. Cheap to copy.
+/// A borrowed view of a dense or sparse set. Cheap to copy.
 class SetView {
  public:
   /// An invalid (detached) view; valid() is false.
   SetView() = default;
 
-  /// Views a dense set. Implicit: any DynamicBitset is usable as a view.
-  SetView(const DynamicBitset& dense)  // NOLINT
-      : target_(&dense), rep_(Rep::kDense) {}
-
-  /// Views a sparse set.
-  SetView(const SparseSet& sparse)  // NOLINT
-      : target_(&sparse), rep_(Rep::kSparse) {}
-
   /// Views a borrowed dense word span (e.g. an mmap'd sscb1 payload).
   SetView(const DenseSpan& span)  // NOLINT
-      : target_(&span), rep_(Rep::kDenseSpan) {}
+      : data_(span.WordData()), size_(span.size()), rep_(Rep::kDense) {}
 
   /// Views a borrowed sorted-id span (e.g. an mmap'd sscb1 payload).
   SetView(const SparseSpan& span)  // NOLINT
-      : target_(&span), rep_(Rep::kSparseSpan) {}
-
- private:
-  // Invokes \p fn with the concrete representation reference. Defined
-  // before its uses so the deduced return type is available to the
-  // dispatching methods below.
-  template <typename Fn>
-  decltype(auto) Visit(Fn&& fn) const {
-    STREAMSC_DCHECK(valid());
-    switch (rep_) {
-      case Rep::kSparse:
-        return fn(*static_cast<const SparseSet*>(target_));
-      case Rep::kDenseSpan:
-        return fn(*static_cast<const DenseSpan*>(target_));
-      case Rep::kSparseSpan:
-        return fn(*static_cast<const SparseSpan*>(target_));
-      case Rep::kDense:
-      case Rep::kNone:
-      default:
-        // kNone is excluded by the assert above; dispatch kDense here so
-        // every path returns.
-        return fn(*static_cast<const DynamicBitset*>(target_));
-    }
+      : data_(span.elements()),
+        size_(span.size()),
+        count_(static_cast<std::uint32_t>(span.CountSet())),
+        rep_(Rep::kSparse) {
+    STREAMSC_DCHECK(span.CountSet() <= UINT32_MAX);
   }
 
- public:
+  /// Views a dense set's word buffer. Implicit: any DynamicBitset is usable
+  /// as a view.
+  SetView(const DynamicBitset& dense)  // NOLINT
+      : SetView(DenseSpan(dense)) {}
+
+  /// Views a sparse set's id buffer.
+  SetView(const SparseSet& sparse)  // NOLINT
+      : SetView(sparse.span()) {}
+
   /// True iff the view points at a set.
   bool valid() const { return rep_ != Rep::kNone; }
 
-  /// True iff the underlying representation is an owning DynamicBitset.
-  /// (Word-level consumers that also handle DenseSpan should test
-  /// dense_words() instead.)
-  bool is_dense() const { return rep_ == Rep::kDense; }
+  /// True iff the view holds the dense (word) representation.
+  bool is_dense_rep() const { return rep_ == Rep::kDense; }
 
-  /// The underlying owning dense set, or nullptr otherwise.
-  const DynamicBitset* dense() const {
-    return rep_ == Rep::kDense ? static_cast<const DynamicBitset*>(target_)
-                               : nullptr;
+  /// The dense representation. Precondition: is_dense_rep().
+  DenseSpan dense_span() const {
+    STREAMSC_DCHECK(rep_ == Rep::kDense);
+    return DenseSpan(static_cast<const DenseSpan::Word*>(data_), size_);
   }
 
-  /// The underlying owning sparse set, or nullptr otherwise.
-  const SparseSet* sparse() const {
-    return rep_ == Rep::kSparse ? static_cast<const SparseSet*>(target_)
-                                : nullptr;
+  /// The sparse representation. Precondition: valid() && !is_dense_rep().
+  SparseSpan sparse_span() const {
+    STREAMSC_DCHECK(rep_ == Rep::kSparse);
+    return SparseSpan(static_cast<const ElementId*>(data_), count_, size_);
   }
 
-  /// The underlying dense span, or nullptr otherwise.
-  const DenseSpan* dense_span() const {
-    return rep_ == Rep::kDenseSpan ? static_cast<const DenseSpan*>(target_)
-                                   : nullptr;
+ private:
+  // Invokes \p fn with the held span (a DenseSpan or a SparseSpan) and
+  // returns its result. Precondition: valid(). Defined before its uses so
+  // the deduced return type is available to the methods below.
+  template <typename Fn>
+  decltype(auto) Visit(Fn&& fn) const {
+    STREAMSC_DCHECK(valid());
+    if (rep_ == Rep::kSparse) return fn(sparse_span());
+    return fn(dense_span());
   }
 
-  /// The underlying sparse span, or nullptr otherwise.
-  const SparseSpan* sparse_span() const {
-    return rep_ == Rep::kSparseSpan ? static_cast<const SparseSpan*>(target_)
-                                    : nullptr;
-  }
-
-  /// True iff the representation is word-addressable (dense or dense span).
-  bool is_dense_rep() const {
-    return rep_ == Rep::kDense || rep_ == Rep::kDenseSpan;
-  }
-
+ public:
   /// Universe size of the viewed set.
-  std::size_t size() const {
-    return Visit([](const auto& s) { return s.size(); });
-  }
+  std::size_t size() const { return size_; }
 
   /// Number of elements in the set.
   Count CountSet() const {
@@ -157,70 +135,19 @@ class SetView {
 
   /// target \= *this (clears this set's members in \p target).
   void AndNotInto(DynamicBitset& target) const {
-    switch (rep_) {
-      case Rep::kDense:
-        target.AndNot(*static_cast<const DynamicBitset*>(target_));
-        return;
-      case Rep::kSparse:
-        static_cast<const SparseSet*>(target_)->AndNotInto(target);
-        return;
-      case Rep::kDenseSpan:
-        static_cast<const DenseSpan*>(target_)->AndNotInto(target);
-        return;
-      case Rep::kSparseSpan:
-        static_cast<const SparseSpan*>(target_)->AndNotInto(target);
-        return;
-      case Rep::kNone:
-        break;
-    }
-    STREAMSC_DCHECK(false && "AndNotInto on an invalid SetView");
+    Visit([&target](const auto& s) { s.AndNotInto(target); });
   }
 
   /// target |= *this.
   void OrInto(DynamicBitset& target) const {
-    switch (rep_) {
-      case Rep::kDense:
-        target |= *static_cast<const DynamicBitset*>(target_);
-        return;
-      case Rep::kSparse:
-        static_cast<const SparseSet*>(target_)->OrInto(target);
-        return;
-      case Rep::kDenseSpan:
-        static_cast<const DenseSpan*>(target_)->OrInto(target);
-        return;
-      case Rep::kSparseSpan:
-        static_cast<const SparseSpan*>(target_)->OrInto(target);
-        return;
-      case Rep::kNone:
-        break;
-    }
-    STREAMSC_DCHECK(false && "OrInto on an invalid SetView");
+    Visit([&target](const auto& s) { s.OrInto(target); });
   }
 
-  /// Materializes a dense copy of the viewed set.
-  DynamicBitset ToDense() const {
-    switch (rep_) {
-      case Rep::kDense:
-        return *static_cast<const DynamicBitset*>(target_);
-      case Rep::kSparse:
-        return static_cast<const SparseSet*>(target_)->ToBitset();
-      case Rep::kDenseSpan:
-        return static_cast<const DenseSpan*>(target_)->ToBitset();
-      case Rep::kSparseSpan:
-        return static_cast<const SparseSpan*>(target_)->ToBitset();
-      case Rep::kNone:
-        break;
-    }
-    STREAMSC_DCHECK(false && "ToDense on an invalid SetView");
-    return DynamicBitset();
-  }
-
-  /// Materializes a dense copy into \p alloc (the re-homing form: works
-  /// for every representation at that representation's scan cost).
-  DynamicBitset ToDense(DynamicBitset::Allocator alloc) const {
-    DynamicBitset out(size(), alloc);
-    OrInto(out);
-    return out;
+  /// Materializes a dense copy of the viewed set into \p alloc (heap by
+  /// default; the re-homing form for every representation, at that
+  /// representation's scan cost).
+  DynamicBitset ToDense(DynamicBitset::Allocator alloc = {}) const {
+    return Visit([alloc](const auto& s) { return s.ToBitset(alloc); });
   }
 
   /// Materializes a sparse copy into \p alloc. The viewed members are
@@ -229,7 +156,7 @@ class SetView {
   SparseSet ToSparse(SparseSet::Allocator alloc) const {
     ArenaVector<ElementId> ids(alloc);
     ids.reserve(static_cast<std::size_t>(CountSet()));
-    ForEach([&ids](ElementId e) { ids.push_back(e); });
+    AppendIndicesInto(ids);
     return SparseSet::FromSortedIndicesUnchecked(size(), std::move(ids));
   }
 
@@ -258,25 +185,7 @@ class SetView {
   /// Calls \p fn(ElementId) for every member element in increasing order.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    switch (rep_) {
-      case Rep::kDense:
-        static_cast<const DynamicBitset*>(target_)->ForEach(
-            static_cast<Fn&&>(fn));
-        return;
-      case Rep::kSparse:
-        static_cast<const SparseSet*>(target_)->ForEach(static_cast<Fn&&>(fn));
-        return;
-      case Rep::kDenseSpan:
-        static_cast<const DenseSpan*>(target_)->ForEach(static_cast<Fn&&>(fn));
-        return;
-      case Rep::kSparseSpan:
-        static_cast<const SparseSpan*>(target_)->ForEach(
-            static_cast<Fn&&>(fn));
-        return;
-      case Rep::kNone:
-        break;
-    }
-    STREAMSC_DCHECK(false && "ForEach on an invalid SetView");
+    Visit([&fn](const auto& s) { s.ForEach(fn); });
   }
 
   /// Content equality across representations (same universe, same
@@ -284,17 +193,16 @@ class SetView {
   friend bool operator==(const SetView& a, const SetView& b);
 
  private:
-  enum class Rep : std::uint8_t {
-    kNone,
-    kDense,
-    kSparse,
-    kDenseSpan,
-    kSparseSpan,
-  };
+  enum class Rep : std::uint8_t { kNone, kDense, kSparse };
 
-  const void* target_ = nullptr;
+  const void* data_ = nullptr;  // words (kDense) or ids (kSparse)
+  std::size_t size_ = 0;        // universe size
+  std::uint32_t count_ = 0;     // member count (kSparse only)
   Rep rep_ = Rep::kNone;
 };
+
+// Views sit in every buffered pass item; keep them three words.
+static_assert(sizeof(SetView) <= 24, "SetView must stay within 24 bytes");
 
 }  // namespace streamsc
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/check.h"
+#include "util/set_view.h"
 
 namespace streamsc {
 
@@ -51,74 +52,7 @@ SparseSet SparseSet::FromSortedIndicesUnchecked(
 }
 
 SparseSet SparseSet::FromBitset(const DynamicBitset& dense, Allocator alloc) {
-  SparseSet out(dense.size(), alloc);
-  out.elements_.reserve(static_cast<std::size_t>(dense.CountSet()));
-  dense.ForEach([&out](ElementId e) { out.elements_.push_back(e); });
-  return out;
-}
-
-DynamicBitset SparseSet::ToBitset(DynamicBitset::Allocator alloc) const {
-  DynamicBitset out(size_, alloc);
-  for (ElementId e : elements_) out.Set(e);
-  return out;
-}
-
-bool SparseSet::Test(std::size_t i) const {
-  STREAMSC_DCHECK(i < size_);
-  return std::binary_search(elements_.begin(), elements_.end(),
-                            static_cast<ElementId>(i));
-}
-
-Count SparseSet::CountAnd(const DynamicBitset& other) const {
-  STREAMSC_DCHECK(size_ == other.size());
-  Count total = 0;
-  for (ElementId e : elements_) total += other.Test(e) ? 1 : 0;
-  return total;
-}
-
-Count SparseSet::CountAndNot(const DynamicBitset& other) const {
-  STREAMSC_DCHECK(size_ == other.size());
-  Count total = 0;
-  for (ElementId e : elements_) total += other.Test(e) ? 0 : 1;
-  return total;
-}
-
-bool SparseSet::Intersects(const DynamicBitset& other) const {
-  STREAMSC_DCHECK(size_ == other.size());
-  for (ElementId e : elements_) {
-    if (other.Test(e)) return true;
-  }
-  return false;
-}
-
-bool SparseSet::IsSubsetOf(const DynamicBitset& other) const {
-  STREAMSC_DCHECK(size_ == other.size());
-  for (ElementId e : elements_) {
-    if (!other.Test(e)) return false;
-  }
-  return true;
-}
-
-void SparseSet::AndNotInto(DynamicBitset& target) const {
-  STREAMSC_DCHECK(size_ == target.size());
-  for (ElementId e : elements_) target.Reset(e);
-}
-
-void SparseSet::OrInto(DynamicBitset& target) const {
-  STREAMSC_DCHECK(size_ == target.size());
-  for (ElementId e : elements_) target.Set(e);
-}
-
-std::string SparseSet::ToString() const {
-  std::string out = "{";
-  bool first = true;
-  for (ElementId e : elements_) {
-    if (!first) out += ", ";
-    out += std::to_string(e);
-    first = false;
-  }
-  out += "}";
-  return out;
+  return SetView(dense).ToSparse(alloc);
 }
 
 }  // namespace streamsc

@@ -8,6 +8,7 @@
 #include "util/arena.h"
 #include "util/bitset.h"
 #include "util/common.h"
+#include "util/set_span.h"
 
 /// \file sparse_set.h
 /// SparseSet: a subset of a fixed universe [n] stored as a sorted vector
@@ -16,7 +17,9 @@
 /// while a SparseSet with k members costs 32k bits and scans in k
 /// operations — a large win whenever the density k/n is below ~1/32.
 /// SetSystem picks between the two per set (see instance/set_system.h);
-/// algorithms consume either through SetView (util/set_view.h).
+/// algorithms consume either through SetView (util/set_view.h). The set
+/// operations are SparseSpan's (util/set_span.h): a SparseSet lends its id
+/// buffer through span() and every query below delegates to it.
 
 namespace streamsc {
 
@@ -76,8 +79,16 @@ class SparseSet {
   /// The allocator backing the member ids.
   Allocator get_allocator() const { return elements_.get_allocator(); }
 
+  /// Borrows the id buffer (valid until this set is destroyed or assigned
+  /// to).
+  SparseSpan span() const {
+    return SparseSpan(elements_.data(), elements_.size(), size_);
+  }
+
   /// Converts to dense form (into \p alloc; heap by default).
-  DynamicBitset ToBitset(DynamicBitset::Allocator alloc = {}) const;
+  DynamicBitset ToBitset(DynamicBitset::Allocator alloc = {}) const {
+    return span().ToBitset(alloc);
+  }
 
   /// Universe size (matches DynamicBitset::size() semantics).
   std::size_t size() const { return size_; }
@@ -92,45 +103,51 @@ class SparseSet {
   bool All() const { return elements_.size() == size_; }
 
   /// Membership test (binary search, O(log k)).
-  bool Test(std::size_t i) const;
+  bool Test(std::size_t i) const { return span().Test(i); }
 
   /// The member ids, sorted ascending.
   const ArenaVector<ElementId>& elements() const { return elements_; }
 
   /// All member elements in increasing order (a heap copy; see elements()
   /// for the borrowed form).
-  std::vector<ElementId> ToIndices() const {
-    return std::vector<ElementId>(elements_.begin(), elements_.end());
-  }
+  std::vector<ElementId> ToIndices() const { return span().ToIndices(); }
 
   /// |*this & other| — O(k) membership probes into \p other.
-  Count CountAnd(const DynamicBitset& other) const;
+  Count CountAnd(const DynamicBitset& other) const {
+    return span().CountAnd(other);
+  }
 
   /// |*this \ other| — O(k) membership probes into \p other.
-  Count CountAndNot(const DynamicBitset& other) const;
+  Count CountAndNot(const DynamicBitset& other) const {
+    return span().CountAndNot(other);
+  }
 
   /// True iff the two sets share at least one element.
-  bool Intersects(const DynamicBitset& other) const;
+  bool Intersects(const DynamicBitset& other) const {
+    return span().Intersects(other);
+  }
 
   /// True iff *this ⊆ other.
-  bool IsSubsetOf(const DynamicBitset& other) const;
+  bool IsSubsetOf(const DynamicBitset& other) const {
+    return span().IsSubsetOf(other);
+  }
 
   /// target \= *this (clears this set's members in \p target).
-  void AndNotInto(DynamicBitset& target) const;
+  void AndNotInto(DynamicBitset& target) const { span().AndNotInto(target); }
 
   /// target |= *this.
-  void OrInto(DynamicBitset& target) const;
+  void OrInto(DynamicBitset& target) const { span().OrInto(target); }
 
   /// Logical size in bytes for space accounting: the member-id payload.
-  Bytes ByteSize() const { return elements_.size() * sizeof(ElementId); }
+  Bytes ByteSize() const { return span().ByteSize(); }
 
   /// "{0, 3, 7}" style debug rendering.
-  std::string ToString() const;
+  std::string ToString() const { return span().ToString(); }
 
   /// Calls \p fn(ElementId) for every member element in increasing order.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    for (ElementId e : elements_) fn(e);
+    span().ForEach(static_cast<Fn&&>(fn));
   }
 
   friend bool operator==(const SparseSet& a, const SparseSet& b) {

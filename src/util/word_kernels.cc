@@ -137,6 +137,42 @@ Count CountXorWords(const std::uint64_t* a, const std::uint64_t* b,
   return Run<Combine::kXor>(a, b, n);
 }
 
+bool NoneWords(const std::uint64_t* a, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    if (a[i] != 0) return false;
+  }
+  return true;
+}
+
+bool IntersectsWords(const std::uint64_t* a, const std::uint64_t* b,
+                     std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    if ((a[i] & b[i]) != 0) return true;
+  }
+  return false;
+}
+
+bool IsSubsetWords(const std::uint64_t* a, const std::uint64_t* b,
+                   std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    if ((a[i] & ~b[i]) != 0) return false;
+  }
+  return true;
+}
+
+void AndWords(std::uint64_t* dst, const std::uint64_t* src, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) dst[i] &= src[i];
+}
+
+void AndNotWords(std::uint64_t* dst, const std::uint64_t* src,
+                 std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) dst[i] &= ~src[i];
+}
+
+void OrWords(std::uint64_t* dst, const std::uint64_t* src, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) dst[i] |= src[i];
+}
+
 std::string_view WordKernelName() { return ActiveName(); }
 
 }  // namespace streamsc

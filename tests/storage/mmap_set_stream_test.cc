@@ -62,10 +62,11 @@ TEST(MmapSetStreamTest, ViewsSurviveAWholeBufferedPass) {
 
   MmapSetStream stream(path);
   ASSERT_TRUE(stream.status().ok());
-  // DrainPass CHECKs ItemsRemainValid() and buffers every view; comparing
-  // the buffered views afterwards proves none was invalidated by later
-  // Next() calls (the property FileSetStream cannot offer).
-  const std::vector<StreamItem> items = DrainPass(stream);
+  // DrainPassInto CHECKs ItemsRemainValid() and buffers every view;
+  // comparing the buffered views afterwards proves none was invalidated by
+  // later Next() calls (the property FileSetStream cannot offer).
+  ArenaVector<StreamItem> items;
+  DrainPassInto(stream, items);
   ASSERT_EQ(items.size(), system.num_sets());
   for (std::size_t i = 0; i < items.size(); ++i) {
     EXPECT_TRUE(items[i].set == system.set(static_cast<SetId>(i)));
@@ -94,7 +95,8 @@ TEST(MmapSetStreamTest, ComposesWithStreamAdapters) {
   ConcatSetStream concat(a, b);
   // mmap + vector both keep items valid, so the concat does too.
   EXPECT_TRUE(concat.ItemsRemainValid());
-  const std::vector<StreamItem> items = DrainPass(concat);
+  ArenaVector<StreamItem> items;
+  DrainPassInto(concat, items);
   EXPECT_EQ(items.size(), whole.num_sets());
 }
 

@@ -47,10 +47,11 @@ TEST(EngineContextDeathTest, RequireShardedRejectsUnbufferableStream) {
   EXPECT_DEATH(RequireSharded(stream, &engine), "cannot buffer a pass");
 }
 
-TEST(EngineContextDeathTest, DrainPassRejectsUnbufferableStream) {
+TEST(EngineContextDeathTest, DrainPassIntoRejectsUnbufferableStream) {
   const SetSystem system = SmallSystem();
   UnbufferableStream stream(system);
-  EXPECT_DEATH(DrainPass(stream), "invalidates items");
+  ArenaVector<StreamItem> items;
+  EXPECT_DEATH(DrainPassInto(stream, items), "invalidates items");
 }
 
 // --- MakeEngine semantics. ---------------------------------------------

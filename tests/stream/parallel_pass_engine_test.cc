@@ -7,6 +7,7 @@
 
 #include "core/sampling.h"
 #include "instance/generators.h"
+#include "stream/engine_context.h"
 #include "stream/set_stream.h"
 #include "util/random.h"
 
@@ -48,67 +49,97 @@ TEST(ParallelPassEngineTest, SingleThreadEngineRunsInline) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
-TEST(ParallelPassEngineTest, DrainPassBuffersWholePassInOrder) {
+TEST(ParallelPassEngineTest, DrainPassIntoBuffersWholePassInOrder) {
   Rng rng(1);
   const SetSystem system = PlantedCoverInstance(128, 12, 4, rng);
   VectorSetStream stream(system);
   ASSERT_TRUE(stream.ItemsRemainValid());
-  const std::vector<StreamItem> items = DrainPass(stream);
+  ArenaVector<StreamItem> items;
+  DrainPassInto(stream, items);
   ASSERT_EQ(items.size(), 12u);
   EXPECT_EQ(stream.passes(), 1u);
   for (SetId id = 0; id < 12; ++id) {
     EXPECT_EQ(items[id].id, id);
     EXPECT_TRUE(items[id].set == system.set(id));
   }
+  // A second drain refills the same buffer from a new pass.
+  DrainPassInto(stream, items);
+  EXPECT_EQ(items.size(), 12u);
+  EXPECT_EQ(stream.passes(), 2u);
 }
 
-// The determinism contract: ThresholdScan and ProjectAll produce results
-// bit-identical to the sequential path for every thread count.
-TEST(ParallelPassEngineTest, ThresholdScanMatchesSequentialForAnyThreadCount) {
+// The determinism contract: the threshold pass and the projection pass
+// produce results bit-identical to the sequential path for every thread
+// count.
+TEST(ParallelPassEngineTest, ThresholdPassMatchesSequentialForAnyThreadCount) {
   for (std::uint64_t seed = 0; seed < 6; ++seed) {
     Rng rng(seed);
     const SetSystem system = UniformRandomInstance(400, 60, 30, rng);
     VectorSetStream stream(system);
-    const std::vector<StreamItem> items = DrainPass(stream);
     const double threshold = 12.0;
 
     DynamicBitset sequential_uncovered = DynamicBitset::Full(400);
     std::vector<SetId> sequential_taken;
-    ThresholdScan(items, threshold, sequential_uncovered, nullptr,
-                  [&](SetId id) { sequential_taken.push_back(id); });
+    EngineContext sequential(stream, nullptr);
+    sequential.ThresholdPass(threshold, sequential_uncovered, [&](SetId id) {
+      sequential_taken.push_back(id);
+    });
 
     for (const std::size_t threads : {1u, 2u, 8u}) {
       ParallelPassEngine engine(threads);
+      EngineContext ctx(stream, &engine);
       DynamicBitset uncovered = DynamicBitset::Full(400);
       std::vector<SetId> taken;
-      ThresholdScan(items, threshold, uncovered, &engine,
-                    [&](SetId id) { taken.push_back(id); });
+      ctx.ThresholdPass(threshold, uncovered,
+                        [&](SetId id) { taken.push_back(id); });
       EXPECT_EQ(taken, sequential_taken) << "threads=" << threads;
       EXPECT_EQ(uncovered, sequential_uncovered) << "threads=" << threads;
     }
   }
 }
 
-TEST(ParallelPassEngineTest, ProjectAllMatchesSequentialForAnyThreadCount) {
+TEST(ParallelPassEngineTest,
+     TransformPassProjectionMatchesSequentialForAnyThreadCount) {
   Rng rng(3);
   const SetSystem system = UniformRandomInstance(600, 40, 25, rng);
   VectorSetStream stream(system);
-  const std::vector<StreamItem> items = DrainPass(stream);
   const SubUniverse sub(rng.BernoulliSubset(600, 0.3));
 
-  const std::vector<ProjectedSet> sequential = ProjectAll(sub, items, nullptr);
-  ASSERT_EQ(sequential.size(), items.size());
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    const DynamicBitset expected = sub.Project(items[i].set);
-    EXPECT_TRUE(ViewOf(sequential[i]) == SetView(expected));
+  // Projects every item in a TransformPass (workers stage in their own
+  // scratch) and re-homes each projection into a heap system, in stream
+  // order.
+  const auto project_all = [&](ParallelPassEngine* engine) {
+    EngineContext ctx(stream, engine);
+    SetSystem out(sub.size());
+    std::vector<SetId> ids;
+    ctx.TransformPass<ProjectedSet>(
+        [&](const StreamItem& item) {
+          return sub.ProjectAdaptive(item.set,
+                                     ArenaAllocator<ElementId>::Scratch());
+        },
+        [&](const StreamItem& item, ProjectedSet projection) {
+          StoreProjection(out, std::move(projection));
+          ids.push_back(item.id);
+        });
+    return std::make_pair(std::move(out), std::move(ids));
+  };
+
+  const auto [sequential, sequential_ids] = project_all(nullptr);
+  ASSERT_EQ(sequential.num_sets(), system.num_sets());
+  for (SetId id = 0; id < system.num_sets(); ++id) {
+    EXPECT_EQ(sequential_ids[id], id);
+    EXPECT_TRUE(sequential.set(id) == SetView(sub.Project(system.set(id))));
   }
 
   for (const std::size_t threads : {2u, 8u}) {
     ParallelPassEngine engine(threads);
-    const std::vector<ProjectedSet> parallel = ProjectAll(sub, items, &engine);
-    ASSERT_EQ(parallel.size(), sequential.size());
-    for (std::size_t i = 0; i < sequential.size(); ++i) {
-      EXPECT_TRUE(ViewOf(parallel[i]) == ViewOf(sequential[i]))
+    const auto [parallel, parallel_ids] = project_all(&engine);
+    ASSERT_EQ(parallel.num_sets(), sequential.num_sets());
+    EXPECT_EQ(parallel_ids, sequential_ids) << "threads=" << threads;
+    for (SetId id = 0; id < sequential.num_sets(); ++id) {
+      EXPECT_TRUE(parallel.set(id) == sequential.set(id))
+          << "threads=" << threads;
+      EXPECT_EQ(parallel.IsSparse(id), sequential.IsSparse(id))
           << "threads=" << threads;
     }
   }

@@ -75,13 +75,6 @@ SetId SetSystem::AddSetFromView(SetView view) {
   return PushDense(view.ToDense(ArenaAllocator<DynamicBitset::Word>(arena_)));
 }
 
-SetView SetSystem::set(SetId id) const {
-  STREAMSC_DCHECK(id < slots_.size());
-  const Slot& slot = slots_[id];
-  if (slot.rep == Rep::kDense) return SetView(dense_[slot.index]);
-  return SetView(sparse_[slot.index]);
-}
-
 bool SetSystem::IsSparse(SetId id) const {
   STREAMSC_DCHECK(id < slots_.size());
   return slots_[id].rep == Rep::kSparse;

@@ -8,6 +8,7 @@
 
 #include "util/arena.h"
 #include "util/bitset.h"
+#include "util/check.h"
 #include "util/common.h"
 #include "util/set_view.h"
 #include "util/sparse_set.h"
@@ -89,8 +90,14 @@ class SetSystem {
   std::size_t num_sets() const { return slots_.size(); }
 
   /// A view of the \p id-th set. Precondition: id < num_sets(). The view
-  /// is invalidated by the next AddSet* call (storage may grow).
-  SetView set(SetId id) const;
+  /// is invalidated by the next AddSet* call (storage may grow). Inline:
+  /// it sits in every per-item scan over an in-memory instance.
+  SetView set(SetId id) const {
+    STREAMSC_DCHECK(id < slots_.size());
+    const Slot& slot = slots_[id];
+    if (slot.rep == Rep::kDense) return SetView(dense_[slot.index]);
+    return SetView(sparse_[slot.index]);
+  }
 
   /// True iff the \p id-th set is stored sparsely.
   bool IsSparse(SetId id) const;

@@ -7,8 +7,8 @@ namespace streamsc {
 bool operator==(const SetView& a, const SetView& b) {
   if (!a.valid() || !b.valid()) return a.valid() == b.valid();
   if (a.size() != b.size()) return false;
-  if (a.rep_ == b.rep_) {
-    if (a.data_ == b.data_ && a.count_ == b.count_) return true;
+  if (a.rep() == b.rep()) {
+    if (a.tagged_ == b.tagged_ && a.count_ == b.count_) return true;
     if (a.is_dense_rep()) {
       const DenseSpan x = a.dense_span(), y = b.dense_span();
       return std::equal(x.WordData(), x.WordData() + x.WordCount(),

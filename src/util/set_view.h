@@ -16,8 +16,8 @@
 ///
 /// The hybrid set substrate keeps each set either dense (n bits) or sparse
 /// (sorted member ids), and SetView is the uniform read API the algorithms
-/// consume. A view is a small tagged value holding exactly one of the two
-/// borrowed representations of util/set_span.h: a DenseSpan or a
+/// consume. A view is a two-word tagged value holding exactly one of the
+/// two borrowed representations of util/set_span.h: a DenseSpan or a
 /// SparseSpan. The owning DynamicBitset and SparseSet convert to a view by
 /// lending their buffer, and the mmap-backed instance store serves spans
 /// straight out of a mapped file, so a pruning scan or projection pass runs
@@ -40,16 +40,11 @@ class SetView {
 
   /// Views a borrowed dense word span (e.g. an mmap'd sscb1 payload).
   SetView(const DenseSpan& span)  // NOLINT
-      : data_(span.WordData()), size_(span.size()), rep_(Rep::kDense) {}
+      : SetView(span.WordData(), Rep::kDense, span.size(), 0) {}
 
   /// Views a borrowed sorted-id span (e.g. an mmap'd sscb1 payload).
   SetView(const SparseSpan& span)  // NOLINT
-      : data_(span.elements()),
-        size_(span.size()),
-        count_(static_cast<std::uint32_t>(span.CountSet())),
-        rep_(Rep::kSparse) {
-    STREAMSC_DCHECK(span.CountSet() <= UINT32_MAX);
-  }
+      : SetView(span.elements(), Rep::kSparse, span.size(), span.CountSet()) {}
 
   /// Views a dense set's word buffer. Implicit: any DynamicBitset is usable
   /// as a view.
@@ -61,21 +56,21 @@ class SetView {
       : SetView(sparse.span()) {}
 
   /// True iff the view points at a set.
-  bool valid() const { return rep_ != Rep::kNone; }
+  bool valid() const { return rep() != Rep::kNone; }
 
   /// True iff the view holds the dense (word) representation.
-  bool is_dense_rep() const { return rep_ == Rep::kDense; }
+  bool is_dense_rep() const { return rep() == Rep::kDense; }
 
   /// The dense representation. Precondition: is_dense_rep().
   DenseSpan dense_span() const {
-    STREAMSC_DCHECK(rep_ == Rep::kDense);
-    return DenseSpan(static_cast<const DenseSpan::Word*>(data_), size_);
+    STREAMSC_DCHECK(rep() == Rep::kDense);
+    return DenseSpan(static_cast<const DenseSpan::Word*>(data()), size_);
   }
 
   /// The sparse representation. Precondition: valid() && !is_dense_rep().
   SparseSpan sparse_span() const {
-    STREAMSC_DCHECK(rep_ == Rep::kSparse);
-    return SparseSpan(static_cast<const ElementId*>(data_), count_, size_);
+    STREAMSC_DCHECK(rep() == Rep::kSparse);
+    return SparseSpan(static_cast<const ElementId*>(data()), count_, size_);
   }
 
  private:
@@ -85,7 +80,7 @@ class SetView {
   template <typename Fn>
   decltype(auto) Visit(Fn&& fn) const {
     STREAMSC_DCHECK(valid());
-    if (rep_ == Rep::kSparse) return fn(sparse_span());
+    if (rep() == Rep::kSparse) return fn(sparse_span());
     return fn(dense_span());
   }
 
@@ -193,16 +188,34 @@ class SetView {
   friend bool operator==(const SetView& a, const SetView& b);
 
  private:
-  enum class Rep : std::uint8_t { kNone, kDense, kSparse };
+  // The representation lives in the two low bits of the data pointer: ids
+  // are 4-byte and words 8-byte aligned, so those bits are always zero.
+  // Universe sizes and member counts fit 32 bits because ElementId does.
+  enum class Rep : std::uintptr_t { kNone = 0, kDense = 1, kSparse = 2 };
+  static constexpr std::uintptr_t kRepMask = 3;
 
-  const void* data_ = nullptr;  // words (kDense) or ids (kSparse)
-  std::size_t size_ = 0;        // universe size
-  std::uint32_t count_ = 0;     // member count (kSparse only)
-  Rep rep_ = Rep::kNone;
+  SetView(const void* data, Rep rep, std::size_t size, Count count)
+      : tagged_(reinterpret_cast<std::uintptr_t>(data) |
+                static_cast<std::uintptr_t>(rep)),
+        size_(static_cast<std::uint32_t>(size)),
+        count_(static_cast<std::uint32_t>(count)) {
+    STREAMSC_DCHECK((reinterpret_cast<std::uintptr_t>(data) & kRepMask) == 0);
+    STREAMSC_DCHECK(size <= UINT32_MAX && count <= UINT32_MAX);
+  }
+
+  Rep rep() const { return static_cast<Rep>(tagged_ & kRepMask); }
+  const void* data() const {
+    return reinterpret_cast<const void*>(tagged_ & ~kRepMask);
+  }
+
+  std::uintptr_t tagged_ = 0;  // data pointer | Rep
+  std::uint32_t size_ = 0;     // universe size
+  std::uint32_t count_ = 0;    // member count (kSparse only)
 };
 
-// Views sit in every buffered pass item; keep them three words.
-static_assert(sizeof(SetView) <= 24, "SetView must stay within 24 bytes");
+// Views sit in every buffered pass item and are returned by value on the
+// per-item path; two words keep both in registers.
+static_assert(sizeof(SetView) <= 16, "SetView must stay within 16 bytes");
 
 }  // namespace streamsc
 

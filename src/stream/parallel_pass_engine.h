@@ -125,8 +125,8 @@ class ParallelPassEngine {
 void DrainPassInto(SetStream& stream, ArenaVector<StreamItem>& items);
 
 /// The monotone-gain filter core under EngineContext::GainScanPass and
-/// ThresholdPass — the one copy of the chunked
-/// snapshot-filter + in-order-commit logic. Calls
+/// ThresholdPass — the one copy of the chunked snapshot-filter +
+/// in-order-commit logic. Calls
 /// visit(item, gain_bound, bound_is_exact) in stream order for every item
 /// whose bound is positive; sequentially (null/1-thread engine) the bound
 /// is the exact current gain, sharded it is a chunk-snapshot upper bound
@@ -148,8 +148,8 @@ void GainFilteredScan(std::span<const StreamItem> items,
 /// (gains only shrink); survivors re-evaluate against the live `uncovered`
 /// and, when still eligible, are taken (on_take receives the exact
 /// committed gain) and subtracted. Used by EngineContext::ThresholdPass.
-/// Non-owning: \p uncovered and the
-/// callable behind \p on_take must outlive the visitor.
+/// Non-owning: \p uncovered and the callable behind \p on_take must
+/// outlive the visitor.
 class ThresholdTakeVisitor {
  public:
   ThresholdTakeVisitor(double threshold, DynamicBitset& uncovered,

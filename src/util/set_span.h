@@ -59,12 +59,6 @@ class DenseSpan {
     return (size_ + kBitsPerWord - 1) / kBitsPerWord;
   }
 
-  /// The \p w-th backing word. Precondition: w < WordCount().
-  Word GetWord(std::size_t w) const {
-    STREAMSC_DCHECK(w < WordCount());
-    return words_[w];
-  }
-
   /// Contiguous backing words (read-only; WordCount() of them).
   const Word* WordData() const { return words_; }
 

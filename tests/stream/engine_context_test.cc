@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "instance/generators.h"
@@ -86,31 +87,43 @@ TEST(EngineContextTest, ShardsOnlyWithEngineAndBufferableStream) {
 
 // --- Determinism of the primitives across thread counts. ---------------
 
+// The determinism contract for the pruning scan: the small system at
+// threshold 10, plus six larger uniform instances at threshold 12.
 TEST(EngineContextTest, ThresholdPassMatchesSequentialForAnyThreadCount) {
-  const SetSystem system = SmallSystem(3);
+  std::vector<std::pair<SetSystem, double>> cases;
+  cases.emplace_back(SmallSystem(3), 10.0);
+  for (std::uint64_t seed = 0; seed < 6; ++seed) {
+    Rng rng(seed);
+    cases.emplace_back(UniformRandomInstance(400, 60, 30, rng), 12.0);
+  }
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    SCOPED_TRACE("case " + std::to_string(c));
+    const auto& [system, threshold] = cases[c];
+    const std::size_t n = system.universe_size();
 
-  VectorSetStream baseline_stream(system);
-  EngineContext baseline_ctx(baseline_stream, nullptr);
-  DynamicBitset baseline_uncovered = DynamicBitset::Full(300);
-  std::vector<SetId> baseline_taken;
-  baseline_ctx.ThresholdPass(10.0, baseline_uncovered, [&](SetId id) {
-    baseline_taken.push_back(id);
-  });
+    VectorSetStream baseline_stream(system);
+    EngineContext baseline_ctx(baseline_stream, nullptr);
+    DynamicBitset baseline_uncovered = DynamicBitset::Full(n);
+    std::vector<SetId> baseline_taken;
+    baseline_ctx.ThresholdPass(threshold, baseline_uncovered, [&](SetId id) {
+      baseline_taken.push_back(id);
+    });
 
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    ParallelPassEngine engine(threads);
-    VectorSetStream stream(system);
-    EngineContext ctx(stream, &engine);
-    DynamicBitset uncovered = DynamicBitset::Full(300);
-    std::vector<SetId> taken;
-    ctx.ThresholdPass(10.0, uncovered,
-                      [&](SetId id) { taken.push_back(id); });
-    EXPECT_EQ(taken, baseline_taken);
-    EXPECT_EQ(uncovered, baseline_uncovered);
-    EXPECT_EQ(ctx.stats().sets_taken, baseline_ctx.stats().sets_taken);
-    EXPECT_EQ(ctx.stats().elements_covered,
-              baseline_ctx.stats().elements_covered);
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      ParallelPassEngine engine(threads);
+      VectorSetStream stream(system);
+      EngineContext ctx(stream, &engine);
+      DynamicBitset uncovered = DynamicBitset::Full(n);
+      std::vector<SetId> taken;
+      ctx.ThresholdPass(threshold, uncovered,
+                        [&](SetId id) { taken.push_back(id); });
+      EXPECT_EQ(taken, baseline_taken);
+      EXPECT_EQ(uncovered, baseline_uncovered);
+      EXPECT_EQ(ctx.stats().sets_taken, baseline_ctx.stats().sets_taken);
+      EXPECT_EQ(ctx.stats().elements_covered,
+                baseline_ctx.stats().elements_covered);
+    }
   }
 }
 

@@ -68,36 +68,9 @@ TEST(ParallelPassEngineTest, DrainPassIntoBuffersWholePassInOrder) {
   EXPECT_EQ(stream.passes(), 2u);
 }
 
-// The determinism contract: the threshold pass and the projection pass
-// produce results bit-identical to the sequential path for every thread
-// count.
-TEST(ParallelPassEngineTest, ThresholdPassMatchesSequentialForAnyThreadCount) {
-  for (std::uint64_t seed = 0; seed < 6; ++seed) {
-    Rng rng(seed);
-    const SetSystem system = UniformRandomInstance(400, 60, 30, rng);
-    VectorSetStream stream(system);
-    const double threshold = 12.0;
-
-    DynamicBitset sequential_uncovered = DynamicBitset::Full(400);
-    std::vector<SetId> sequential_taken;
-    EngineContext sequential(stream, nullptr);
-    sequential.ThresholdPass(threshold, sequential_uncovered, [&](SetId id) {
-      sequential_taken.push_back(id);
-    });
-
-    for (const std::size_t threads : {1u, 2u, 8u}) {
-      ParallelPassEngine engine(threads);
-      EngineContext ctx(stream, &engine);
-      DynamicBitset uncovered = DynamicBitset::Full(400);
-      std::vector<SetId> taken;
-      ctx.ThresholdPass(threshold, uncovered,
-                        [&](SetId id) { taken.push_back(id); });
-      EXPECT_EQ(taken, sequential_taken) << "threads=" << threads;
-      EXPECT_EQ(uncovered, sequential_uncovered) << "threads=" << threads;
-    }
-  }
-}
-
+// The determinism contract for projection: a TransformPass produces
+// projections bit-identical to the sequential path for every thread count.
+// (The threshold pass's twin lives in engine_context_test.)
 TEST(ParallelPassEngineTest,
      TransformPassProjectionMatchesSequentialForAnyThreadCount) {
   Rng rng(3);

@@ -189,8 +189,8 @@ OptionDescriptor BoostOption() {
 
 OptionDescriptor BudgetOption(std::uint64_t def) {
   return UintOptionMin("exact_node_budget", def, 1,
-                       "branch-and-bound node budget for the exact "
-                       "sub-solver before degrading to greedy");
+                       "branch-and-bound node budget per exact sub-solve; "
+                       "a guess whose search exhausts it fails");
 }
 
 OptionDescriptor KnownOptOption() {

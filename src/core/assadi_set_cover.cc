@@ -20,11 +20,14 @@ std::string AssadiSetCover::name() const {
 
 GuessResult AssadiSetCover::RunWithGuess(SetStream& stream,
                                          std::size_t opt_guess, Rng& rng,
-                                         const RunContext& context) const {
+                                         const RunContext& context,
+                                         SubsolveMemo* memo) const {
   const std::size_t n = stream.universe_size();
   const std::size_t guess = std::max<std::size_t>(opt_guess, 1);
   const double alpha = static_cast<double>(config_.alpha);
-  GuessRun run(stream, context, opt_guess, alpha + config_.epsilon);
+  // Only the greedy ablation's sub-solve is independent of õpt.
+  GuessRun run(stream, context, opt_guess, alpha + config_.epsilon,
+               config_.use_exact_subsolver ? nullptr : memo);
 
   // --- Pass 0: one-shot pruning. -----------------------------------------
   // Any set still covering >= n/(ε·õpt) uncovered elements is taken. At
@@ -62,8 +65,9 @@ GuessResult AssadiSetCover::RunWithGuess(SetStream& stream,
 SetCoverRunResult AssadiSetCover::Run(SetStream& stream,
                                       const RunContext& context) {
   return RunGuesses(stream, context, 1.0 + config_.epsilon, config_.known_opt,
-                    config_.seed, [&](std::size_t guess, Rng& rng) {
-                      return RunWithGuess(stream, guess, rng, context);
+                    config_.seed,
+                    [&](std::size_t guess, Rng& rng, SubsolveMemo& memo) {
+                      return RunWithGuess(stream, guess, rng, context, &memo);
                     });
 }
 

@@ -67,9 +67,13 @@ class AssadiSetCover : public StreamingSetCoverAlgorithm {
 
   /// Runs the (2α+1)-pass core for one guess õpt; within budget means
   /// ≤ (α+ε)·õpt sets. Exposed for the benches that study the per-guess
-  /// space/pass behaviour (Theorem 2's headline).
+  /// space/pass behaviour (Theorem 2's headline). With
+  /// use_exact_subsolver=false, a non-null \p memo (the one RunGuesses
+  /// shares across guesses) lets saturated steps reuse an earlier
+  /// guess's greedy sub-solve; the exact sub-solve never uses it.
   GuessResult RunWithGuess(SetStream& stream, std::size_t opt_guess,
-                           Rng& rng, const RunContext& context = {}) const;
+                           Rng& rng, const RunContext& context = {},
+                           SubsolveMemo* memo = nullptr) const;
 
   const AssadiConfig& config() const { return config_; }
 

@@ -24,9 +24,10 @@ double DemaineSetCover::SpaceExponent() const {
 
 GuessResult DemaineSetCover::RunWithGuess(SetStream& stream,
                                           std::size_t opt_guess, Rng& rng,
-                                          const RunContext& context) const {
+                                          const RunContext& context,
+                                          SubsolveMemo* memo) const {
   GuessRun run(stream, context, opt_guess,
-               static_cast<double>(config_.alpha));
+               static_cast<double>(config_.alpha), memo);
 
   // Per-phase sample size target: n^delta elements of the residual
   // universe (the Õ(m·n^delta) space law), but never below what the
@@ -59,8 +60,8 @@ GuessResult DemaineSetCover::RunWithGuess(SetStream& stream,
 SetCoverRunResult DemaineSetCover::Run(SetStream& stream,
                                        const RunContext& context) {
   return RunGuesses(stream, context, 2.0, config_.known_opt, config_.seed,
-                    [&](std::size_t guess, Rng& rng) {
-                      return RunWithGuess(stream, guess, rng, context);
+                    [&](std::size_t guess, Rng& rng, SubsolveMemo& memo) {
+                      return RunWithGuess(stream, guess, rng, context, &memo);
                     });
 }
 

@@ -55,9 +55,12 @@ class DemaineSetCover : public StreamingSetCoverAlgorithm {
                         const RunContext& context) override;
 
   /// Single-guess core (within budget means ≤ α·õpt sets); exposed for
-  /// the per-guess space benches.
+  /// the per-guess space benches. A non-null \p memo (the one RunGuesses
+  /// shares across guesses) lets saturated phases reuse an earlier
+  /// guess's greedy sub-solve.
   GuessResult RunWithGuess(SetStream& stream, std::size_t opt_guess,
-                           Rng& rng, const RunContext& context = {}) const;
+                           Rng& rng, const RunContext& context = {},
+                           SubsolveMemo* memo = nullptr) const;
 
   /// The space exponent δ = ln 4 / ln α this configuration targets
   /// (clamped to (0, 1]); stored sample sizes scale as n^δ.

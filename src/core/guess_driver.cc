@@ -7,6 +7,7 @@
 #include "obs/trace.h"
 #include "offline/exact_set_cover.h"
 #include "offline/greedy.h"
+#include "util/check.h"
 #include "util/stopwatch.h"
 
 namespace streamsc {
@@ -19,6 +20,7 @@ Bytes SolutionBytes(std::size_t size) { return size * sizeof(SetId); }
 const SpaceCategory kUncoveredCat("uncovered");
 const SpaceCategory kSolutionCat("solution");
 const SpaceCategory kProjectionsCat("projections");
+const SpaceCategory kSubsolveMemoCat("subsolve_memo");
 
 // Counts one exact sub-solve: its search nodes as "offline.exact_nodes",
 // plus one "offline.exact_budget_hits" when the node budget ran out before
@@ -40,11 +42,37 @@ void CountGreedyFallback(CounterSet& counters) {
   counters.Add(fallbacks, 1);
 }
 
+// Counts one "offline.subsolve_memo_hits": a saturated step that reused
+// the memo's sub-solve instead of projecting and solving again.
+void CountSubsolveMemoHit(CounterSet& counters) {
+  static const CounterId hits =
+      CounterId::Counter("offline.subsolve_memo_hits");
+  counters.Add(hits, 1);
+}
+
 }  // namespace
 
+bool SubsolveMemo::Matches(const DynamicBitset& uncovered) const {
+  return valid_ && key_.size() == uncovered.WordCount() &&
+         std::equal(key_.begin(), key_.end(), uncovered.WordData());
+}
+
+void SubsolveMemo::Store(const DynamicBitset& uncovered, bool solved,
+                         const ArenaVector<SetId>& chosen,
+                         Bytes projection_bytes) {
+  key_.assign(uncovered.WordData(),
+              uncovered.WordData() + uncovered.WordCount());
+  chosen_.assign(chosen.begin(), chosen.end());
+  solved_ = solved;
+  projection_bytes_ = projection_bytes;
+  valid_ = true;
+}
+
 GuessRun::GuessRun(SetStream& stream, const RunContext& context,
-                   std::size_t opt_guess, double budget_factor)
-    : passes_before_(stream.passes()),
+                   std::size_t opt_guess, double budget_factor,
+                   SubsolveMemo* memo)
+    : memo_(memo),
+      passes_before_(stream.passes()),
       opt_guess_(opt_guess),
       budget_(budget_factor * static_cast<double>(opt_guess)),
       ctx_(stream, context),
@@ -66,8 +94,35 @@ void GuessRun::Prune(double threshold) {
   ctx_.ThresholdPass(threshold, uncovered_, [this](SetId id) { Take(id); });
 }
 
+void GuessRun::TakeAndSubtract(const ArenaVector<SetId>& chosen) {
+  solution_.chosen.insert(solution_.chosen.end(), chosen.begin(),
+                          chosen.end());
+  meter_.SetCategory(SolutionBytes(solution_.size()), kSolutionCat);
+  ctx_.RecordTakes(chosen.size(), 0);
+
+  // (d) One pass subtracting the chosen sets' *full* contents from U.
+  // (The paper stores only projections, so recovering the full contents
+  // of OPT' requires this extra pass.)
+  ctx_.SubtractPass(chosen, uncovered_);
+}
+
 bool GuessRun::Step(double rate, Rng& rng, const char* subsolve_span,
                     SubSolveFn solve) {
+  // A saturated sample is U itself and draws nothing from the Rng, so
+  // the sub-instance — and a guess-independent sub-solve of it — is a
+  // function of U alone: replay the memo's entry if it holds this U.
+  const bool memoizable = memo_ != nullptr && rate >= 1.0;
+  if (memoizable && memo_->Matches(uncovered_)) {
+    CountSubsolveMemoHit(ctx_.counters());
+    // The memo stands in for the projections the step would have
+    // stored, so the guess's space is that of the memo-less step.
+    meter_.Charge(memo_->projection_bytes_, kSubsolveMemoCat);
+    meter_.Release(memo_->projection_bytes_, kSubsolveMemoCat);
+    if (!memo_->solved_) return false;
+    TakeAndSubtract(memo_->chosen_);
+    return true;
+  }
+
   // Everything this step builds — the sample, the projections, the
   // sub-solution — dies with it: bracket the thread's table arena. (Not
   // the scratch arena: TransformPass stages inside scratch and rewinds
@@ -113,27 +168,23 @@ bool GuessRun::Step(double rate, Rng& rng, const char* subsolve_span,
     ctx_.trace()->Emit(TraceCategory::kPhase, subsolve_span, subsolve_start,
                        TraceRecorder::NowNs() - subsolve_start);
   }
+  for (SetId& id : chosen) id = projection_ids[id];
   // Stored projections are dropped once the sub-instance is solved.
-  meter_.Release(meter_.CategoryCurrent(kProjectionsCat), kProjectionsCat);
+  const Bytes projection_bytes = meter_.CategoryCurrent(kProjectionsCat);
+  meter_.Release(projection_bytes, kProjectionsCat);
+  if (memoizable) memo_->Store(uncovered_, solved, chosen, projection_bytes);
   if (!solved) return false;
 
-  for (SetId& id : chosen) {
-    id = projection_ids[id];
-    solution_.chosen.push_back(id);
-  }
-  meter_.SetCategory(SolutionBytes(solution_.size()), kSolutionCat);
-  ctx_.RecordTakes(chosen.size(), 0);
-
-  // (d) One pass subtracting the chosen sets' *full* contents from U.
-  // (The paper stores only projections, so recovering the full contents
-  // of OPT' requires this extra pass.)
-  ctx_.SubtractPass(chosen, uncovered_);
+  TakeAndSubtract(chosen);
   return true;
 }
 
 bool GuessRun::SolveExactly(const SetSystem& projections,
                             std::uint64_t node_budget,
                             ArenaVector<SetId>& chosen) {
+  STREAMSC_CHECK(memo_ == nullptr,
+                 "GuessRun: the exact sub-solve depends on the guess and "
+                 "must not be memoized");
   ExactSetCoverOptions options;
   options.max_nodes = node_budget;
   options.size_limit = opt_guess_;
@@ -188,16 +239,19 @@ void GreedySubsolve(const SetSystem& projections,
 SetCoverRunResult RunGuesses(
     SetStream& stream, const RunContext& context, double growth,
     std::size_t known_opt, std::uint64_t seed,
-    FunctionRef<GuessResult(std::size_t opt_guess, Rng& rng)> run_guess) {
+    FunctionRef<GuessResult(std::size_t opt_guess, Rng& rng,
+                            SubsolveMemo& memo)>
+        run_guess) {
   Stopwatch timer;
   const std::uint64_t passes_before = stream.passes();
   Rng rng(seed);
+  SubsolveMemo memo(context.arena);
   SetCoverRunResult out;
 
   const auto try_guess = [&](std::size_t guess) {
     TraceSpan guess_span(context.trace, TraceCategory::kPhase, "guess");
     guess_span.AddArg("opt_guess", guess);
-    GuessResult r = run_guess(guess, rng);
+    GuessResult r = run_guess(guess, rng, memo);
     out.stats.peak_space_bytes =
         std::max(out.stats.peak_space_bytes, r.peak_space_bytes);
     out.stats.sets_taken += r.engine_stats.sets_taken;

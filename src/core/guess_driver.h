@@ -6,6 +6,8 @@
 #include "instance/set_system.h"
 #include "stream/engine_context.h"
 #include "stream/stream_algorithm.h"
+#include "util/arena.h"
+#include "util/bitset.h"
 #include "util/function_ref.h"
 #include "util/random.h"
 #include "util/space_meter.h"
@@ -25,6 +27,15 @@
 /// the first success. That preserves the space bound per guess but spends
 /// a full pass budget on every guess tried, so the reported pass count is
 /// the actual total, not the paper's 2α+1.
+///
+/// Sequential guesses often solve the same sub-instance: when a step's
+/// sampling rate saturates (rate ≥ 1) the sample is U itself, so the
+/// projections depend only on U. RunGuesses therefore keeps a one-entry
+/// SubsolveMemo, and a guess whose sub-solve does not depend on õpt (a
+/// greedy one) reuses the previous saturated step's chosen ids when U is
+/// word-for-word the same. Such a hit skips the projection pass and the
+/// sub-solve; covers, space and the Rng stream are exactly those of the
+/// memo-less run, and the pass count is still the number of passes made.
 
 namespace streamsc {
 
@@ -45,14 +56,45 @@ struct GuessResult {
 using SubSolveFn =
     FunctionRef<bool(const SetSystem& projections, ArenaVector<SetId>& chosen)>;
 
+/// The last saturated sub-solve of a run: U's words at step entry (the
+/// key), whether the sub-solve succeeded, the chosen global set ids in
+/// take order and the bytes its projections were charged. RunGuesses owns
+/// one on the run arena and hands it to every guess; only a GuessRun
+/// reads or replaces it.
+class SubsolveMemo {
+ public:
+  explicit SubsolveMemo(MonotonicArena* arena)
+      : key_(ArenaAllocator<DynamicBitset::Word>(arena)),
+        chosen_(ArenaAllocator<SetId>(arena)) {}
+
+  SubsolveMemo(const SubsolveMemo&) = delete;
+  SubsolveMemo& operator=(const SubsolveMemo&) = delete;
+
+ private:
+  friend class GuessRun;
+
+  bool Matches(const DynamicBitset& uncovered) const;
+  void Store(const DynamicBitset& uncovered, bool solved,
+             const ArenaVector<SetId>& chosen, Bytes projection_bytes);
+
+  bool valid_ = false;
+  bool solved_ = false;
+  Bytes projection_bytes_ = 0;
+  ArenaVector<DynamicBitset::Word> key_;
+  ArenaVector<SetId> chosen_;
+};
+
 /// The state of one guess: its engine context, space meter, uncovered
 /// elements U and solution so far.
 class GuessRun {
  public:
   /// A guess succeeds with a feasible cover of at most
-  /// budget_factor·opt_guess sets.
+  /// budget_factor·opt_guess sets. A non-null \p memo lets saturated
+  /// Steps reuse an earlier guess's sub-solve; pass one only when the
+  /// solver's sub-solve does not depend on õpt (never with SolveExactly).
   GuessRun(SetStream& stream, const RunContext& context,
-           std::size_t opt_guess, double budget_factor);
+           std::size_t opt_guess, double budget_factor,
+           SubsolveMemo* memo = nullptr);
 
   GuessRun(const GuessRun&) = delete;
   GuessRun& operator=(const GuessRun&) = delete;
@@ -70,11 +112,20 @@ class GuessRun {
   /// chosen sets and subtracts their full contents from U in a second
   /// pass. Returns false iff \p solve failed the guess (nothing is taken
   /// then).
+  ///
+  /// With a memo bound and rate ≥ 1 the sample is U and draws nothing
+  /// from \p rng, so the sub-instance depends only on U. If the memo
+  /// holds this U, the step skips the projection pass and \p solve (no
+  /// span, one "offline.subsolve_memo_hits"), takes the stored ids and
+  /// runs the subtract pass as usual; the memo's "subsolve_memo" space
+  /// category stands in for the projections it replays, at their size.
+  /// Otherwise it runs as above and then replaces the memo's entry.
   bool Step(double rate, Rng& rng, const char* subsolve_span,
             SubSolveFn solve);
 
   /// The paper's *optimal* sub-solve (step 3c of Algorithm 1) under a
-  /// node budget: a cover of at most õpt sets, or false.
+  /// node budget: a cover of at most õpt sets, or false. Its size limit
+  /// is õpt, so it CHECK-fails on a GuessRun with a memo bound.
   bool SolveExactly(const SetSystem& projections, std::uint64_t node_budget,
                     ArenaVector<SetId>& chosen);
 
@@ -84,7 +135,10 @@ class GuessRun {
 
  private:
   void Take(SetId id);
+  // Takes \p chosen (global ids), records them and runs the subtract pass.
+  void TakeAndSubtract(const ArenaVector<SetId>& chosen);
 
+  SubsolveMemo* memo_;
   std::uint64_t passes_before_;
   std::size_t opt_guess_;
   double budget_;
@@ -102,13 +156,15 @@ void GreedySubsolve(const SetSystem& projections, ArenaVector<SetId>& chosen);
 /// if it is set, else on õpt = ceil(growth^j) for j = 0, 1, ... up to the
 /// universe size, stopping at the first guess whose result is within
 /// budget (larger guesses only allow larger covers). Every guess runs in
-/// a "guess" trace span and shares one Rng seeded with \p seed. Passes,
-/// take counters and interned counters add up over the guesses tried,
-/// peak space is their maximum.
+/// a "guess" trace span and shares one Rng seeded with \p seed and one
+/// SubsolveMemo on the run arena. Passes, take counters and interned
+/// counters add up over the guesses tried, peak space is their maximum.
 SetCoverRunResult RunGuesses(
     SetStream& stream, const RunContext& context, double growth,
     std::size_t known_opt, std::uint64_t seed,
-    FunctionRef<GuessResult(std::size_t opt_guess, Rng& rng)> run_guess);
+    FunctionRef<GuessResult(std::size_t opt_guess, Rng& rng,
+                            SubsolveMemo& memo)>
+        run_guess);
 
 }  // namespace streamsc
 

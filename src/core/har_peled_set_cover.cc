@@ -61,7 +61,8 @@ GuessResult HarPeledSetCover::RunWithGuess(SetStream& stream,
 SetCoverRunResult HarPeledSetCover::Run(SetStream& stream,
                                         const RunContext& context) {
   return RunGuesses(stream, context, 2.0, config_.known_opt, config_.seed,
-                    [&](std::size_t guess, Rng& rng) {
+                    [&](std::size_t guess, Rng& rng, SubsolveMemo&) {
+                      // The exact sub-solve depends on õpt: no memo.
                       return RunWithGuess(stream, guess, rng, context);
                     });
 }

@@ -5,10 +5,20 @@
 // leave them unchanged — chosen ids in take order, feasibility, passes,
 // peak space, the engine's take counters and every interned counter, at
 // one and two threads.
+//
+// One deliberate exception: the sub-solve memo. The cases with a
+// saturated sample and a greedy sub-solve (demaine alpha 2 and 4,
+// assadi use_exact_subsolver=false) were re-pinned when later guesses
+// started reusing the first guess's sub-solve. Only passes,
+// engine.passes, engine.items_scanned, engine.shard_* and
+// offline.subsolve_memo_hits moved; chosen, feasible, space, taken and
+// covered kept their original values. The differential test at the end
+// of this file checks every memoized run against memo-less replays.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -22,6 +32,7 @@
 #include "instance/generators.h"
 #include "stream/engine_context.h"
 #include "stream/set_stream.h"
+#include "util/arena.h"
 
 namespace streamsc {
 namespace {
@@ -124,27 +135,27 @@ const std::vector<GoldenCase>& GoldenCases() {
        "engine.shard_items:1280,engine.shard_jobs:20,"
        "offline.exact_nodes:844022}"},
       {"assadi", {"use_exact_subsolver=false"}, "planted", 1,
-       "chosen=[0,1,2,3] feasible=1 passes=6 space=6496 taken=8 covered=1536 "
-       "counters={engine.elements_covered:1536,engine.items_scanned:384,"
-       "engine.passes:6,engine.sets_taken:8}"},
+       "chosen=[0,1,2,3] feasible=1 passes=5 space=6496 taken=8 covered=1536 "
+       "counters={engine.elements_covered:1536,engine.items_scanned:320,"
+       "engine.passes:5,engine.sets_taken:8,offline.subsolve_memo_hits:1}"},
       {"assadi", {"use_exact_subsolver=false"}, "planted", 2,
-       "chosen=[0,1,2,3] feasible=1 passes=6 space=6496 taken=8 covered=1536 "
-       "counters={engine.elements_covered:1536,engine.items_scanned:384,"
-       "engine.passes:6,engine.sets_taken:8,engine.shard_items:256,"
-       "engine.shard_jobs:4}"},
+       "chosen=[0,1,2,3] feasible=1 passes=5 space=6496 taken=8 covered=1536 "
+       "counters={engine.elements_covered:1536,engine.items_scanned:320,"
+       "engine.passes:5,engine.sets_taken:8,engine.shard_items:192,"
+       "engine.shard_jobs:3,offline.subsolve_memo_hits:1}"},
       {"assadi", {"use_exact_subsolver=false"}, "uniform", 1,
        "chosen=[0,11,7,32,19,10,12,62,2,8,38,24,63,27,47,33,35,3,14,40,60,9,"
-       "22,26,51,20,56,1,4,16,21,23,25,28,39,41] feasible=1 passes=24 "
+       "22,26,51,20,56,1,4,16,21,23,25,28,39,41] feasible=1 passes=17 "
        "space=4416 taken=288 covered=4096 "
-       "counters={engine.elements_covered:4096,engine.items_scanned:1536,"
-       "engine.passes:24,engine.sets_taken:288}"},
+       "counters={engine.elements_covered:4096,engine.items_scanned:1088,"
+       "engine.passes:17,engine.sets_taken:288,offline.subsolve_memo_hits:7}"},
       {"assadi", {"use_exact_subsolver=false"}, "uniform", 2,
        "chosen=[0,11,7,32,19,10,12,62,2,8,38,24,63,27,47,33,35,3,14,40,60,9,"
-       "22,26,51,20,56,1,4,16,21,23,25,28,39,41] feasible=1 passes=24 "
+       "22,26,51,20,56,1,4,16,21,23,25,28,39,41] feasible=1 passes=17 "
        "space=4416 taken=288 covered=4096 "
-       "counters={engine.elements_covered:4096,engine.items_scanned:1536,"
-       "engine.passes:24,engine.sets_taken:288,engine.shard_items:1024,"
-       "engine.shard_jobs:16}"},
+       "counters={engine.elements_covered:4096,engine.items_scanned:1088,"
+       "engine.passes:17,engine.sets_taken:288,engine.shard_items:576,"
+       "engine.shard_jobs:9,offline.subsolve_memo_hits:7}"},
       {"assadi", {"exact_node_budget=1"}, "planted", 1,
        "chosen=[0,1,2,3] feasible=1 passes=9 space=6496 taken=4 covered=768 "
        "counters={engine.elements_covered:768,engine.items_scanned:576,"
@@ -233,27 +244,27 @@ const std::vector<GoldenCase>& GoldenCases() {
        "engine.shard_jobs:12,offline.exact_budget_hits:2,"
        "offline.exact_nodes:8,offline.greedy_fallbacks:1}"},
       {"demaine", {"alpha=2"}, "planted", 1,
-       "chosen=[0,1,2,3] feasible=1 passes=4 space=6496 taken=8 covered=1536 "
-       "counters={engine.elements_covered:1536,engine.items_scanned:256,"
-       "engine.passes:4,engine.sets_taken:8}"},
+       "chosen=[0,1,2,3] feasible=1 passes=3 space=6496 taken=8 covered=1536 "
+       "counters={engine.elements_covered:1536,engine.items_scanned:192,"
+       "engine.passes:3,engine.sets_taken:8,offline.subsolve_memo_hits:1}"},
       {"demaine", {"alpha=2"}, "planted", 2,
-       "chosen=[0,1,2,3] feasible=1 passes=4 space=6496 taken=8 covered=1536 "
-       "counters={engine.elements_covered:1536,engine.items_scanned:256,"
-       "engine.passes:4,engine.sets_taken:8,engine.shard_items:128,"
-       "engine.shard_jobs:2}"},
+       "chosen=[0,1,2,3] feasible=1 passes=3 space=6496 taken=8 covered=1536 "
+       "counters={engine.elements_covered:1536,engine.items_scanned:192,"
+       "engine.passes:3,engine.sets_taken:8,engine.shard_items:64,"
+       "engine.shard_jobs:1,offline.subsolve_memo_hits:1}"},
       {"demaine", {"alpha=2"}, "uniform", 1,
        "chosen=[0,11,7,32,19,10,12,62,2,8,38,24,63,27,47,33,35,3,14,40,60,9,"
-       "22,26,51,20,56,1,4,16,21,23,25,28,39,41] feasible=1 passes=12 "
+       "22,26,51,20,56,1,4,16,21,23,25,28,39,41] feasible=1 passes=7 "
        "space=4416 taken=216 covered=3072 "
-       "counters={engine.elements_covered:3072,engine.items_scanned:768,"
-       "engine.passes:12,engine.sets_taken:216}"},
+       "counters={engine.elements_covered:3072,engine.items_scanned:448,"
+       "engine.passes:7,engine.sets_taken:216,offline.subsolve_memo_hits:5}"},
       {"demaine", {"alpha=2"}, "uniform", 2,
        "chosen=[0,11,7,32,19,10,12,62,2,8,38,24,63,27,47,33,35,3,14,40,60,9,"
-       "22,26,51,20,56,1,4,16,21,23,25,28,39,41] feasible=1 passes=12 "
+       "22,26,51,20,56,1,4,16,21,23,25,28,39,41] feasible=1 passes=7 "
        "space=4416 taken=216 covered=3072 "
-       "counters={engine.elements_covered:3072,engine.items_scanned:768,"
-       "engine.passes:12,engine.sets_taken:216,engine.shard_items:384,"
-       "engine.shard_jobs:6}"},
+       "counters={engine.elements_covered:3072,engine.items_scanned:448,"
+       "engine.passes:7,engine.sets_taken:216,engine.shard_items:64,"
+       "engine.shard_jobs:1,offline.subsolve_memo_hits:5}"},
       {"demaine", {"alpha=4"}, "planted", 1,
        "chosen=[0,1,2,3] feasible=1 passes=2 space=6496 taken=4 covered=768 "
        "counters={engine.elements_covered:768,engine.items_scanned:128,"
@@ -265,17 +276,17 @@ const std::vector<GoldenCase>& GoldenCases() {
        "engine.shard_jobs:1}"},
       {"demaine", {"alpha=4"}, "uniform", 1,
        "chosen=[0,11,7,32,19,10,12,62,2,8,38,24,63,27,47,33,35,3,14,40,60,9,"
-       "22,26,51,20,56,1,4,16,21,23,25,28,39,41] feasible=1 passes=10 "
+       "22,26,51,20,56,1,4,16,21,23,25,28,39,41] feasible=1 passes=6 "
        "space=4416 taken=180 covered=2560 "
-       "counters={engine.elements_covered:2560,engine.items_scanned:640,"
-       "engine.passes:10,engine.sets_taken:180}"},
+       "counters={engine.elements_covered:2560,engine.items_scanned:384,"
+       "engine.passes:6,engine.sets_taken:180,offline.subsolve_memo_hits:4}"},
       {"demaine", {"alpha=4"}, "uniform", 2,
        "chosen=[0,11,7,32,19,10,12,62,2,8,38,24,63,27,47,33,35,3,14,40,60,9,"
-       "22,26,51,20,56,1,4,16,21,23,25,28,39,41] feasible=1 passes=10 "
+       "22,26,51,20,56,1,4,16,21,23,25,28,39,41] feasible=1 passes=6 "
        "space=4416 taken=180 covered=2560 "
-       "counters={engine.elements_covered:2560,engine.items_scanned:640,"
-       "engine.passes:10,engine.sets_taken:180,engine.shard_items:320,"
-       "engine.shard_jobs:5}"},
+       "counters={engine.elements_covered:2560,engine.items_scanned:384,"
+       "engine.passes:6,engine.sets_taken:180,engine.shard_items:64,"
+       "engine.shard_jobs:1,offline.subsolve_memo_hits:4}"},
       {"demaine", {"ensure_feasible=false"}, "planted", 1,
        "chosen=[0,1,2,3] feasible=1 passes=2 space=6496 taken=4 covered=768 "
        "counters={engine.elements_covered:768,engine.items_scanned:128,"
@@ -287,17 +298,17 @@ const std::vector<GoldenCase>& GoldenCases() {
        "engine.shard_jobs:1}"},
       {"demaine", {"ensure_feasible=false"}, "uniform", 1,
        "chosen=[0,11,7,32,19,10,12,62,2,8,38,24,63,27,47,33,35,3,14,40,60,9,"
-       "22,26,51,20,56,1,4,16,21,23,25,28,39,41] feasible=1 passes=10 "
+       "22,26,51,20,56,1,4,16,21,23,25,28,39,41] feasible=1 passes=6 "
        "space=4416 taken=180 covered=2560 "
-       "counters={engine.elements_covered:2560,engine.items_scanned:640,"
-       "engine.passes:10,engine.sets_taken:180}"},
+       "counters={engine.elements_covered:2560,engine.items_scanned:384,"
+       "engine.passes:6,engine.sets_taken:180,offline.subsolve_memo_hits:4}"},
       {"demaine", {"ensure_feasible=false"}, "uniform", 2,
        "chosen=[0,11,7,32,19,10,12,62,2,8,38,24,63,27,47,33,35,3,14,40,60,9,"
-       "22,26,51,20,56,1,4,16,21,23,25,28,39,41] feasible=1 passes=10 "
+       "22,26,51,20,56,1,4,16,21,23,25,28,39,41] feasible=1 passes=6 "
        "space=4416 taken=180 covered=2560 "
-       "counters={engine.elements_covered:2560,engine.items_scanned:640,"
-       "engine.passes:10,engine.sets_taken:180,engine.shard_items:320,"
-       "engine.shard_jobs:5}"},
+       "counters={engine.elements_covered:2560,engine.items_scanned:384,"
+       "engine.passes:6,engine.sets_taken:180,engine.shard_items:64,"
+       "engine.shard_jobs:1,offline.subsolve_memo_hits:4}"},
       {"demaine", {"alpha=8", "sampling_boost=0.05"}, "planted", 1,
        "chosen=[5,8,0,2,1,3] feasible=1 passes=8 space=804 taken=6 "
        "covered=768 counters={engine.elements_covered:768,"
@@ -400,6 +411,134 @@ TEST(GuessDriverGoldenTest, KnownOptRunMatchesRunWithGuess) {
                                                            system);
     ExpectKnownOptRunMatchesRunWithGuess<DemaineSetCover>(DemaineConfig{},
                                                           system);
+  }
+}
+
+// Replays every guess Run tries, in RunGuesses' order, twice: through
+// the memo-less RunWithGuess and through RunWithGuess with one shared
+// SubsolveMemo, each with its own Rng(seed). Every memoized guess must
+// report what its memo-less twin reports — cover, feasibility, space,
+// take counters — with exactly one pass fewer per memo hit. The full
+// Run (on a run arena, as the api layer runs it) must then match the
+// memo-less replay's totals. Returns Run's hit count.
+template <typename Solver, typename Config>
+std::uint64_t ExpectRunMatchesReplay(const Config& config, double growth,
+                                     const SetSystem& system) {
+  static const CounterId hits_id =
+      CounterId::Counter("offline.subsolve_memo_hits");
+  const Solver solver(config);
+  MonotonicArena arena;
+  SubsolveMemo memo(&arena);
+  Rng replay_rng(config.seed);
+  Rng memo_rng(config.seed);
+  Solution replay_solution;
+  bool replay_feasible = false;
+  std::uint64_t replay_passes = 0;
+  std::uint64_t replay_hits = 0;
+  Bytes replay_peak = 0;
+  std::uint64_t replay_taken = 0;
+  std::uint64_t replay_covered = 0;
+  std::size_t prev = 0;
+  for (double g = 1.0;
+       static_cast<std::size_t>(g) <= system.universe_size(); g *= growth) {
+    const std::size_t guess = static_cast<std::size_t>(std::ceil(g));
+    if (guess == prev) continue;
+    prev = guess;
+    SCOPED_TRACE("guess=" + std::to_string(guess));
+    VectorSetStream replay_stream(system);
+    GuessResult r = solver.RunWithGuess(replay_stream, guess, replay_rng);
+    VectorSetStream memo_stream(system);
+    const GuessResult m =
+        solver.RunWithGuess(memo_stream, guess, memo_rng, {}, &memo);
+    const std::uint64_t hits = m.counters.value(hits_id);
+    EXPECT_EQ(m.solution.chosen, r.solution.chosen);
+    EXPECT_EQ(m.within_budget, r.within_budget);
+    EXPECT_EQ(m.peak_space_bytes, r.peak_space_bytes);
+    EXPECT_EQ(m.engine_stats.sets_taken, r.engine_stats.sets_taken);
+    EXPECT_EQ(m.engine_stats.elements_covered,
+              r.engine_stats.elements_covered);
+    EXPECT_EQ(m.passes + hits, r.passes);
+    replay_hits += hits;
+    replay_passes += r.passes;
+    replay_peak = std::max(replay_peak, r.peak_space_bytes);
+    replay_taken += r.engine_stats.sets_taken;
+    replay_covered += r.engine_stats.elements_covered;
+    if (r.within_budget) {
+      replay_solution = std::move(r.solution);
+      replay_feasible = true;
+      break;
+    }
+  }
+
+  MonotonicArena run_arena;
+  RunContext context;
+  context.arena = &run_arena;
+  VectorSetStream stream(system);
+  const SetCoverRunResult run = Solver(config).Run(stream, context);
+  const std::uint64_t hits = run.stats.counters.value(hits_id);
+  EXPECT_EQ(run.solution.chosen, replay_solution.chosen);
+  EXPECT_EQ(run.feasible, replay_feasible);
+  EXPECT_EQ(run.stats.peak_space_bytes, replay_peak);
+  EXPECT_EQ(run.stats.sets_taken, replay_taken);
+  EXPECT_EQ(run.stats.elements_covered, replay_covered);
+  EXPECT_EQ(run.stats.passes + hits, replay_passes);
+  EXPECT_EQ(hits, replay_hits);
+  return hits;
+}
+
+std::vector<std::pair<std::string, SetSystem>> DifferentialInstances(
+    std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::pair<std::string, SetSystem>> out;
+  out.emplace_back("planted", PlantedCoverInstance(600, 48, 5, rng));
+  out.emplace_back("uniform", UniformRandomInstance(400, 60, 40, rng));
+  out.emplace_back("zipf", ZipfInstance(500, 80, 1.2, 120, rng));
+  return out;
+}
+
+TEST(SubsolveMemoDifferentialTest, MemoizedRunsMatchMemolessReplays) {
+  std::uint64_t total_hits = 0;
+  for (const std::uint64_t seed : {3u, 17u, 41u}) {
+    for (const auto& [family, system] : DifferentialInstances(seed)) {
+      for (const std::size_t alpha : {2u, 4u}) {
+        SCOPED_TRACE(family + " seed=" + std::to_string(seed) +
+                     " demaine alpha=" + std::to_string(alpha));
+        DemaineConfig config;
+        config.alpha = alpha;
+        config.seed = seed;
+        total_hits +=
+            ExpectRunMatchesReplay<DemaineSetCover>(config, 2.0, system);
+      }
+      SCOPED_TRACE(family + " seed=" + std::to_string(seed) +
+                   " assadi use_exact_subsolver=false");
+      AssadiConfig config;
+      config.use_exact_subsolver = false;
+      config.seed = seed;
+      total_hits += ExpectRunMatchesReplay<AssadiSetCover>(
+          config, 1.0 + config.epsilon, system);
+    }
+  }
+  // The saturated configurations must actually exercise the memo.
+  EXPECT_GT(total_hits, 0u);
+}
+
+// Below-one sampling rates draw from the Rng, so no step is memoized:
+// demaine alpha=8 with a tiny boost, and assadi alpha=1 with a tiny boost,
+// whose consecutive guesses often enter their one step with the same U.
+TEST(SubsolveMemoDifferentialTest, SubSaturatedRatesNeverHit) {
+  for (const SetSystem& system : {PlantedInstance(), UniformInstance()}) {
+    DemaineConfig demaine;
+    demaine.alpha = 8;
+    demaine.sampling_boost = 0.05;
+    EXPECT_EQ(ExpectRunMatchesReplay<DemaineSetCover>(demaine, 2.0, system),
+              0u);
+    AssadiConfig assadi;
+    assadi.alpha = 1;
+    assadi.sampling_boost = 0.001;
+    assadi.use_exact_subsolver = false;
+    EXPECT_EQ(ExpectRunMatchesReplay<AssadiSetCover>(
+                  assadi, 1.0 + assadi.epsilon, system),
+              0u);
   }
 }
 

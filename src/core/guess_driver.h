@@ -67,9 +67,6 @@ class SubsolveMemo {
       : key_(ArenaAllocator<DynamicBitset::Word>(arena)),
         chosen_(ArenaAllocator<SetId>(arena)) {}
 
-  SubsolveMemo(const SubsolveMemo&) = delete;
-  SubsolveMemo& operator=(const SubsolveMemo&) = delete;
-
  private:
   friend class GuessRun;
 

@@ -40,7 +40,7 @@ void PassSweep() {
     VectorSetStream stream(system);
     ExactPairFinder finder(PairFinderConfig{p, 2'000'000});
     const PairFinderResult result = finder.Run(stream);
-    const double bits = static_cast<double>(result.peak_space_bytes) * 8;
+    const double bits = static_cast<double>(result.stats.peak_space_bytes) * 8;
     const double linear = mn / static_cast<double>(p);
     const double exponential =
         static_cast<double>(2 * params.m) *

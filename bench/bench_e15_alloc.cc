@@ -34,6 +34,7 @@
 #include "bench_common.h"
 #include "instance/generators.h"
 #include "instance/set_system.h"
+#include "stream/engine_context.h"
 #include "stream/parallel_pass_engine.h"
 #include "stream/stream_adapters.h"
 #include "testing/alloc_counter.h"

@@ -103,6 +103,7 @@
 #include "serve/solve_client.h"
 #include "storage/binary_instance_writer.h"
 #include "storage/mmap_set_stream.h"
+#include "stream/engine_context.h"
 #include "stream/set_stream.h"
 #include "util/file_probe.h"
 #include "util/random.h"
@@ -593,8 +594,10 @@ int Solve(int argc, char** argv) {
   add("space bytes", std::to_string(report->peak_space_bytes));
   add("arena high-water", std::to_string(report->arena_high_water));
   add("arena reserved", std::to_string(report->arena_reserved));
-  add("sets taken (ctr)", std::to_string(report->stats.sets_taken));
-  add("elements covered", std::to_string(report->stats.elements_covered));
+  add("sets taken (ctr)", std::to_string(report->counters.value(
+                               engine_counters::SetsTaken())));
+  add("elements covered", std::to_string(report->counters.value(
+                              engine_counters::ElementsCovered())));
   if (report->kind == SolverKind::kMaxCoverage) {
     add("coverage", std::to_string(report->extra));
   }

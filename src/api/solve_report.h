@@ -7,7 +7,6 @@
 
 #include "instance/set_system.h"
 #include "obs/counters.h"
-#include "stream/engine_context.h"
 #include "util/space_meter.h"
 
 /// \file solve_report.h
@@ -57,11 +56,11 @@ struct SolveReport {
   bool feasible = false;   ///< Family-specific success bit (see SolverKind).
   std::uint64_t passes = 0;        ///< Stream passes consumed.
   Bytes peak_space_bytes = 0;      ///< Peak logical space (SpaceMeter).
-  EnginePassStats stats;           ///< Deterministic engine counters.
   std::uint64_t extra = 0;         ///< Family-specific scalar (coverage /
                                    ///< surviving candidates); 0 for set
                                    ///< cover.
-  double wall_seconds = 0.0;       ///< Wall-clock time of the run.
+  double wall_seconds = 0.0;       ///< Wall-clock time of the run, timed
+                                   ///< once by the registry wrapper.
 
   // Filled by SolveSession (empty/1/0 when a solver is run directly).
   std::string source;       ///< "memory", "file", or "mmap".
@@ -84,9 +83,9 @@ struct SolveReport {
                                        ///< surviving prefix (warm runs).
 
   /// Full interned-counter snapshot of the run (obs/counters.h): the
-  /// engine.* counters the solver accumulated plus session-stamped arena
-  /// gauges. Supersedes the scalar `stats` view for anything that wants
-  /// every counter, not just the well-known ones.
+  /// engine.* counters the solver accumulated (items scanned, sets taken,
+  /// elements covered; see engine_counters in stream/engine_context.h),
+  /// its sub-solver counters, and session-stamped arena gauges.
   CounterSet counters;
 
   /// Per-pass timing/counter breakdown, in pass order. Filled only when

@@ -414,7 +414,6 @@ StatusOr<SolveReport> SolveSession::RunWarmStart(
   report.peak_space_bytes =
       uncovered.ByteSize() + solution.chosen.size() * sizeof(SetId);
   report.solution = std::move(solution);
-  report.stats = ctx.stats();
   report.counters.MergeFrom(ctx.counters());
   report.warm_start = true;
   report.surviving_prefix = prefix.size();

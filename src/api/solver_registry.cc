@@ -33,24 +33,20 @@ void FillBase(const std::string& solver, SolverKind kind,
   report->algorithm = algorithm;
   report->feasible = false;
   report->extra = 0;
-  report->stats = {};
   report->counters.Clear();
   report->pass_breakdown.clear();
 }
 
-// The one mapping from the per-family StreamRunStats shape to the
-// uniform report — both stream-algorithm families fill through here so a
-// new deterministic counter cannot be wired up for one family and
-// silently zeroed for the other.
-void FillFromRunStats(const StreamRunStats& stats, SolveReport* report) {
+// The one mapping from StreamRunStats to the uniform report — every
+// wrapper fills through here so a new deterministic counter cannot be
+// wired up for one family and silently zeroed for another. The wrapper's
+// own timer of the Run supplies the wall time.
+void FillFromRunStats(const StreamRunStats& stats, double wall_seconds,
+                      SolveReport* report) {
   report->passes = stats.passes;
   report->peak_space_bytes = stats.peak_space_bytes;
-  report->stats.passes = stats.passes;
-  report->stats.items_scanned = stats.items_seen;
-  report->stats.sets_taken = stats.sets_taken;
-  report->stats.elements_covered = stats.elements_covered;
-  report->wall_seconds = stats.wall_seconds;
   report->counters = stats.counters;
+  report->wall_seconds = wall_seconds;
 }
 
 /// Wraps a StreamingSetCoverAlgorithm as an AnySolver.
@@ -74,6 +70,7 @@ class SetCoverAnySolver : public AnySolver {
       const Status status = validate_(stream);
       if (!status.ok()) return status;
     }
+    const Stopwatch timer;
     SetCoverRunResult r;
     {
       // The solver span brackets the run only (not the report fill), so
@@ -85,7 +82,7 @@ class SetCoverAnySolver : public AnySolver {
     FillBase(solver_, SolverKind::kSetCover, name_, report);
     report->solution = r.solution;
     report->feasible = r.feasible;
-    FillFromRunStats(r.stats, report);
+    FillFromRunStats(r.stats, timer.ElapsedSeconds(), report);
     return Status::Ok();
   }
 
@@ -115,6 +112,7 @@ class MaxCoverageAnySolver : public AnySolver {
 
   Status RunInto(SetStream& stream, const RunContext& context,
                  SolveReport* report) override {
+    const Stopwatch timer;
     MaxCoverageRunResult r;
     {
       const TraceSpan span(context.trace, TraceCategory::kSolver,
@@ -125,7 +123,7 @@ class MaxCoverageAnySolver : public AnySolver {
     report->solution = r.solution;
     report->feasible = !r.solution.chosen.empty();
     report->extra = r.coverage;
-    FillFromRunStats(r.stats, report);
+    FillFromRunStats(r.stats, timer.ElapsedSeconds(), report);
     return Status::Ok();
   }
 
@@ -150,7 +148,7 @@ class PairFinderAnySolver : public AnySolver {
 
   Status RunInto(SetStream& stream, const RunContext& context,
                  SolveReport* report) override {
-    Stopwatch timer;
+    const Stopwatch timer;
     PairFinderResult r;
     {
       const TraceSpan span(context.trace, TraceCategory::kSolver,
@@ -160,12 +158,8 @@ class PairFinderAnySolver : public AnySolver {
     FillBase(solver_, SolverKind::kPairFinder, name_, report);
     report->solution = r.solution;
     report->feasible = r.found;
-    report->passes = r.passes;
-    report->peak_space_bytes = r.peak_space_bytes;
-    report->stats = r.engine_stats;
-    report->counters = r.counters;
     report->extra = r.candidates_after_first_pass;
-    report->wall_seconds = timer.ElapsedSeconds();
+    FillFromRunStats(r.stats, timer.ElapsedSeconds(), report);
     return Status::Ok();
   }
 

@@ -8,7 +8,6 @@
 #include "util/arena.h"
 #include "util/check.h"
 #include "util/space_meter.h"
-#include "util/stopwatch.h"
 
 namespace streamsc {
 namespace {
@@ -38,7 +37,6 @@ std::size_t EmekRosenSetCover::ThresholdFor(std::size_t n) const {
 
 SetCoverRunResult EmekRosenSetCover::Run(SetStream& stream,
                                          const RunContext& context) {
-  Stopwatch timer;
   const std::size_t n = stream.universe_size();
   const std::uint64_t passes_before = stream.passes();
   // An explicit threshold above n silently disables the "big set" rule —
@@ -128,10 +126,6 @@ SetCoverRunResult EmekRosenSetCover::Run(SetStream& stream,
   result.feasible = uncovered.None();
   result.stats.passes = stream.passes() - passes_before;
   result.stats.peak_space_bytes = meter.peak();
-  result.stats.items_seen = result.stats.passes * stream.num_sets();
-  result.stats.sets_taken = ctx.stats().sets_taken;
-  result.stats.elements_covered = ctx.stats().elements_covered;
-  result.stats.wall_seconds = timer.ElapsedSeconds();
   result.stats.counters = ctx.counters();
   return result;
 }

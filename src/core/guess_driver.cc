@@ -8,7 +8,6 @@
 #include "offline/exact_set_cover.h"
 #include "offline/greedy.h"
 #include "util/check.h"
-#include "util/stopwatch.h"
 
 namespace streamsc {
 namespace {
@@ -224,7 +223,6 @@ GuessResult GuessRun::Finish(bool guess_ok, bool cover_residue) {
   result.solution = std::move(solution_);
   result.passes = ctx_.stream().passes() - passes_before_;
   result.peak_space_bytes = meter_.peak();
-  result.engine_stats = ctx_.stats();
   result.counters = ctx_.counters();
   return result;
 }
@@ -242,7 +240,6 @@ SetCoverRunResult RunGuesses(
     FunctionRef<GuessResult(std::size_t opt_guess, Rng& rng,
                             SubsolveMemo& memo)>
         run_guess) {
-  Stopwatch timer;
   const std::uint64_t passes_before = stream.passes();
   Rng rng(seed);
   SubsolveMemo memo(context.arena);
@@ -254,8 +251,6 @@ SetCoverRunResult RunGuesses(
     GuessResult r = run_guess(guess, rng, memo);
     out.stats.peak_space_bytes =
         std::max(out.stats.peak_space_bytes, r.peak_space_bytes);
-    out.stats.sets_taken += r.engine_stats.sets_taken;
-    out.stats.elements_covered += r.engine_stats.elements_covered;
     out.stats.counters.MergeFrom(r.counters);
     if (!r.within_budget) return false;
     out.solution = std::move(r.solution);
@@ -277,8 +272,6 @@ SetCoverRunResult RunGuesses(
   }
 
   out.stats.passes = stream.passes() - passes_before;
-  out.stats.items_seen = out.stats.passes * stream.num_sets();
-  out.stats.wall_seconds = timer.ElapsedSeconds();
   return out;
 }
 

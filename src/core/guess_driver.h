@@ -47,8 +47,7 @@ struct GuessResult {
   std::uint64_t passes = 0;
   Bytes peak_space_bytes = 0;
   std::uint64_t residual_after_iterations = 0;  ///< |U| left before cleanup.
-  EnginePassStats engine_stats;  ///< Deterministic per-guess pass counters.
-  CounterSet counters;           ///< Full per-guess counter snapshot.
+  CounterSet counters;  ///< Per-guess engine and sub-solver counters.
 };
 
 /// Solves a projected sub-instance: writes the chosen local set ids into

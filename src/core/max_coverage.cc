@@ -11,7 +11,6 @@
 #include "util/check.h"
 #include "util/math.h"
 #include "util/space_meter.h"
-#include "util/stopwatch.h"
 
 namespace streamsc {
 namespace {
@@ -46,7 +45,6 @@ double ElementSamplingMaxCoverage::SampleRate(std::size_t n, std::size_t m,
 
 MaxCoverageRunResult ElementSamplingMaxCoverage::Run(
     SetStream& stream, std::size_t k, const RunContext& context) {
-  Stopwatch timer;
   const std::size_t n = stream.universe_size();
   const std::size_t m = stream.num_sets();
   const std::uint64_t passes_before = stream.passes();
@@ -126,10 +124,6 @@ MaxCoverageRunResult ElementSamplingMaxCoverage::Run(
 
   result.stats.passes = stream.passes() - passes_before;
   result.stats.peak_space_bytes = meter.peak();
-  result.stats.items_seen = result.stats.passes * m;
-  result.stats.sets_taken = ctx.stats().sets_taken;
-  result.stats.elements_covered = ctx.stats().elements_covered;
-  result.stats.wall_seconds = timer.ElapsedSeconds();
   result.stats.counters = ctx.counters();
   return result;
 }
@@ -146,7 +140,6 @@ std::string SieveMaxCoverage::name() const {
 
 MaxCoverageRunResult SieveMaxCoverage::Run(SetStream& stream, std::size_t k,
                                            const RunContext& context) {
-  Stopwatch timer;
   const std::size_t n = stream.universe_size();
   const std::uint64_t passes_before = stream.passes();
 
@@ -227,10 +220,6 @@ MaxCoverageRunResult SieveMaxCoverage::Run(SetStream& stream, std::size_t k,
 
   result.stats.passes = stream.passes() - passes_before;
   result.stats.peak_space_bytes = meter.peak();
-  result.stats.items_seen = stream.num_sets();
-  result.stats.sets_taken = ctx.stats().sets_taken;
-  result.stats.elements_covered = ctx.stats().elements_covered;
-  result.stats.wall_seconds = timer.ElapsedSeconds();
   result.stats.counters = ctx.counters();
   return result;
 }

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "obs/trace.h"
+#include "stream/engine_context.h"
 #include "util/arena.h"
 #include "util/check.h"
 #include "util/space_meter.h"
@@ -187,10 +188,9 @@ PairFinderResult ExactPairFinder::Run(SetStream& stream,
       result.solution.chosen[0] == result.solution.chosen[1]) {
     result.solution.chosen.pop_back();  // single-set cover
   }
-  result.passes = stream.passes() - passes_before;
-  result.peak_space_bytes = meter.peak();
-  result.engine_stats = ctx.stats();
-  result.counters = ctx.counters();
+  result.stats.passes = stream.passes() - passes_before;
+  result.stats.peak_space_bytes = meter.peak();
+  result.stats.counters = ctx.counters();
   return result;
 }
 

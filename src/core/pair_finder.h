@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <string>
 
-#include "stream/engine_context.h"
 #include "stream/stream_algorithm.h"
 
 /// \file pair_finder.h
@@ -38,11 +37,8 @@ struct PairFinderConfig {
 struct PairFinderResult {
   Solution solution;          ///< The covering pair (empty if none).
   bool found = false;         ///< True iff a size-2 cover exists & found.
-  std::uint64_t passes = 0;
-  Bytes peak_space_bytes = 0;
   std::uint64_t candidates_after_first_pass = 0;
-  EnginePassStats engine_stats;  ///< Deterministic pass counters.
-  CounterSet counters;           ///< Full interned-counter snapshot.
+  StreamRunStats stats;
 };
 
 /// Finds a 2-set cover exactly in `config.passes` passes.

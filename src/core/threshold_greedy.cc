@@ -6,7 +6,6 @@
 #include "stream/engine_context.h"
 #include "util/check.h"
 #include "util/space_meter.h"
-#include "util/stopwatch.h"
 
 namespace streamsc {
 namespace {
@@ -30,7 +29,6 @@ std::string ThresholdGreedySetCover::name() const {
 
 SetCoverRunResult ThresholdGreedySetCover::Run(SetStream& stream,
                                                const RunContext& context) {
-  Stopwatch timer;
   const std::size_t n = stream.universe_size();
   const std::uint64_t passes_before = stream.passes();
 
@@ -67,10 +65,6 @@ SetCoverRunResult ThresholdGreedySetCover::Run(SetStream& stream,
   result.feasible = uncovered.None();
   result.stats.passes = stream.passes() - passes_before;
   result.stats.peak_space_bytes = meter.peak();
-  result.stats.items_seen = result.stats.passes * stream.num_sets();
-  result.stats.sets_taken = ctx.stats().sets_taken;
-  result.stats.elements_covered = ctx.stats().elements_covered;
-  result.stats.wall_seconds = timer.ElapsedSeconds();
   result.stats.counters = ctx.counters();
   return result;
 }

@@ -44,33 +44,22 @@
 
 namespace streamsc {
 
-/// Deterministic counters of the work a context drove. Every field is part
-/// of the bit-identical contract: for a fixed stream order the values are
-/// the same for any thread count and any stream source (unlike wall time
-/// or peak RSS). The conformance matrix asserts exactly that.
-///
-/// Since the observability layer landed this is a *view*: the context
-/// accumulates everything in an interned CounterSet (obs/counters.h) and
-/// stats() assembles this struct from the well-known engine.* ids below.
-struct EnginePassStats {
-  std::uint64_t passes = 0;            ///< Stream passes driven.
-  std::uint64_t items_scanned = 0;     ///< Logical items: num_sets per pass.
-  std::uint64_t sets_taken = 0;        ///< Committed takes (incl. recorded
-                                       ///< offline sub-solver picks).
-  std::uint64_t elements_covered = 0;  ///< Sum of committed marginal gains.
-};
-
-/// The well-known interned counters every EngineContext accumulates.
+/// The well-known interned counters every EngineContext accumulates in
+/// its CounterSet; readers take them with `counters().value(Passes())`.
 /// Handles are function-local statics: the first call interns, later
-/// calls are one guarded load. The first four are deterministic (part of
-/// the bit-identical contract); the shard pair describes how work was
+/// calls are one guarded load. The first four are deterministic: for a
+/// fixed stream order they are the same for any thread count and any
+/// stream source (unlike wall time or peak RSS), and the conformance
+/// matrix asserts exactly that. The shard pair describes how work was
 /// dispatched and therefore varies with engine width — deterministic for
 /// a fixed width, but not comparable across widths.
 namespace engine_counters {
-CounterId Passes();           ///< "engine.passes"
-CounterId ItemsScanned();     ///< "engine.items_scanned"
-CounterId SetsTaken();        ///< "engine.sets_taken"
-CounterId ElementsCovered();  ///< "engine.elements_covered"
+CounterId Passes();           ///< "engine.passes": stream passes driven
+CounterId ItemsScanned();     ///< "engine.items_scanned": num_sets per pass
+CounterId SetsTaken();        ///< "engine.sets_taken": committed takes, incl.
+                              ///< recorded offline sub-solver picks
+CounterId ElementsCovered();  ///< "engine.elements_covered": sum of
+                              ///< committed marginal gains
 CounterId ShardJobs();        ///< "engine.shard_jobs" (width-dependent)
 CounterId ShardItems();       ///< "engine.shard_items" (width-dependent)
 }  // namespace engine_counters
@@ -138,18 +127,6 @@ class EngineContext {
   /// use it to annotate their algorithm phases:
   /// `TraceSpan span(ctx.trace(), TraceCategory::kPhase, "sample");`.
   TraceRecorder* trace() const { return trace_; }
-
-  /// The deterministic counters accumulated so far, assembled from the
-  /// interned counter set (a snapshot, not a reference).
-  EnginePassStats stats() const {
-    EnginePassStats snapshot;
-    snapshot.passes = counters_.value(engine_counters::Passes());
-    snapshot.items_scanned = counters_.value(engine_counters::ItemsScanned());
-    snapshot.sets_taken = counters_.value(engine_counters::SetsTaken());
-    snapshot.elements_covered =
-        counters_.value(engine_counters::ElementsCovered());
-    return snapshot;
-  }
 
   /// The full interned counter set (engine.* plus anything the solver
   /// adds under its own ids). Mutable access so solvers can record

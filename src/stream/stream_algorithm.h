@@ -12,7 +12,7 @@
 /// \file stream_algorithm.h
 /// Interfaces for streaming set cover / maximum coverage algorithms and
 /// the per-run statistics the benchmark harness reports (passes, peak
-/// logical space, wall time).
+/// logical space, engine counters).
 ///
 /// Execution resources (the ParallelPassEngine) are bound **per run**
 /// through a RunContext, not baked into solver configs: a solver object
@@ -58,23 +58,19 @@ struct RunContext {
   TraceRecorder* trace = nullptr;
 };
 
-/// Per-run resource statistics. Everything except wall_seconds is
-/// deterministic: for a fixed stream order the values are bit-identical
-/// across thread counts and stream sources (the conformance matrix in
-/// tests/testing/solver_matrix.h pins this down for every solver).
+/// Per-run resource statistics: the paper's two measures plus the
+/// engine's work counts. Everything is deterministic: for a fixed stream
+/// order the values are bit-identical across thread counts and stream
+/// sources (the conformance matrix in tests/testing/solver_matrix.h pins
+/// this down for every solver).
 struct StreamRunStats {
   std::uint64_t passes = 0;       ///< Passes over the stream.
   Bytes peak_space_bytes = 0;     ///< Peak logical space (SpaceMeter).
-  std::uint64_t items_seen = 0;   ///< Stream items consumed across passes.
-  std::uint64_t sets_taken = 0;   ///< Committed takes, incl. recorded
-                                  ///< offline sub-solver picks.
-  std::uint64_t elements_covered = 0;  ///< Sum of committed marginal gains.
-  double wall_seconds = 0.0;      ///< Wall-clock time of the run.
 
   /// Full interned-counter snapshot (obs/counters.h): every engine.*
-  /// counter the run's EngineContexts accumulated, merged across guess
-  /// iterations. The engine.* counters other than shard dispatch detail
-  /// are deterministic like the scalar fields above.
+  /// counter the run's EngineContexts accumulated (see engine_counters
+  /// in stream/engine_context.h), merged across guess iterations. Items
+  /// scanned, sets taken and elements covered are read from here.
   CounterSet counters;
 };
 

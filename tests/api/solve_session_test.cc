@@ -19,6 +19,7 @@
 #include "instance/generators.h"
 #include "instance/serialization.h"
 #include "storage/binary_instance_writer.h"
+#include "stream/engine_context.h"
 #include "testing/scoped_temp_dir.h"
 #include "util/random.h"
 
@@ -159,9 +160,10 @@ TEST(SolveSessionTest, ThreadsUpgradeTextSourceAndPreserveBytes) {
   EXPECT_EQ(sharded->source, "memory");
   EXPECT_EQ(sharded->threads, 4u);
   EXPECT_EQ(sharded->solution.chosen, baseline->solution.chosen);
-  EXPECT_EQ(sharded->stats.sets_taken, baseline->stats.sets_taken);
-  EXPECT_EQ(sharded->stats.elements_covered,
-            baseline->stats.elements_covered);
+  EXPECT_EQ(sharded->counters.value(engine_counters::SetsTaken()),
+            baseline->counters.value(engine_counters::SetsTaken()));
+  EXPECT_EQ(sharded->counters.value(engine_counters::ElementsCovered()),
+            baseline->counters.value(engine_counters::ElementsCovered()));
 }
 
 TEST(SolveSessionTest, MmapSourceShardsWithoutUpgrade) {

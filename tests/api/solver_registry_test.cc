@@ -76,7 +76,7 @@ void ExpectSameOutcome(const SolverOutcome& direct,
   EXPECT_EQ(registry.chosen, direct.chosen);
   EXPECT_EQ(registry.feasible, direct.feasible);
   EXPECT_EQ(registry.passes, direct.passes);
-  EXPECT_EQ(registry.items_seen, direct.items_seen);
+  EXPECT_EQ(registry.items_scanned, direct.items_scanned);
   EXPECT_EQ(registry.sets_taken, direct.sets_taken);
   EXPECT_EQ(registry.elements_covered, direct.elements_covered);
   EXPECT_EQ(registry.peak_space_bytes, direct.peak_space_bytes);

@@ -91,8 +91,10 @@ std::string RegistryFingerprint(const SetSystem& system,
   EXPECT_TRUE(report.ok()) << report.status().ToString();
   if (!report.ok()) return "";
   return Fingerprint(report->solution, report->feasible, report->passes,
-                     report->peak_space_bytes, report->stats.sets_taken,
-                     report->stats.elements_covered, report->counters);
+                     report->peak_space_bytes,
+                     report->counters.value(engine_counters::SetsTaken()),
+                     report->counters.value(engine_counters::ElementsCovered()),
+                     report->counters);
 }
 
 // A registry configuration run on one instance at one engine width.
@@ -395,8 +397,10 @@ void ExpectKnownOptRunMatchesRunWithGuess(Config config,
   const GuessResult guess = Solver(config).RunWithGuess(guess_stream, opt, rng);
   EXPECT_EQ(run.stats.passes, guess.passes);
   EXPECT_EQ(run.stats.peak_space_bytes, guess.peak_space_bytes);
-  EXPECT_EQ(run.stats.sets_taken, guess.engine_stats.sets_taken);
-  EXPECT_EQ(run.stats.elements_covered, guess.engine_stats.elements_covered);
+  EXPECT_EQ(run.stats.counters.value(engine_counters::SetsTaken()),
+            guess.counters.value(engine_counters::SetsTaken()));
+  EXPECT_EQ(run.stats.counters.value(engine_counters::ElementsCovered()),
+            guess.counters.value(engine_counters::ElementsCovered()));
   EXPECT_EQ(run.feasible, guess.within_budget);
   if (run.feasible) {
     EXPECT_EQ(run.solution.chosen, guess.solution.chosen);
@@ -454,15 +458,16 @@ std::uint64_t ExpectRunMatchesReplay(const Config& config, double growth,
     EXPECT_EQ(m.solution.chosen, r.solution.chosen);
     EXPECT_EQ(m.within_budget, r.within_budget);
     EXPECT_EQ(m.peak_space_bytes, r.peak_space_bytes);
-    EXPECT_EQ(m.engine_stats.sets_taken, r.engine_stats.sets_taken);
-    EXPECT_EQ(m.engine_stats.elements_covered,
-              r.engine_stats.elements_covered);
+    EXPECT_EQ(m.counters.value(engine_counters::SetsTaken()),
+              r.counters.value(engine_counters::SetsTaken()));
+    EXPECT_EQ(m.counters.value(engine_counters::ElementsCovered()),
+              r.counters.value(engine_counters::ElementsCovered()));
     EXPECT_EQ(m.passes + hits, r.passes);
     replay_hits += hits;
     replay_passes += r.passes;
     replay_peak = std::max(replay_peak, r.peak_space_bytes);
-    replay_taken += r.engine_stats.sets_taken;
-    replay_covered += r.engine_stats.elements_covered;
+    replay_taken += r.counters.value(engine_counters::SetsTaken());
+    replay_covered += r.counters.value(engine_counters::ElementsCovered());
     if (r.within_budget) {
       replay_solution = std::move(r.solution);
       replay_feasible = true;
@@ -479,8 +484,10 @@ std::uint64_t ExpectRunMatchesReplay(const Config& config, double growth,
   EXPECT_EQ(run.solution.chosen, replay_solution.chosen);
   EXPECT_EQ(run.feasible, replay_feasible);
   EXPECT_EQ(run.stats.peak_space_bytes, replay_peak);
-  EXPECT_EQ(run.stats.sets_taken, replay_taken);
-  EXPECT_EQ(run.stats.elements_covered, replay_covered);
+  EXPECT_EQ(run.stats.counters.value(engine_counters::SetsTaken()),
+            replay_taken);
+  EXPECT_EQ(run.stats.counters.value(engine_counters::ElementsCovered()),
+            replay_covered);
   EXPECT_EQ(run.stats.passes + hits, replay_passes);
   EXPECT_EQ(hits, replay_hits);
   return hits;

@@ -18,7 +18,7 @@ TEST(PairFinderTest, FindsObviousPair) {
   const PairFinderResult result = finder.Run(stream);
   ASSERT_TRUE(result.found);
   EXPECT_TRUE(system.IsFeasibleCover(result.solution.chosen));
-  EXPECT_EQ(result.passes, 2u);
+  EXPECT_EQ(result.stats.passes, 2u);
 }
 
 TEST(PairFinderTest, SingleSetCoverReported) {
@@ -99,11 +99,11 @@ TEST(PairFinderTest, MorePassesLessSpace) {
     ExactPairFinder finder(PairFinderConfig{p, 1000000});
     const PairFinderResult result = finder.Run(stream);
     ASSERT_TRUE(result.found);
-    EXPECT_EQ(result.passes, p);
+    EXPECT_EQ(result.stats.passes, p);
     if (!first) {
-      EXPECT_LT(result.peak_space_bytes, previous);
+      EXPECT_LT(result.stats.peak_space_bytes, previous);
     }
-    previous = result.peak_space_bytes;
+    previous = result.stats.peak_space_bytes;
     first = false;
   }
 }
@@ -114,7 +114,7 @@ TEST(PairFinderTest, PassCountEqualsConfig) {
   VectorSetStream stream(system);
   ExactPairFinder finder(PairFinderConfig{5, 100});
   const PairFinderResult result = finder.Run(stream);
-  EXPECT_EQ(result.passes, 5u);
+  EXPECT_EQ(result.stats.passes, 5u);
   EXPECT_TRUE(result.found);
 }
 

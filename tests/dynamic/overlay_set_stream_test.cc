@@ -340,7 +340,7 @@ TEST(OverlaySetStreamTest, OverlaySolvesByteIdenticalToMaterialized) {
     EXPECT_EQ(outcome.chosen, baseline.chosen);
     EXPECT_EQ(outcome.feasible, baseline.feasible);
     EXPECT_EQ(outcome.passes, baseline.passes);
-    EXPECT_EQ(outcome.items_seen, baseline.items_seen);
+    EXPECT_EQ(outcome.items_scanned, baseline.items_scanned);
     EXPECT_EQ(outcome.sets_taken, baseline.sets_taken);
     EXPECT_EQ(outcome.elements_covered, baseline.elements_covered);
     EXPECT_EQ(outcome.extra, baseline.extra);

@@ -120,9 +120,11 @@ TEST(EngineContextTest, ThresholdPassMatchesSequentialForAnyThreadCount) {
                         [&](SetId id) { taken.push_back(id); });
       EXPECT_EQ(taken, baseline_taken);
       EXPECT_EQ(uncovered, baseline_uncovered);
-      EXPECT_EQ(ctx.stats().sets_taken, baseline_ctx.stats().sets_taken);
-      EXPECT_EQ(ctx.stats().elements_covered,
-                baseline_ctx.stats().elements_covered);
+      EXPECT_EQ(ctx.counters().value(engine_counters::SetsTaken()),
+                baseline_ctx.counters().value(engine_counters::SetsTaken()));
+      EXPECT_EQ(
+          ctx.counters().value(engine_counters::ElementsCovered()),
+          baseline_ctx.counters().value(engine_counters::ElementsCovered()));
     }
   }
 }
@@ -217,12 +219,12 @@ TEST(EngineContextTest, SubtractPassClearsExactlyTheChosenSets) {
   DynamicBitset expected = DynamicBitset::Full(300);
   for (SetId id : chosen) system.set(id).AndNotInto(expected);
   EXPECT_EQ(uncovered, expected);
-  EXPECT_EQ(ctx.stats().passes, 1u);
-  EXPECT_EQ(ctx.stats().elements_covered,
+  EXPECT_EQ(ctx.counters().value(engine_counters::Passes()), 1u);
+  EXPECT_EQ(ctx.counters().value(engine_counters::ElementsCovered()),
             300u - expected.CountSet());
   // An empty subtraction costs no pass.
   ctx.SubtractPass({}, uncovered);
-  EXPECT_EQ(ctx.stats().passes, 1u);
+  EXPECT_EQ(ctx.counters().value(engine_counters::Passes()), 1u);
 }
 
 TEST(EngineContextTest, UnionPassCollectsExactlyTheChosenSets) {
@@ -251,8 +253,8 @@ TEST(EngineContextTest, CoverResiduePassTakesUntilEmpty) {
                        [&](SetId id) { taken.push_back(id); });
   EXPECT_TRUE(uncovered.None());
   EXPECT_FALSE(taken.empty());
-  EXPECT_EQ(ctx.stats().sets_taken, taken.size());
-  EXPECT_EQ(ctx.stats().elements_covered, 128u);
+  EXPECT_EQ(ctx.counters().value(engine_counters::SetsTaken()), taken.size());
+  EXPECT_EQ(ctx.counters().value(engine_counters::ElementsCovered()), 128u);
 }
 
 TEST(EngineContextTest, ParallelForRunsWithoutStreamBuffering) {
@@ -277,20 +279,23 @@ TEST(EngineContextTest, CountersAreThreadCountInvariant) {
     DynamicBitset uncovered = DynamicBitset::Full(300);
     ctx.ThresholdPass(8.0, uncovered, [](SetId) {});
     ctx.ThresholdPass(1.0, uncovered, [](SetId) {});
-    return ctx.stats();
+    return ctx.counters();
   };
 
-  const EnginePassStats baseline = run(nullptr);
-  EXPECT_EQ(baseline.passes, 2u);
-  EXPECT_EQ(baseline.items_scanned, 2 * system.num_sets());
+  const CounterId deterministic[] = {
+      engine_counters::Passes(), engine_counters::ItemsScanned(),
+      engine_counters::SetsTaken(), engine_counters::ElementsCovered()};
+  const CounterSet baseline = run(nullptr);
+  EXPECT_EQ(baseline.value(engine_counters::Passes()), 2u);
+  EXPECT_EQ(baseline.value(engine_counters::ItemsScanned()),
+            2 * system.num_sets());
   for (const std::size_t threads : {1u, 2u, 8u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     ParallelPassEngine engine(threads);
-    const EnginePassStats stats = run(&engine);
-    EXPECT_EQ(stats.passes, baseline.passes);
-    EXPECT_EQ(stats.items_scanned, baseline.items_scanned);
-    EXPECT_EQ(stats.sets_taken, baseline.sets_taken);
-    EXPECT_EQ(stats.elements_covered, baseline.elements_covered);
+    const CounterSet counters = run(&engine);
+    for (const CounterId id : deterministic) {
+      EXPECT_EQ(counters.value(id), baseline.value(id)) << id.name();
+    }
   }
 }
 

@@ -66,62 +66,63 @@ struct SolverOutcome {
   ArenaVector<SetId> chosen;           ///< Solution ids, in take order.
   bool feasible = false;               ///< Solver-reported success bit.
   std::uint64_t passes = 0;
-  std::uint64_t items_seen = 0;
-  std::uint64_t sets_taken = 0;        ///< Deterministic take counter.
-  std::uint64_t elements_covered = 0;  ///< Deterministic gain counter.
+  std::uint64_t items_scanned = 0;     ///< engine.items_scanned.
+  std::uint64_t sets_taken = 0;        ///< engine.sets_taken.
+  std::uint64_t elements_covered = 0;  ///< engine.elements_covered.
   Bytes peak_space_bytes = 0;          ///< Compared within a source only.
   std::uint64_t extra = 0;             ///< Solver-specific deterministic
                                        ///< scalar (coverage, candidates…).
 };
 
-/// Adapters from the three run-result shapes to the canonical outcome.
-inline SolverOutcome ToOutcome(const SetCoverRunResult& r) {
+/// The counts every result shape reports: passes and peak space as the
+/// solver measured them, the engine's work from its counters. Asserts the
+/// solver's pass count equals the engine's own: a pass driven outside
+/// EngineContext breaks it.
+inline SolverOutcome OutcomeCounts(std::uint64_t passes, Bytes peak_space_bytes,
+                                   const CounterSet& counters) {
+  EXPECT_EQ(passes, counters.value(engine_counters::Passes()))
+      << "a pass ran outside EngineContext";
   SolverOutcome out;
+  out.passes = passes;
+  out.items_scanned = counters.value(engine_counters::ItemsScanned());
+  out.sets_taken = counters.value(engine_counters::SetsTaken());
+  out.elements_covered = counters.value(engine_counters::ElementsCovered());
+  out.peak_space_bytes = peak_space_bytes;
+  return out;
+}
+
+/// Adapters from the four run-result shapes to the canonical outcome.
+inline SolverOutcome ToOutcome(const StreamRunStats& stats) {
+  return OutcomeCounts(stats.passes, stats.peak_space_bytes, stats.counters);
+}
+
+inline SolverOutcome ToOutcome(const SetCoverRunResult& r) {
+  SolverOutcome out = ToOutcome(r.stats);
   out.chosen = r.solution.chosen;
   out.feasible = r.feasible;
-  out.passes = r.stats.passes;
-  out.items_seen = r.stats.items_seen;
-  out.sets_taken = r.stats.sets_taken;
-  out.elements_covered = r.stats.elements_covered;
-  out.peak_space_bytes = r.stats.peak_space_bytes;
   return out;
 }
 
 inline SolverOutcome ToOutcome(const MaxCoverageRunResult& r) {
-  SolverOutcome out;
+  SolverOutcome out = ToOutcome(r.stats);
   out.chosen = r.solution.chosen;
   out.feasible = !r.solution.chosen.empty();
-  out.passes = r.stats.passes;
-  out.items_seen = r.stats.items_seen;
-  out.sets_taken = r.stats.sets_taken;
-  out.elements_covered = r.stats.elements_covered;
-  out.peak_space_bytes = r.stats.peak_space_bytes;
   out.extra = r.coverage;
   return out;
 }
 
 inline SolverOutcome ToOutcome(const PairFinderResult& r) {
-  SolverOutcome out;
+  SolverOutcome out = ToOutcome(r.stats);
   out.chosen = r.solution.chosen;
   out.feasible = r.found;
-  out.passes = r.passes;
-  out.items_seen = r.engine_stats.items_scanned;
-  out.sets_taken = r.engine_stats.sets_taken;
-  out.elements_covered = r.engine_stats.elements_covered;
-  out.peak_space_bytes = r.peak_space_bytes;
   out.extra = r.candidates_after_first_pass;
   return out;
 }
 
 inline SolverOutcome ToOutcome(const SolveReport& r) {
-  SolverOutcome out;
+  SolverOutcome out = OutcomeCounts(r.passes, r.peak_space_bytes, r.counters);
   out.chosen = r.solution.chosen;
   out.feasible = r.feasible;
-  out.passes = r.passes;
-  out.items_seen = r.stats.items_scanned;
-  out.sets_taken = r.stats.sets_taken;
-  out.elements_covered = r.stats.elements_covered;
-  out.peak_space_bytes = r.peak_space_bytes;
   out.extra = r.extra;
   return out;
 }
@@ -164,6 +165,7 @@ inline SolverFn RegistrySolverFn(std::string solver,
                       << "' run failed: " << report.status().ToString();
         return std::nullopt;
       }
+      EXPECT_GT(report->wall_seconds, 0.0) << "the wrapper did not time Run";
       return ToOutcome(*report);
     };
     const std::optional<SolverOutcome> heap_outcome = run_once(nullptr, nullptr);
@@ -180,7 +182,7 @@ inline SolverFn RegistrySolverFn(std::string solver,
         << "arena-backed run diverged from the heap run";
     EXPECT_EQ(arena_outcome->feasible, heap_outcome->feasible);
     EXPECT_EQ(arena_outcome->passes, heap_outcome->passes);
-    EXPECT_EQ(arena_outcome->items_seen, heap_outcome->items_seen);
+    EXPECT_EQ(arena_outcome->items_scanned, heap_outcome->items_scanned);
     EXPECT_EQ(arena_outcome->sets_taken, heap_outcome->sets_taken);
     EXPECT_EQ(arena_outcome->elements_covered, heap_outcome->elements_covered);
     EXPECT_EQ(arena_outcome->peak_space_bytes, heap_outcome->peak_space_bytes);
@@ -189,7 +191,7 @@ inline SolverFn RegistrySolverFn(std::string solver,
         << "arming a TraceRecorder changed the solution";
     EXPECT_EQ(traced_outcome->feasible, heap_outcome->feasible);
     EXPECT_EQ(traced_outcome->passes, heap_outcome->passes);
-    EXPECT_EQ(traced_outcome->items_seen, heap_outcome->items_seen);
+    EXPECT_EQ(traced_outcome->items_scanned, heap_outcome->items_scanned);
     EXPECT_EQ(traced_outcome->sets_taken, heap_outcome->sets_taken);
     EXPECT_EQ(traced_outcome->elements_covered,
               heap_outcome->elements_covered);
@@ -263,7 +265,9 @@ inline void RunConformanceMatrix(const SetSystem& system,
       EXPECT_EQ(outcome.feasible, baseline.feasible);
       EXPECT_TRUE(CoverOf(system, outcome.chosen) == baseline_cover);
       EXPECT_EQ(outcome.passes, baseline.passes);
-      EXPECT_EQ(outcome.items_seen, baseline.items_seen);
+      EXPECT_EQ(outcome.items_scanned, outcome.passes * system.num_sets())
+          << "every pass scans every set";
+      EXPECT_EQ(outcome.items_scanned, baseline.items_scanned);
       EXPECT_EQ(outcome.sets_taken, baseline.sets_taken);
       EXPECT_EQ(outcome.elements_covered, baseline.elements_covered);
       EXPECT_EQ(outcome.extra, baseline.extra);
@@ -312,11 +316,12 @@ inline void RunConformanceMatrix(const SetSystem& system,
       ASSERT_TRUE(report.ok()) << report.status().ToString();
       EXPECT_EQ(report->solver, solver);
       EXPECT_EQ(report->threads, threads);
+      EXPECT_GT(report->wall_seconds, 0.0);
       const SolverOutcome outcome = ToOutcome(*report);
       EXPECT_EQ(outcome.chosen, baseline.chosen);
       EXPECT_EQ(outcome.feasible, baseline.feasible);
       EXPECT_EQ(outcome.passes, baseline.passes);
-      EXPECT_EQ(outcome.items_seen, baseline.items_seen);
+      EXPECT_EQ(outcome.items_scanned, baseline.items_scanned);
       EXPECT_EQ(outcome.sets_taken, baseline.sets_taken);
       EXPECT_EQ(outcome.elements_covered, baseline.elements_covered);
       EXPECT_EQ(outcome.extra, baseline.extra);

@@ -92,19 +92,17 @@ inline SolverOutcome OutcomeCounts(std::uint64_t passes, Bytes peak_space_bytes,
 }
 
 /// Adapters from the four run-result shapes to the canonical outcome.
-inline SolverOutcome ToOutcome(const StreamRunStats& stats) {
-  return OutcomeCounts(stats.passes, stats.peak_space_bytes, stats.counters);
-}
-
 inline SolverOutcome ToOutcome(const SetCoverRunResult& r) {
-  SolverOutcome out = ToOutcome(r.stats);
+  SolverOutcome out = OutcomeCounts(r.stats.passes, r.stats.peak_space_bytes,
+                                    r.stats.counters);
   out.chosen = r.solution.chosen;
   out.feasible = r.feasible;
   return out;
 }
 
 inline SolverOutcome ToOutcome(const MaxCoverageRunResult& r) {
-  SolverOutcome out = ToOutcome(r.stats);
+  SolverOutcome out = OutcomeCounts(r.stats.passes, r.stats.peak_space_bytes,
+                                    r.stats.counters);
   out.chosen = r.solution.chosen;
   out.feasible = !r.solution.chosen.empty();
   out.extra = r.coverage;
@@ -112,7 +110,8 @@ inline SolverOutcome ToOutcome(const MaxCoverageRunResult& r) {
 }
 
 inline SolverOutcome ToOutcome(const PairFinderResult& r) {
-  SolverOutcome out = ToOutcome(r.stats);
+  SolverOutcome out = OutcomeCounts(r.stats.passes, r.stats.peak_space_bytes,
+                                    r.stats.counters);
   out.chosen = r.solution.chosen;
   out.feasible = r.found;
   out.extra = r.candidates_after_first_pass;

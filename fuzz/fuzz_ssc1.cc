@@ -2,8 +2,8 @@
 // first of the three untrusted-input surfaces. Contract under attack:
 // arbitrary bytes either parse into a valid SetSystem or produce a
 // non-empty InvalidArgument Status — never an abort, never OOB, and an
-// accepted instance must survive a write/reparse round trip unchanged in
-// shape.
+// accepted instance must survive a write/reparse round trip unchanged:
+// same n, same m, and every set with the same elements.
 
 #include <cstddef>
 #include <cstdint>
@@ -30,7 +30,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   }
 
   // Accepted input: serialize and reparse. The round trip must be
-  // accepted too and preserve the instance shape.
+  // accepted too and reproduce the instance set for set.
   const std::string rewritten = streamsc::SetSystemToString(*parsed);
   const streamsc::StatusOr<streamsc::SetSystem> again =
       streamsc::SetSystemFromString(rewritten);
@@ -39,5 +39,9 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                  "ssc1 round trip changed the universe size");
   STREAMSC_CHECK(again->num_sets() == parsed->num_sets(),
                  "ssc1 round trip changed the set count");
+  for (streamsc::SetId id = 0; id < parsed->num_sets(); ++id) {
+    STREAMSC_CHECK(again->set(id) == parsed->set(id),
+                   "ssc1 round trip changed a set's elements");
+  }
   return 0;
 }

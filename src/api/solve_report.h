@@ -63,7 +63,7 @@ struct SolveReport {
                                    ///< once by the registry wrapper.
 
   // Filled by SolveSession (empty/1/0 when a solver is run directly).
-  std::string source;       ///< "memory", "file", or "mmap".
+  std::string source;       ///< "memory", "mmap", or "overlay".
   std::size_t threads = 1;  ///< Engine width the session bound (1 = none).
   Bytes arena_high_water = 0;  ///< Peak bytes live in the run arena —
                                ///< exact physical counterpart of the

@@ -9,7 +9,6 @@
 #include "obs/trace.h"
 #include "storage/mmap_set_stream.h"
 #include "stream/engine_context.h"
-#include "stream/stream_adapters.h"
 #include "util/stopwatch.h"
 
 namespace streamsc {
@@ -127,14 +126,12 @@ StatusOr<SolveSession> SolveSession::Open(const std::string& path) {
 
 Status SolveSession::Reopen(const std::string& path) {
   // Detach the old source first: a failed open must leave an *empty*
-  // session, not one half-bound to the previous stream (or carrying a
-  // stale memory-upgraded system / text-parse error). The run arena is
-  // deliberately kept — it is per-session capacity, reset before every
-  // run, and keeping it warm is the point of reopening in place.
+  // session, not one half-bound to the previous stream or loaded system.
+  // The run arena is deliberately kept — it is per-session capacity, reset
+  // before every run, and keeping it warm is the point of reopening in
+  // place.
   source_ = Source::kNone;
-  path_.clear();
   stream_.reset();
-  file_stream_ = nullptr;
   owned_system_.reset();
   overlay_ = nullptr;
   memo_.clear();
@@ -144,15 +141,15 @@ Status SolveSession::Reopen(const std::string& path) {
     if (!stream->status().ok()) return stream->status();
     stream_ = std::move(stream);
     source_ = Source::kMmap;
-    path_ = path;
     return Status::Ok();
   }
-  auto stream = std::make_unique<FileSetStream>(path);
-  if (!stream->status().ok()) return stream->status();
-  file_stream_ = stream.get();
-  stream_ = std::move(stream);
-  source_ = Source::kFile;
-  path_ = path;
+  // ssc1 text goes through the one validating parser, once; passes then
+  // stream the loaded system.
+  StatusOr<SetSystem> loaded = LoadSetSystem(path);
+  if (!loaded.ok()) return loaded.status();
+  owned_system_ = std::make_unique<SetSystem>(std::move(*loaded));
+  stream_ = std::make_unique<VectorSetStream>(*owned_system_);
+  source_ = Source::kMemory;
   return Status::Ok();
 }
 
@@ -213,8 +210,6 @@ const char* SolveSession::source_name() const {
       return "none";
     case Source::kMemory:
       return "memory";
-    case Source::kFile:
-      return "file";
     case Source::kMmap:
       return "mmap";
     case Source::kOverlay:
@@ -229,20 +224,6 @@ std::size_t SolveSession::universe_size() const {
 
 std::size_t SolveSession::num_sets() const {
   return stream_ == nullptr ? 0 : stream_->num_sets();
-}
-
-Status SolveSession::EnsureBufferable() {
-  if (stream_->ItemsRemainValid()) return Status::Ok();
-  // Only the text source can be unbufferable; materialize it once. The
-  // pass counter restarts with the new stream, which is fine: solvers
-  // report pass *deltas*.
-  StatusOr<SetSystem> loaded = LoadSetSystem(path_);
-  if (!loaded.ok()) return loaded.status();
-  owned_system_ = std::make_unique<SetSystem>(std::move(*loaded));
-  file_stream_ = nullptr;
-  stream_ = std::make_unique<VectorSetStream>(*owned_system_);
-  source_ = Source::kMemory;
-  return Status::Ok();
 }
 
 StatusOr<SolveReport> SolveSession::Solve(
@@ -289,11 +270,6 @@ StatusOr<SolveReport> SolveSession::Solve(
            kWarmMinSurvivingNumer * memo_.size();
   }
 
-  if (threads > 1) {
-    const Status status = EnsureBufferable();
-    if (!status.ok()) return status;
-  }
-
   // The engine lives exactly as long as this run — the session is the
   // single owner of execution resources, which is what makes per-run
   // thread policy (and the ROADMAP's sharded/NUMA binding) one decision
@@ -336,13 +312,6 @@ StatusOr<SolveReport> SolveSession::Solve(
         std::to_string(e.attempted()) + " bytes)");
   }
   if (!report.ok()) return report.status();
-  // A text source reports first-pass parse errors (truncated body,
-  // garbage lines) only through status(): Next() just ends the pass
-  // early. Without this check a corrupt ssc1 file would yield an
-  // ok-looking report computed over a silent prefix of the instance.
-  if (file_stream_ != nullptr && !file_stream_->status().ok()) {
-    return file_stream_->status();
-  }
   if (overlay_ != nullptr) {
     FinishOverlayRun(solver, solver_args, &*report);
   }

@@ -21,17 +21,15 @@
 /// longer hold:
 ///
 ///   * the **source** — Open() sniffs the file format (sscb1 magic →
-///     zero-copy MmapSetStream; otherwise ssc1 text → constant-memory
-///     FileSetStream) and OverSystem() wraps an in-memory SetSystem;
+///     zero-copy MmapSetStream; otherwise ssc1 text, parsed and validated
+///     once by LoadSetSystem into an owned SetSystem that a
+///     VectorSetStream serves) and OverSystem() wraps a borrowed
+///     in-memory SetSystem;
 ///   * the **engine lifetime** — the session-level `threads` option
 ///     (accepted alongside solver options in Solve()'s key=value args)
 ///     resolves to a ParallelPassEngine owned for exactly the duration
 ///     of the run, replacing the 9 duplicated non-owning `engine` raw
 ///     pointers the solver configs used to carry;
-///   * the **upgrade policy** — a text source cannot buffer a pass, so
-///     `threads > 1` on an ssc1 file loads the instance into memory once
-///     (then streams it from there); results are bit-identical either
-///     way by the engine's determinism contract;
 ///   * the **run arena** — one MonotonicArena per session, Reset()
 ///     (chunk-retaining) before every run, so repeated solves reach a
 ///     zero-allocation steady state. The `memory_budget` session option
@@ -46,7 +44,6 @@
 
 namespace streamsc {
 
-class FileSetStream;
 class OverlaySetStream;
 class TraceRecorder;
 struct RunContext;
@@ -58,14 +55,16 @@ class SolveSession {
   /// Where the streamed bytes live.
   enum class Source {
     kNone,     ///< Default-constructed (empty) session.
-    kMemory,   ///< In-memory SetSystem via VectorSetStream.
-    kFile,     ///< ssc1 text via FileSetStream (one set at a time).
+    kMemory,   ///< In-memory SetSystem via VectorSetStream: a borrowed
+               ///< one (OverSystem) or an ssc1 file loaded by Open().
     kMmap,     ///< sscb1 binary via MmapSetStream (zero-copy views).
     kOverlay,  ///< Base instance + sscd1 delta via OverlaySetStream.
   };
 
-  /// Opens \p path, sniffing the format from its magic bytes. Returns a
-  /// Status for missing/corrupt files.
+  /// Opens \p path, sniffing the format from its magic bytes: sscb1 is
+  /// mapped, anything else is parsed as ssc1 text in full before Open()
+  /// returns. Returns a Status for missing/corrupt files — NotFound if
+  /// unreadable, InvalidArgument for any malformed byte.
   static StatusOr<SolveSession> Open(const std::string& path);
 
   /// Wraps \p system (borrowed — must outlive the session).
@@ -119,9 +118,9 @@ class SolveSession {
   /// source is detached *before* the open is attempted, so a failed
   /// Reopen — missing file, bad magic, truncated sscb1 — leaves the
   /// session empty (Solve() then reports FailedPrecondition), never
-  /// half-bound to a stale stream, memory-upgraded system, or text-parse
-  /// error from the previous source. A later successful Reopen on the
-  /// same session behaves exactly like a fresh Open.
+  /// half-bound to a stale stream or loaded system from the previous
+  /// source. A later successful Reopen on the same session behaves
+  /// exactly like a fresh Open.
   Status Reopen(const std::string& path);
 
   /// Empty session (exists for StatusOr plumbing; Solve() on it errors).
@@ -156,7 +155,7 @@ class SolveSession {
 
   Source source() const { return source_; }
 
-  /// "memory", "file", "mmap", "overlay" (or "none").
+  /// "memory", "mmap", "overlay" (or "none").
   const char* source_name() const;
 
   std::size_t universe_size() const;
@@ -171,10 +170,6 @@ class SolveSession {
     std::uint64_t slot = 0;
     std::uint64_t version = 0;
   };
-
-  // Ensures the active stream can buffer a pass, loading a text source
-  // into memory if needed (the threads > 1 upgrade).
-  Status EnsureBufferable();
 
   // The surviving prefix of the memoized solution as *current* live ids:
   // the longest prefix whose slots are live with unchanged versions.
@@ -193,17 +188,12 @@ class SolveSession {
                         SolveReport* report);
 
   Source source_ = Source::kNone;
-  std::string path_;                          // Open() sources only
-  std::unique_ptr<SetSystem> owned_system_;   // memory-upgraded sources
+  std::unique_ptr<SetSystem> owned_system_;   // ssc1 sources loaded by Open()
   std::unique_ptr<SetStream> stream_;
   // The per-run arena: lazily created on first Solve(), Reset()
   // (chunk-retaining) before each run. unique_ptr because the session is
   // movable and arenas are pinned by design.
   std::unique_ptr<MonotonicArena> run_arena_;
-  // Non-owning view of stream_ when it is a FileSetStream: text parse
-  // errors surface through status() after the run, so Solve() must be
-  // able to read it without downcasting.
-  FileSetStream* file_stream_ = nullptr;
   // Non-owning view of stream_ when it is an OverlaySetStream (the
   // dynamic-instance source): RefreshDelta and the warm-start path need
   // the overlay surface without downcasting.

@@ -26,10 +26,10 @@
 /// compacted sscb1 that Materialize() writes: solving the overlay and
 /// solving the materialized file produce byte-identical solutions.
 ///
-/// ItemsRemainValid() is honestly true: every view points into the base
-/// mapping/system or the delta mapping, both of which live as long as the
-/// stream — so DrainPassInto / ParallelPassEngine can buffer and shard a
-/// pass over a composed instance exactly as over a plain mmap.
+/// Every view points into the base mapping/system or the delta mapping,
+/// both of which live as long as the stream — so DrainPassInto /
+/// ParallelPassEngine can buffer and shard a pass over a composed instance
+/// exactly as over a plain mmap.
 ///
 /// RefreshDelta() re-reads the delta file (the watch-mode beat): the base
 /// stays untouched, the log is re-validated and re-replayed, and the live
@@ -64,9 +64,6 @@ class OverlaySetStream : public SetStream {
   void BeginPass() override;
   bool Next(StreamItem* item) override;
   std::uint64_t passes() const override { return passes_; }
-  /// Views borrow the base and delta mappings, which live as long as the
-  /// stream: buffered/sharded passes are safe.
-  bool ItemsRemainValid() const override { return true; }
 
   /// Random access to the \p id-th live set, O(1). Precondition:
   /// status().ok() and id < num_sets().

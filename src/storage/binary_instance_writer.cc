@@ -2,7 +2,7 @@
 
 #include <cstring>
 
-#include "stream/stream_adapters.h"
+#include "instance/serialization.h"
 
 namespace streamsc {
 
@@ -136,20 +136,9 @@ Status BinaryInstanceWriter::WriteSystem(const SetSystem& system,
 
 Status BinaryInstanceWriter::TranscodeText(const std::string& text_path,
                                            const std::string& binary_path) {
-  FileSetStream source(text_path);
-  if (!source.status().ok()) return source.status();
-  BinaryInstanceWriter writer(binary_path, source.universe_size(),
-                              source.num_sets());
-  if (!writer.status().ok()) return writer.status();
-  source.BeginPass();
-  StreamItem item;
-  while (source.Next(&item)) {
-    if (!writer.AddSet(item.set).ok()) return writer.status();
-  }
-  // A clean end-of-stream and a mid-file parse error both end the pass;
-  // only the stream's status tells them apart.
-  if (!source.status().ok()) return source.status();
-  return writer.Finish();
+  const StatusOr<SetSystem> system = LoadSetSystem(text_path);
+  if (!system.ok()) return system.status();
+  return WriteSystem(*system, binary_path);
 }
 
 }  // namespace streamsc

@@ -14,8 +14,7 @@
 /// \file binary_instance_writer.h
 /// BinaryInstanceWriter: produces sscb1 files (storage/binary_format.h),
 /// either from an in-memory SetSystem or by transcoding an ssc1 text file
-/// set-by-set — the transcode path never holds more than one set in
-/// memory, so multi-GB instances convert in o(mn) space.
+/// (loaded and validated in full by LoadSetSystem, then written).
 ///
 /// Streaming protocol: construct with the final (n, m), call AddSet()
 /// exactly m times, then Finish(). The writer streams payloads, buffers
@@ -53,8 +52,10 @@ class BinaryInstanceWriter {
   static Status WriteSystem(const SetSystem& system, const std::string& path);
 
   /// Transcodes the ssc1 text file at \p text_path to an sscb1 file at
-  /// \p binary_path, streaming one set at a time (never materializing the
-  /// instance).
+  /// \p binary_path. The text goes through LoadSetSystem, so it is
+  /// accepted or rejected exactly as every other ssc1 reader does (NotFound
+  /// if unreadable, InvalidArgument if malformed); nothing is written on a
+  /// rejected file.
   static Status TranscodeText(const std::string& text_path,
                               const std::string& binary_path);
 

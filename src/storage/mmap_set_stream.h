@@ -16,14 +16,13 @@
 /// \file mmap_set_stream.h
 /// MmapSetStream: a multi-pass SetStream over an sscb1 file, serving each
 /// set as a zero-copy SetView (DenseSpan / SparseSpan) directly over the
-/// read-only mapping. Compared to FileSetStream this changes the cost
-/// model completely:
+/// read-only mapping:
 ///
 ///   * a pass costs zero parsing — BeginPass() is a cursor reset, and a
 ///     set's bytes are only touched when the algorithm reads them;
-///   * ItemsRemainValid() is true — views stay valid for the stream's
-///     whole lifetime, so DrainPassInto / ParallelPassEngine can buffer and
-///     shard a disk-resident pass across workers;
+///   * views stay valid for the stream's whole lifetime, so DrainPassInto
+///     / ParallelPassEngine can buffer and shard a disk-resident pass
+///     across workers;
 ///   * resident memory is O(m) view bookkeeping plus whatever pages the
 ///     OS keeps warm — never O(mn), preserving the streaming model's
 ///     honesty at multi-GB scale.
@@ -58,13 +57,9 @@ class MmapSetStream : public SetStream {
   void BeginPass() override;
   bool Next(StreamItem* item) override;
   std::uint64_t passes() const override { return passes_; }
-  /// Views borrow the mapping, which lives as long as the stream: a
-  /// buffered pass (DrainPassInto / ParallelPassEngine) is safe.
-  bool ItemsRemainValid() const override { return true; }
 
-  /// Random access to the \p id-th set (the index makes this O(1) — a
-  /// capability FileSetStream fundamentally lacks). Precondition:
-  /// status().ok() and id < num_sets().
+  /// Random access to the \p id-th set (the index makes this O(1)).
+  /// Precondition: status().ok() and id < num_sets().
   SetView set(SetId id) const;
 
   /// Number of sets stored sparsely (for tooling/info output).
@@ -121,9 +116,6 @@ class MmapStreamView : public SetStream {
     return true;
   }
   std::uint64_t passes() const override { return passes_; }
-  /// Views borrow the shared mapping, which outlives the view by
-  /// contract: buffered/sharded passes are safe.
-  bool ItemsRemainValid() const override { return true; }
 
  private:
   const MmapSetStream& stream_;

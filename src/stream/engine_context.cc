@@ -44,16 +44,12 @@ std::unique_ptr<ParallelPassEngine> MakeEngine(std::size_t num_threads) {
   return std::make_unique<ParallelPassEngine>(num_threads);
 }
 
-void RequireSharded(const SetStream& stream,
+void RequireSharded(const SetStream& /*stream*/,
                     const ParallelPassEngine* engine) {
   STREAMSC_CHECK(engine != nullptr,
                  "RequireSharded: null engine where a sharded run is "
                  "required — the run would silently fall back to the "
                  "sequential scan");
-  STREAMSC_CHECK(stream.ItemsRemainValid(),
-                 "RequireSharded: the stream cannot buffer a pass "
-                 "(ItemsRemainValid() is false), so passes would run "
-                 "sequentially despite the engine");
 }
 
 void EngineContext::GainScanPass(
@@ -67,7 +63,7 @@ void EngineContext::GainScanPassNamed(
     FunctionRef<void(const StreamItem&, Count, bool)> visit) {
   const PassScope scope(*this, name);
   BeginCountedPass();
-  if (!sharded_) {
+  if (!sharded()) {
     stream_.BeginPass();
     StreamItem item;
     while (stream_.Next(&item) && !uncovered.None()) {
@@ -97,7 +93,7 @@ void EngineContext::IndependentScanPass(
     FunctionRef<void(std::size_t, const StreamItem&)> visit) {
   const PassScope scope(*this, "independent_scan");
   BeginCountedPass();
-  if (!sharded_ || engine_->num_threads() <= 1 || num_lanes < 2) {
+  if (!sharded() || engine_->num_threads() <= 1 || num_lanes < 2) {
     stream_.BeginPass();
     StreamItem item;
     while (stream_.Next(&item)) {

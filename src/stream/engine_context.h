@@ -71,11 +71,11 @@ CounterId ShardItems();       ///< "engine.shard_items" (width-dependent)
 /// a default this helper guesses at.
 std::unique_ptr<ParallelPassEngine> MakeEngine(std::size_t num_threads);
 
-/// CHECK-fails unless \p engine is non-null and \p stream can buffer a
-/// pass — i.e. unless an EngineContext over the pair would actually shard.
-/// For harnesses that measure parallel speedups: a silent sequential
-/// fallback would report a 1.0x "speedup" instead of the configuration
-/// error it is.
+/// CHECK-fails unless \p engine is non-null — i.e. unless an EngineContext
+/// over the pair would actually shard (every stream can buffer a pass, so
+/// \p stream never decides). For harnesses that measure parallel speedups:
+/// a silent sequential run would report a 1.0x "speedup" instead of the
+/// configuration error it is.
 void RequireSharded(const SetStream& stream, const ParallelPassEngine* engine);
 
 /// A per-run binding of one stream, one (optional) engine, and one
@@ -86,16 +86,14 @@ void RequireSharded(const SetStream& stream, const ParallelPassEngine* engine);
 class EngineContext {
  public:
   /// Binds the execution resources of \p context for one run. The engine
-  /// may be null (every pass runs sequentially) and is used only when
-  /// \p stream can buffer a pass (ItemsRemainValid()); otherwise the
-  /// context falls back to the sequential scan — same results, by
-  /// contract. The arena may be null (buffers fall back to the heap).
+  /// may be null (every pass runs sequentially); a bound engine shards
+  /// every buffered pass — same results, by contract. The arena may be
+  /// null (buffers fall back to the heap).
   EngineContext(SetStream& stream, const RunContext& context)
       : stream_(stream),
         engine_(context.engine),
         arena_(context.arena),
         trace_(context.trace),
-        sharded_(context.engine != nullptr && stream.ItemsRemainValid()),
         items_(ArenaAllocator<StreamItem>(context.arena)) {}
 
   /// Engine-only binding (no arena) for harnesses that exercise the pass
@@ -120,8 +118,8 @@ class EngineContext {
     return ArenaAllocator<T>(arena_);
   }
 
-  /// True iff buffered passes will actually be sharded over a pool.
-  bool sharded() const { return sharded_; }
+  /// True iff an engine is bound, so buffered passes shard over its pool.
+  bool sharded() const { return engine_ != nullptr; }
 
   /// The span recorder bound for this run (null = tracing off). Solvers
   /// use it to annotate their algorithm phases:
@@ -193,7 +191,7 @@ class EngineContext {
   void TransformPass(TransformFn&& transform, CommitFn&& commit) {
     const PassScope scope(*this, "transform");
     BeginCountedPass();
-    if (!sharded_) {
+    if (!sharded()) {
       stream_.BeginPass();
       StreamItem item;
       while (stream_.Next(&item)) commit(item, transform(item));
@@ -326,7 +324,6 @@ class EngineContext {
   ParallelPassEngine* engine_;
   MonotonicArena* arena_;
   TraceRecorder* trace_;
-  bool sharded_;
   CounterSet counters_;
   // Reused pass item buffer: run-arena-backed when an arena is bound, so
   // repeat runs bump inside retained chunks instead of reallocating.

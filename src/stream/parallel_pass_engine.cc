@@ -145,9 +145,6 @@ void ParallelPassEngine::ParallelFor(std::size_t count,
 }
 
 void DrainPassInto(SetStream& stream, ArenaVector<StreamItem>& items) {
-  STREAMSC_CHECK(stream.ItemsRemainValid(),
-                 "DrainPassInto: stream invalidates items mid-pass; "
-                 "buffering would read dangling views");
   items.clear();
   items.reserve(stream.num_sets());
   stream.BeginPass();

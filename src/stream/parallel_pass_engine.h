@@ -119,9 +119,8 @@ class ParallelPassEngine {
 /// Starts a new pass on \p stream and buffers all its items into \p items
 /// (cleared first; capacity — and, with an arena-bound vector, the arena's
 /// chunks — is retained across passes: the zero-allocation steady state).
-/// Requires stream.ItemsRemainValid() (CHECK-fails otherwise): the
-/// buffered views borrow from the stream and stay valid until its next
-/// pass.
+/// The buffered views borrow from the stream and stay valid until its
+/// next pass.
 void DrainPassInto(SetStream& stream, ArenaVector<StreamItem>& items);
 
 /// The monotone-gain filter core under EngineContext::GainScanPass and

@@ -19,14 +19,16 @@
 namespace streamsc {
 
 /// One stream arrival: the set's id in the underlying system plus a
-/// borrowed view of its contents. How long the view stays valid depends
-/// on the stream (see SetStream::ItemsRemainValid()).
+/// borrowed view of its contents, valid until the stream's next
+/// BeginPass().
 struct StreamItem {
   SetId id = kInvalidSetId;
   SetView set;
 };
 
-/// Abstract multi-pass stream of sets.
+/// Abstract multi-pass stream of sets. Every item view handed out during a
+/// pass stays valid until the next BeginPass(), so a whole pass can be
+/// buffered (DrainPassInto) and sharded over a ParallelPassEngine.
 class SetStream {
  public:
   virtual ~SetStream() = default;
@@ -47,12 +49,6 @@ class SetStream {
 
   /// Number of passes started so far.
   virtual std::uint64_t passes() const = 0;
-
-  /// True iff every item view handed out during one pass stays valid
-  /// until the end of that pass (required to buffer a pass, e.g. for the
-  /// ParallelPassEngine). In-memory streams qualify; streams that hold
-  /// one set at a time (FileSetStream) do not.
-  virtual bool ItemsRemainValid() const { return false; }
 };
 
 /// How a VectorSetStream orders its items.
@@ -81,7 +77,6 @@ class VectorSetStream : public SetStream {
   void BeginPass() override;
   bool Next(StreamItem* item) override;
   std::uint64_t passes() const override { return passes_; }
-  bool ItemsRemainValid() const override { return true; }
 
   /// The permutation currently in effect (for tests).
   const std::vector<SetId>& order() const { return order_; }

@@ -2,24 +2,17 @@
 #define STREAMSC_STREAM_STREAM_ADAPTERS_H_
 
 #include <cstdint>
-#include <fstream>
-#include <string>
-#include <vector>
 
 #include "stream/set_stream.h"
-#include "util/status.h"
 
 /// \file stream_adapters.h
-/// Stream composition and external-storage adapters:
+/// Stream composition adapters:
 ///
 /// * ConcatSetStream — streams A's items then B's (the two-party
 ///   Alice-then-Bob composition behind the Theorem 1 simulation).
 /// * InterleaveSetStream — alternates items from two streams (a different
 ///   two-party arrival pattern; with VectorSetStream::kRandomOnce halves
 ///   it approximates the D_SC^rnd random partition arrival).
-/// * FileSetStream — re-parses an ssc1 file every pass, holding one set in
-///   memory at a time: a genuinely o(mn)-memory stream source, which keeps
-///   the streaming algorithms honest about what they retain.
 ///
 /// All adapters renumber items to a single global id space [0, m_total):
 /// the first stream's ids come first, then the second's shifted by
@@ -39,9 +32,6 @@ class ConcatSetStream : public SetStream {
   void BeginPass() override;
   bool Next(StreamItem* item) override;
   std::uint64_t passes() const override { return passes_; }
-  bool ItemsRemainValid() const override {
-    return first_.ItemsRemainValid() && second_.ItemsRemainValid();
-  }
 
  private:
   SetStream& first_;
@@ -61,9 +51,6 @@ class InterleaveSetStream : public SetStream {
   void BeginPass() override;
   bool Next(StreamItem* item) override;
   std::uint64_t passes() const override { return passes_; }
-  bool ItemsRemainValid() const override {
-    return first_.ItemsRemainValid() && second_.ItemsRemainValid();
-  }
 
  private:
   SetStream& first_;
@@ -72,55 +59,6 @@ class InterleaveSetStream : public SetStream {
   bool second_done_ = false;
   bool next_is_second_ = false;
   std::uint64_t passes_ = 0;
-};
-
-/// Streams an ssc1 file (see instance/serialization.h), re-reading it on
-/// every pass. Holds exactly one set in memory at a time.
-///
-/// Error contract: problems visible up front (missing file, bad header)
-/// and parse errors on a file no pass has yet streamed end to end report
-/// through status(). Once one pass has parsed all m sets cleanly,
-/// later failures — file deleted, truncated, or reshaped between
-/// passes — STREAMSC_CHECK-abort in all build modes: silently ending a
-/// re-read early would hand the algorithm a different instance than the
-/// one it already half-processed.
-class FileSetStream : public SetStream {
- public:
-  /// Opens \p path and validates the header eagerly; check status()
-  /// before streaming.
-  explicit FileSetStream(std::string path);
-
-  /// Not copyable (owns a file handle position).
-  FileSetStream(const FileSetStream&) = delete;
-  FileSetStream& operator=(const FileSetStream&) = delete;
-
-  /// Ok iff the file opened and the header parsed.
-  const Status& status() const { return status_; }
-
-  std::size_t universe_size() const override;
-  std::size_t num_sets() const override;
-  void BeginPass() override;
-  bool Next(StreamItem* item) override;
-  std::uint64_t passes() const override { return passes_; }
-  // Holds exactly one set at a time: each Next() invalidates the previous
-  // item's view, so a pass can never be buffered.
-  bool ItemsRemainValid() const override { return false; }
-
- private:
-  // (Re)opens the file and positions the cursor after the header.
-  void Reopen();
-
-  std::string path_;
-  Status status_;
-  std::size_t universe_size_ = 0;
-  std::size_t num_sets_ = 0;
-  std::ifstream in_;
-  DynamicBitset current_;
-  SetId next_id_ = 0;
-  std::uint64_t passes_ = 0;
-  // True once some pass parsed all m sets cleanly: from then on parse
-  // errors are environment faults (file modified mid-run) and abort.
-  bool fully_parsed_once_ = false;
 };
 
 }  // namespace streamsc

@@ -33,8 +33,7 @@ class TraceRecorder;
 /// MakeEngine() (engine_context.h) or let SolveSession
 /// (api/solve_session.h) own both lifetimes for them.
 struct RunContext {
-  /// Optional worker pool. When non-null and the stream can buffer a
-  /// pass (SetStream::ItemsRemainValid()), engine-routed passes shard
+  /// Optional worker pool. When non-null, engine-routed passes shard
   /// across it; results are bit-identical for any thread count.
   ParallelPassEngine* engine = nullptr;
 

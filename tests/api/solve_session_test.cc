@@ -1,9 +1,10 @@
 // SolveSession: the owning front door. One session = one sniffed source
-// (in-memory / ssc1 text / sscb1 mmap); each Solve() binds a per-run
-// engine from the session-level `threads` option and returns a uniform
-// SolveReport. These tests pin the sniffing, the cross-source solution
-// identity, the text-source threads upgrade, and the promise that every
-// user-input failure is a Status, never an abort.
+// (in-memory / ssc1 text loaded into memory / sscb1 mmap); each Solve()
+// binds a per-run engine from the session-level `threads` option and
+// returns a uniform SolveReport. These tests pin the sniffing, the
+// cross-source solution identity, that every ssc1 reader accepts and
+// rejects the same bytes, and the promise that every user-input failure
+// is a Status, never an abort.
 
 #include <gtest/gtest.h>
 
@@ -51,7 +52,7 @@ TEST(SolveSessionTest, SniffsTextAndBinarySources) {
   SessionFixture fx;
   StatusOr<SolveSession> text = SolveSession::Open(fx.text_path);
   ASSERT_TRUE(text.ok()) << text.status().ToString();
-  EXPECT_EQ(text->source(), SolveSession::Source::kFile);
+  EXPECT_EQ(text->source(), SolveSession::Source::kMemory);
   EXPECT_EQ(text->universe_size(), fx.system.universe_size());
   EXPECT_EQ(text->num_sets(), fx.system.num_sets());
 
@@ -64,7 +65,8 @@ TEST(SolveSessionTest, SniffsTextAndBinarySources) {
 TEST(SolveSessionTest, OpenMissingFileReports) {
   StatusOr<SolveSession> session =
       SolveSession::Open("/nonexistent/definitely/not/here.ssc");
-  EXPECT_FALSE(session.ok());
+  ASSERT_FALSE(session.ok());
+  EXPECT_EQ(session.status().code(), StatusCode::kNotFound);
 }
 
 TEST(SolveSessionTest, OpenFifoReportsInvalidArgumentWithoutHanging) {
@@ -84,23 +86,45 @@ TEST(SolveSessionTest, OpenFifoReportsInvalidArgumentWithoutHanging) {
 }
 
 TEST(SolveSessionTest, OpenGarbageFileReports) {
+  // Every ssc1 reader — the session, LoadSetSystem and the sscb1
+  // transcoder — must reject the same malformed documents with the same
+  // code.
+  struct Document {
+    const char* name;
+    const char* text;
+  };
+  const Document kDocuments[] = {
+      {"garbage header", "not an instance at all\n"},
+      {"duplicate element", "ssc1 4 2\n3 0 1 1\n1 2\n"},
+      {"trailing header token", "ssc1 4 1 7\n2 0 1\n"},
+      {"trailing content after the last set", "ssc1 4 1\n2 0 1\n1 3\n"},
+      {"truncated body", "ssc1 8 4\n2 0 1\n2 2 3\n"},
+  };
   ScopedTempDir dir;
-  const std::string path = dir.FilePath("garbage.bin");
-  ASSERT_TRUE(SaveSetSystem(SessionInstance(), path).ok());
-  // Corrupt the header line so the text parser rejects it.
-  {
-    std::ofstream out(path, std::ios::trunc);
-    out << "not an instance at all\n";
+  const std::string path = dir.FilePath("malformed.ssc");
+  const std::string binary_path = dir.FilePath("malformed.sscb1");
+  for (const Document& doc : kDocuments) {
+    SCOPED_TRACE(doc.name);
+    {
+      std::ofstream out(path, std::ios::trunc);
+      out << doc.text;
+    }
+    StatusOr<SolveSession> session = SolveSession::Open(path);
+    ASSERT_FALSE(session.ok());
+    EXPECT_EQ(session.status().code(), StatusCode::kInvalidArgument)
+        << session.status().ToString();
+    StatusOr<SetSystem> loaded = LoadSetSystem(path);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(BinaryInstanceWriter::TranscodeText(path, binary_path).code(),
+              StatusCode::kInvalidArgument);
   }
-  StatusOr<SolveSession> session = SolveSession::Open(path);
-  EXPECT_FALSE(session.ok());
 }
 
 TEST(SolveSessionTest, TruncatedTextBodyReportsInsteadOfSolvingAPrefix) {
-  // The ssc1 header parses (so Open() succeeds), but the body declares
-  // more sets than it contains. FileSetStream reports that only through
-  // status() after the first pass ends early — the session must surface
-  // it as a Status, not return a feasible report over the prefix.
+  // The ssc1 header parses, but the body declares more sets than it
+  // contains. Open() parses the whole file, so it fails there: no session
+  // exists that could return a feasible report over the prefix.
   ScopedTempDir dir;
   const std::string path = dir.FilePath("truncated.ssc");
   {
@@ -110,9 +134,8 @@ TEST(SolveSessionTest, TruncatedTextBodyReportsInsteadOfSolvingAPrefix) {
         << "2 2 3\n";         // ...delivers 2
   }
   StatusOr<SolveSession> session = SolveSession::Open(path);
-  ASSERT_TRUE(session.ok()) << session.status().ToString();
-  StatusOr<SolveReport> report = session->Solve("one_pass", {});
-  EXPECT_FALSE(report.ok());
+  ASSERT_FALSE(session.ok());
+  EXPECT_EQ(session.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(SolveSessionTest, AllSourcesProduceIdenticalSolutions) {
@@ -130,7 +153,7 @@ TEST(SolveSessionTest, AllSourcesProduceIdenticalSolutions) {
   ASSERT_TRUE(text.ok());
   StatusOr<SolveReport> text_report = text->Solve("assadi", args);
   ASSERT_TRUE(text_report.ok()) << text_report.status().ToString();
-  EXPECT_EQ(text_report->source, "file");
+  EXPECT_EQ(text_report->source, "memory");
   EXPECT_EQ(text_report->solution.chosen, mem_report->solution.chosen);
 
   StatusOr<SolveSession> binary = SolveSession::Open(fx.binary_path);
@@ -141,7 +164,7 @@ TEST(SolveSessionTest, AllSourcesProduceIdenticalSolutions) {
   EXPECT_EQ(binary_report->solution.chosen, mem_report->solution.chosen);
 }
 
-TEST(SolveSessionTest, ThreadsUpgradeTextSourceAndPreserveBytes) {
+TEST(SolveSessionTest, TextSourceShardsAndPreservesBytes) {
   SessionFixture fx;
   SolveSession memory = SolveSession::OverSystem(fx.system);
   StatusOr<SolveReport> baseline =
@@ -150,12 +173,11 @@ TEST(SolveSessionTest, ThreadsUpgradeTextSourceAndPreserveBytes) {
 
   StatusOr<SolveSession> text = SolveSession::Open(fx.text_path);
   ASSERT_TRUE(text.ok());
-  EXPECT_EQ(text->source(), SolveSession::Source::kFile);
   StatusOr<SolveReport> sharded =
       text->Solve("threshold_greedy", {"beta=2", "threads=4"});
   ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-  // The text source cannot buffer a pass; the session upgraded it to
-  // memory so the 4-thread engine genuinely shards — same bytes out.
+  // The loaded text instance shards on the 4-thread engine like any
+  // in-memory source — same bytes out.
   EXPECT_EQ(text->source(), SolveSession::Source::kMemory);
   EXPECT_EQ(sharded->source, "memory");
   EXPECT_EQ(sharded->threads, 4u);
@@ -266,7 +288,7 @@ TEST(SolveSessionReopenTest, SuccessAfterFailureMatchesAFreshOpen) {
   }
   SolveSession session;
   ASSERT_TRUE(session.Reopen(fx.text_path).ok());
-  EXPECT_EQ(session.source(), SolveSession::Source::kFile);
+  EXPECT_EQ(session.source(), SolveSession::Source::kMemory);
   ASSERT_FALSE(session.Reopen(garbage).ok());
   EXPECT_EQ(session.source(), SolveSession::Source::kNone);
   ASSERT_TRUE(session.Reopen(fx.binary_path).ok());
@@ -280,32 +302,44 @@ TEST(SolveSessionReopenTest, SuccessAfterFailureMatchesAFreshOpen) {
   EXPECT_EQ(report->solution.chosen, baseline->solution.chosen);
 }
 
-TEST(SolveSessionReopenTest, ReopenClearsTheTextUpgradeAndParseError) {
+TEST(SolveSessionReopenTest, ReopenReplacesTheLoadedTextSystem) {
   SessionFixture fx;
-  // Drive a text session through the threads>1 memory upgrade, then
-  // Reopen: the owned system must not leak into the new source's state.
+  // A second, differently shaped text instance: after a Reopen onto it,
+  // nothing of the first loaded system may show through.
+  ScopedTempDir dir;
+  Rng rng(29);
+  const SetSystem other = PlantedCoverInstance(64, 9, 3, rng);
+  const std::string other_path = dir.FilePath("other.ssc");
+  ASSERT_TRUE(SaveSetSystem(other, other_path).ok());
+  SolveSession other_memory = SolveSession::OverSystem(other);
+  StatusOr<SolveReport> other_baseline =
+      other_memory.Solve("threshold_greedy", {"beta=2"});
+  ASSERT_TRUE(other_baseline.ok());
+
   StatusOr<SolveSession> session = SolveSession::Open(fx.text_path);
   ASSERT_TRUE(session.ok());
   ASSERT_TRUE(session->Solve("threshold_greedy", {"beta=2", "threads=2"})
                   .ok());
+  ASSERT_TRUE(session->Reopen(other_path).ok());
   EXPECT_EQ(session->source(), SolveSession::Source::kMemory);
-  ASSERT_TRUE(session->Reopen(fx.text_path).ok());
-  EXPECT_EQ(session->source(), SolveSession::Source::kFile);
+  EXPECT_EQ(session->universe_size(), other.universe_size());
+  EXPECT_EQ(session->num_sets(), other.num_sets());
   StatusOr<SolveReport> report =
-      session->Solve("threshold_greedy", {"beta=2"});
+      session->Solve("threshold_greedy", {"beta=2", "threads=2"});
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(report->source, "file");
+  EXPECT_EQ(report->source, "memory");
+  EXPECT_EQ(report->solution.chosen, other_baseline->solution.chosen);
 
-  // And a truncated-body text source whose Solve failed must not poison
-  // the session after a Reopen onto a good file.
-  ScopedTempDir dir;
+  // A Reopen onto a truncated text file fails and empties the session; a
+  // later Reopen onto a good file solves normally.
   const std::string truncated = dir.FilePath("truncated.ssc");
   {
     std::ofstream out(truncated);
     out << "ssc1 8 4\n"
         << "2 0 1\n";
   }
-  ASSERT_TRUE(session->Reopen(truncated).ok());
+  EXPECT_EQ(session->Reopen(truncated).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(session->source(), SolveSession::Source::kNone);
   EXPECT_FALSE(session->Solve("one_pass", {}).ok());
   ASSERT_TRUE(session->Reopen(fx.text_path).ok());
   EXPECT_TRUE(session->Solve("one_pass", {}).ok());

@@ -106,7 +106,6 @@ void ExpectStreamsModel(OverlaySetStream& overlay,
     EXPECT_EQ(next, expected.size());
   }
   EXPECT_EQ(overlay.passes(), 2u);
-  EXPECT_TRUE(overlay.ItemsRemainValid());
 }
 
 TEST(OverlaySetStreamTest, ComposesOverEveryBaseKind) {

@@ -1,7 +1,7 @@
 // The cross-algorithm conformance matrix (see testing/solver_matrix.h):
 // every streaming solver must produce byte-identical solutions, covers,
-// and deterministic stats across {VectorSetStream, FileSetStream,
-// MmapSetStream} x {no engine, 1, 2, 8 threads}. Since the unified-API
+// and deterministic stats across {VectorSetStream, MmapSetStream} x
+// {no engine, 1, 2, 8 threads}. Since the unified-API
 // redesign the matrix is driven through the public front door: each cell
 // constructs its solver from the string-keyed SolverRegistry, and every
 // solver additionally runs through the owning SolveSession (source

@@ -35,7 +35,6 @@ TEST(MmapSetStreamTest, MultiPassStreamingMatchesSource) {
 
   MmapSetStream stream(path);
   ASSERT_TRUE(stream.status().ok()) << stream.status().ToString();
-  EXPECT_TRUE(stream.ItemsRemainValid());
   EXPECT_EQ(stream.universe_size(), system.universe_size());
   EXPECT_EQ(stream.num_sets(), system.num_sets());
 
@@ -62,9 +61,8 @@ TEST(MmapSetStreamTest, ViewsSurviveAWholeBufferedPass) {
 
   MmapSetStream stream(path);
   ASSERT_TRUE(stream.status().ok());
-  // DrainPassInto CHECKs ItemsRemainValid() and buffers every view;
-  // comparing the buffered views afterwards proves none was invalidated by
-  // later Next() calls (the property FileSetStream cannot offer).
+  // DrainPassInto buffers every view; comparing the buffered views
+  // afterwards proves none was invalidated by later Next() calls.
   ArenaVector<StreamItem> items;
   DrainPassInto(stream, items);
   ASSERT_EQ(items.size(), system.num_sets());
@@ -93,8 +91,6 @@ TEST(MmapSetStreamTest, ComposesWithStreamAdapters) {
   ASSERT_TRUE(a.status().ok());
   VectorSetStream b(bob);
   ConcatSetStream concat(a, b);
-  // mmap + vector both keep items valid, so the concat does too.
-  EXPECT_TRUE(concat.ItemsRemainValid());
   ArenaVector<StreamItem> items;
   DrainPassInto(concat, items);
   EXPECT_EQ(items.size(), whole.num_sets());

@@ -14,14 +14,6 @@
 namespace streamsc {
 namespace {
 
-// A stream that serves valid items but forbids buffering — the shape of
-// FileSetStream, without needing a file on disk.
-class UnbufferableStream : public VectorSetStream {
- public:
-  using VectorSetStream::VectorSetStream;
-  bool ItemsRemainValid() const override { return false; }
-};
-
 SetSystem SmallSystem(std::uint64_t seed = 1) {
   Rng rng(seed);
   return UniformRandomInstance(300, 40, 24, rng);
@@ -37,22 +29,6 @@ TEST(EngineContextDeathTest, RequireShardedRejectsNullEngine) {
   const SetSystem system = SmallSystem();
   VectorSetStream stream(system);
   EXPECT_DEATH(RequireSharded(stream, nullptr), "null engine");
-}
-
-TEST(EngineContextDeathTest, RequireShardedRejectsUnbufferableStream) {
-  const SetSystem system = SmallSystem();
-  UnbufferableStream stream(system);
-  // A 1-thread engine spawns no workers, keeping the death-test fork
-  // single-threaded.
-  ParallelPassEngine engine(1);
-  EXPECT_DEATH(RequireSharded(stream, &engine), "cannot buffer a pass");
-}
-
-TEST(EngineContextDeathTest, DrainPassIntoRejectsUnbufferableStream) {
-  const SetSystem system = SmallSystem();
-  UnbufferableStream stream(system);
-  ArenaVector<StreamItem> items;
-  EXPECT_DEATH(DrainPassInto(stream, items), "invalidates items");
 }
 
 // --- MakeEngine semantics. ---------------------------------------------
@@ -73,16 +49,13 @@ TEST(EngineContextTest, RequireShardedAcceptsShardedPair) {
 
 // --- Sharding decision. ------------------------------------------------
 
-TEST(EngineContextTest, ShardsOnlyWithEngineAndBufferableStream) {
+TEST(EngineContextTest, ShardsWheneverAnEngineIsBound) {
   const SetSystem system = SmallSystem();
   VectorSetStream memory(system);
-  UnbufferableStream unbufferable(system);
   ParallelPassEngine engine(2);
 
   EXPECT_FALSE(EngineContext(memory, nullptr).sharded());
   EXPECT_TRUE(EngineContext(memory, &engine).sharded());
-  EXPECT_FALSE(EngineContext(unbufferable, &engine).sharded());
-  EXPECT_FALSE(EngineContext(unbufferable, nullptr).sharded());
 }
 
 // --- Determinism of the primitives across thread counts. ---------------
@@ -259,12 +232,11 @@ TEST(EngineContextTest, CoverResiduePassTakesUntilEmpty) {
 
 TEST(EngineContextTest, ParallelForRunsWithoutStreamBuffering) {
   const SetSystem system = SmallSystem(10);
-  UnbufferableStream stream(system);  // cannot buffer a pass...
+  VectorSetStream stream(system);
   ParallelPassEngine engine(4);
   EngineContext ctx(stream, &engine);
-  ASSERT_FALSE(ctx.sharded());
 
-  // ...but index-parallel work on solver-owned state still shards.
+  // Index-parallel work on solver-owned state shards without a pass.
   std::vector<int> hits(1000, 0);
   ctx.ParallelFor(hits.size(), [&](std::size_t i) { hits[i] += 1; });
   EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 1000);

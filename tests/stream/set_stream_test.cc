@@ -120,12 +120,6 @@ TEST(SetStreamTest, EmptySystemStream) {
   EXPECT_FALSE(stream.Next(&item));
 }
 
-TEST(SetStreamTest, ReportsItemsRemainValid) {
-  const SetSystem system = MakeSystem(2);
-  VectorSetStream stream(system);
-  EXPECT_TRUE(stream.ItemsRemainValid());
-}
-
 // Regression: with a null Rng, the random orders used to hit a debug-only
 // assert — a nullptr dereference in release builds. They must abort
 // loudly in every build mode instead.

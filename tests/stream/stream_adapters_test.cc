@@ -2,17 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <sys/stat.h>
-
-#include <cerrno>
-#include <cstring>
-#include <fstream>
+#include <vector>
 
 #include "core/assadi_set_cover.h"
 #include "instance/generators.h"
-#include "instance/serialization.h"
-#include "offline/verifier.h"
-#include "testing/scoped_temp_dir.h"
 
 namespace streamsc {
 namespace {
@@ -107,240 +100,6 @@ TEST(InterleaveSetStreamTest, EmptyFirstStream) {
   VectorSetStream a(empty), b(right);
   InterleaveSetStream interleave(a, b);
   EXPECT_EQ(Drain(interleave), (std::vector<SetId>{0, 1, 2}));
-}
-
-TEST(FileSetStreamTest, StreamsSavedSystem) {
-  Rng rng(2);
-  const SetSystem original = PlantedCoverInstance(128, 10, 3, rng);
-  const testing::ScopedTempDir dir;
-  const std::string path = dir.FilePath("stream_adapters.ssc");
-  ASSERT_TRUE(SaveSetSystem(original, path).ok());
-
-  FileSetStream stream(path);
-  ASSERT_TRUE(stream.status().ok()) << stream.status().ToString();
-  EXPECT_EQ(stream.universe_size(), 128u);
-  EXPECT_EQ(stream.num_sets(), 10u);
-
-  stream.BeginPass();
-  StreamItem item;
-  SetId expected = 0;
-  while (stream.Next(&item)) {
-    EXPECT_EQ(item.id, expected);
-    EXPECT_TRUE(item.set == original.set(expected));
-    ++expected;
-  }
-  EXPECT_EQ(expected, 10u);
-}
-
-TEST(FileSetStreamTest, MultiplePassesReRead) {
-  Rng rng(3);
-  const SetSystem original = UniformRandomInstance(64, 8, 16, rng);
-  const testing::ScopedTempDir dir;
-  const std::string path = dir.FilePath("stream_adapters2.ssc");
-  ASSERT_TRUE(SaveSetSystem(original, path).ok());
-  FileSetStream stream(path);
-  // UniformRandomInstance may append a feasibility patch set, so compare
-  // against the generated system's actual count.
-  for (int pass = 0; pass < 3; ++pass) {
-    stream.BeginPass();
-    StreamItem item;
-    std::size_t count = 0;
-    while (stream.Next(&item)) ++count;
-    EXPECT_EQ(count, original.num_sets()) << "pass " << pass;
-  }
-  EXPECT_EQ(stream.passes(), 3u);
-}
-
-TEST(FileSetStreamTest, AlgorithmRunsOverFile) {
-  Rng rng(4);
-  const SetSystem original = PlantedCoverInstance(256, 24, 4, rng);
-  const testing::ScopedTempDir dir;
-  const std::string path = dir.FilePath("stream_adapters3.ssc");
-  ASSERT_TRUE(SaveSetSystem(original, path).ok());
-  FileSetStream stream(path);
-  ASSERT_TRUE(stream.status().ok());
-  AssadiConfig config;
-  config.alpha = 2;
-  config.epsilon = 0.5;
-  AssadiSetCover algorithm(config);
-  const SetCoverRunResult result = algorithm.Run(stream);
-  ASSERT_TRUE(result.feasible);
-  EXPECT_TRUE(original.IsFeasibleCover(result.solution.chosen));
-}
-
-TEST(FileSetStreamTest, MissingFileReportsStatus) {
-  FileSetStream stream("/nonexistent/foo.ssc");
-  EXPECT_FALSE(stream.status().ok());
-  EXPECT_EQ(stream.status().code(), StatusCode::kNotFound);
-  stream.BeginPass();
-  StreamItem item;
-  EXPECT_FALSE(stream.Next(&item));
-}
-
-TEST(FileSetStreamTest, FifoPathReportsInvalidArgumentWithoutHanging) {
-  // Regression: FileSetStream opened with a bare std::ifstream, and an
-  // ifstream open of an unfed FIFO blocks forever — so a FIFO path
-  // handed to `workload_tool solve` wedged the process before any
-  // hardened reader saw it. The pre-open probe must turn this into an
-  // immediate typed error.
-  const testing::ScopedTempDir dir;
-  const std::string path = dir.FilePath("pipe.fifo");
-  ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0) << std::strerror(errno);
-  FileSetStream stream(path);
-  ASSERT_FALSE(stream.status().ok());
-  EXPECT_EQ(stream.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(stream.status().message().find("FIFO"), std::string::npos)
-      << stream.status().ToString();
-}
-
-TEST(FileSetStreamTest, MalformedFileReportsStatus) {
-  const testing::ScopedTempDir dir;
-  const std::string path = dir.FilePath("stream_adapters_bad.ssc");
-  {
-    std::ofstream out(path);
-    out << "not-a-header\n";
-  }
-  FileSetStream stream(path);
-  EXPECT_FALSE(stream.status().ok());
-  EXPECT_EQ(stream.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(FileSetStreamTest, FirstPassParseErrorsReportThroughStatus) {
-  // A good header with a corrupt body: the check-status()-then-stream
-  // contract covers the first pass, so this stays quiet (no abort).
-  const testing::ScopedTempDir dir;
-  const std::string path = dir.FilePath("bad_body.ssc");
-  {
-    std::ofstream out(path);
-    out << "ssc1 8 2\n2 0 1\n3 0 99 2\n";  // element 99 out of range
-  }
-  FileSetStream stream(path);
-  ASSERT_TRUE(stream.status().ok());
-  stream.BeginPass();
-  StreamItem item;
-  EXPECT_TRUE(stream.Next(&item));
-  EXPECT_FALSE(stream.Next(&item));
-  EXPECT_FALSE(stream.status().ok());
-  EXPECT_EQ(stream.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(FileSetStreamTest, ErrorsPastAnAbandonedPassStayQuiet) {
-  // A statically corrupt file whose bad line lies beyond the point where
-  // pass 1 stopped reading (algorithms abandon passes early, e.g. once
-  // everything is covered) must keep reporting through status() on later
-  // passes: only a file some pass has parsed end to end can trigger the
-  // modified-between-passes abort.
-  const testing::ScopedTempDir dir;
-  const std::string path = dir.FilePath("late_corruption.ssc");
-  {
-    std::ofstream out(path);
-    out << "ssc1 8 3\n1 0\n1 1\nnot-a-set-line\n";
-  }
-  FileSetStream stream(path);
-  ASSERT_TRUE(stream.status().ok());
-  stream.BeginPass();
-  StreamItem item;
-  EXPECT_TRUE(stream.Next(&item));  // abandon the pass after one item
-
-  stream.BeginPass();  // must not abort: the file never parsed fully
-  EXPECT_TRUE(stream.Next(&item));
-  EXPECT_TRUE(stream.Next(&item));
-  EXPECT_FALSE(stream.Next(&item));  // hits the bad line -> quiet status
-  EXPECT_FALSE(stream.status().ok());
-  EXPECT_EQ(stream.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(FileSetStreamDeathTest, TruncationBetweenPassesAborts) {
-  // Once a pass has streamed cleanly, a mid-file truncation on a later
-  // pass must abort loudly: ending the stream early would silently hand
-  // the algorithm a partial instance.
-  const testing::ScopedTempDir dir;
-  const std::string path = dir.FilePath("truncated.ssc");
-  Rng rng(6);
-  const SetSystem original = PlantedCoverInstance(64, 8, 3, rng);
-  ASSERT_TRUE(SaveSetSystem(original, path).ok());
-
-  FileSetStream stream(path);
-  ASSERT_TRUE(stream.status().ok());
-  stream.BeginPass();
-  StreamItem item;
-  std::size_t count = 0;
-  while (stream.Next(&item)) ++count;
-  ASSERT_EQ(count, original.num_sets());
-
-  {
-    std::ofstream out(path, std::ios::trunc);
-    out << "ssc1 64 8\n1 0\n";  // header intact, body truncated
-  }
-  stream.BeginPass();
-  EXPECT_TRUE(stream.Next(&item));
-  EXPECT_DEATH(
-      {
-        while (stream.Next(&item)) {
-        }
-      },
-      "truncated or modified between passes");
-}
-
-TEST(FileSetStreamDeathTest, DimensionChangeBetweenPassesAborts) {
-  const testing::ScopedTempDir dir;
-  const std::string path = dir.FilePath("reshaped.ssc");
-  Rng rng(7);
-  const SetSystem original = PlantedCoverInstance(64, 8, 3, rng);
-  ASSERT_TRUE(SaveSetSystem(original, path).ok());
-
-  FileSetStream stream(path);
-  ASSERT_TRUE(stream.status().ok());
-  stream.BeginPass();
-  StreamItem item;
-  while (stream.Next(&item)) {
-  }
-
-  {
-    std::ofstream out(path, std::ios::trunc);
-    out << "ssc1 32 1\n1 0\n";  // different n and m
-  }
-  EXPECT_DEATH(stream.BeginPass(), "dimensions changed between passes");
-}
-
-TEST(FileSetStreamDeathTest, DeletionBetweenPassesAborts) {
-  const testing::ScopedTempDir dir;
-  const std::string path = dir.FilePath("deleted.ssc");
-  Rng rng(8);
-  const SetSystem original = PlantedCoverInstance(64, 8, 3, rng);
-  ASSERT_TRUE(SaveSetSystem(original, path).ok());
-
-  FileSetStream stream(path);
-  ASSERT_TRUE(stream.status().ok());
-  stream.BeginPass();
-  StreamItem item;
-  while (stream.Next(&item)) {
-  }
-
-  std::filesystem::remove(path);
-  EXPECT_DEATH(stream.BeginPass(), "unreadable between passes");
-}
-
-TEST(FileSetStreamTest, NestedConcatOfFileAndVector) {
-  // Compose adapters: file stream for Alice, in-memory for Bob.
-  Rng rng(5);
-  const SetSystem whole = PlantedCoverInstance(200, 20, 4, rng);
-  SetSystem alice(200), bob(200);
-  for (SetId id = 0; id < whole.num_sets(); ++id) {
-    (id < 10 ? alice : bob).AddSetFromView(whole.set(id));
-  }
-  const testing::ScopedTempDir dir;
-  const std::string path = dir.FilePath("stream_adapters4.ssc");
-  ASSERT_TRUE(SaveSetSystem(alice, path).ok());
-  FileSetStream a(path);
-  VectorSetStream b(bob);
-  ConcatSetStream concat(a, b);
-  AssadiConfig config;
-  config.alpha = 2;
-  config.epsilon = 0.5;
-  AssadiSetCover algorithm(config);
-  const SetCoverRunResult result = algorithm.Run(concat);
-  EXPECT_TRUE(result.feasible);
 }
 
 }  // namespace

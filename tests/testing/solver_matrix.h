@@ -21,7 +21,6 @@
 #include "storage/mmap_set_stream.h"
 #include "stream/engine_context.h"
 #include "stream/set_stream.h"
-#include "stream/stream_adapters.h"
 #include "stream/stream_algorithm.h"
 #include "testing/scoped_temp_dir.h"
 #include "util/bitset.h"
@@ -32,17 +31,12 @@
 /// promises — **byte-identical solutions, covers, and deterministic stats**
 /// across every combination of
 ///
-///   stream source x engine:  {VectorSetStream, FileSetStream,
-///                             MmapSetStream} x {none, 1, 2, 8 threads}.
+///   stream source x engine:  {VectorSetStream, MmapSetStream}
+///                             x {none, 1, 2, 8 threads}.
 ///
-/// The FileSetStream column is deliberately included even though it can
-/// never shard (ItemsRemainValid() is false): it proves the buffered
-/// engine path and the one-set-at-a-time sequential path compute the same
-/// thing, which is exactly the fallback equivalence solvers rely on.
-/// Peak space is asserted thread-count-invariant *within* a stream source
-/// only — sources legitimately serve different representations (a text
-/// file is always dense, the hybrid/mmap stores sparsify), so stored
-/// projections differ in bytes while remaining equal as sets.
+/// Peak space is asserted thread-count-invariant *within* a stream source;
+/// the session overload below also pins it equal to the in-memory
+/// baseline for both on-disk formats.
 ///
 /// Since the unified-API redesign, the matrix is driven through the
 /// public front door: RunConformanceMatrix(system, solver, options)
@@ -69,7 +63,7 @@ struct SolverOutcome {
   std::uint64_t items_scanned = 0;     ///< engine.items_scanned.
   std::uint64_t sets_taken = 0;        ///< engine.sets_taken.
   std::uint64_t elements_covered = 0;  ///< engine.elements_covered.
-  Bytes peak_space_bytes = 0;          ///< Compared within a source only.
+  Bytes peak_space_bytes = 0;
   std::uint64_t extra = 0;             ///< Solver-specific deterministic
                                        ///< scalar (coverage, candidates…).
 };
@@ -212,15 +206,13 @@ inline DynamicBitset CoverOf(const SetSystem& system,
   return covered;
 }
 
-/// Runs \p solve across the full {memory, file, mmap} x {none, 1, 2, 8
-/// threads} matrix on \p system and asserts every cell reproduces the
-/// engine-less in-memory baseline byte for byte.
+/// Runs \p solve across the full {memory, mmap} x {none, 1, 2, 8 threads}
+/// matrix on \p system and asserts every cell reproduces the engine-less
+/// in-memory baseline byte for byte.
 inline void RunConformanceMatrix(const SetSystem& system,
                                  const SolverFn& solve) {
   ScopedTempDir dir;
-  const std::string text_path = dir.FilePath("matrix.ssc");
   const std::string binary_path = dir.FilePath("matrix.sscb1");
-  ASSERT_TRUE(SaveSetSystem(system, text_path).ok());
   ASSERT_TRUE(BinaryInstanceWriter::WriteSystem(system, binary_path).ok());
 
   // Baseline: in-memory stream, no engine — the plain sequential solver.
@@ -233,11 +225,11 @@ inline void RunConformanceMatrix(const SetSystem& system,
   EXPECT_TRUE(baseline.feasible) << "baseline run failed";
   EXPECT_FALSE(baseline.chosen.empty()) << "baseline chose nothing";
 
-  const char* const kSourceNames[] = {"memory", "file", "mmap"};
+  const char* const kSourceNames[] = {"memory", "mmap"};
   // 0 encodes "no engine"; otherwise a pool of that many threads.
   const std::size_t kThreadCells[] = {0, 1, 2, 8};
 
-  for (int source = 0; source < 3; ++source) {
+  for (int source = 0; source < 2; ++source) {
     std::optional<Bytes> source_space;  // thread-invariant within a source
     for (const std::size_t threads : kThreadCells) {
       SCOPED_TRACE(std::string("source=") + kSourceNames[source] +
@@ -249,10 +241,6 @@ inline void RunConformanceMatrix(const SetSystem& system,
       SolverOutcome outcome;
       if (source == 0) {
         VectorSetStream stream(system);
-        outcome = solve(stream, engine ? &*engine : nullptr);
-      } else if (source == 1) {
-        FileSetStream stream(text_path);
-        ASSERT_TRUE(stream.status().ok()) << stream.status().ToString();
         outcome = solve(stream, engine ? &*engine : nullptr);
       } else {
         MmapSetStream stream(binary_path);
@@ -284,10 +272,8 @@ inline void RunConformanceMatrix(const SetSystem& system,
 /// the full stream-source x thread-count matrix, then proves the
 /// SolveSession front door — which owns source sniffing and the engine
 /// lifetime via `threads=` — reproduces the engine-less in-memory
-/// baseline byte for byte from both on-disk formats. Peak space is
-/// excluded from the session comparison: the session's text source at
-/// threads > 1 legitimately upgrades to the in-memory representation,
-/// whose stored projections differ in bytes while equal as sets.
+/// baseline byte for byte — peak space included — from both on-disk
+/// formats.
 inline void RunConformanceMatrix(const SetSystem& system,
                                  const std::string& solver,
                                  const std::vector<std::string>& options) {
@@ -323,6 +309,7 @@ inline void RunConformanceMatrix(const SetSystem& system,
       EXPECT_EQ(outcome.items_scanned, baseline.items_scanned);
       EXPECT_EQ(outcome.sets_taken, baseline.sets_taken);
       EXPECT_EQ(outcome.elements_covered, baseline.elements_covered);
+      EXPECT_EQ(outcome.peak_space_bytes, baseline.peak_space_bytes);
       EXPECT_EQ(outcome.extra, baseline.extra);
     }
   }

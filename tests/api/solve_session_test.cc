@@ -11,6 +11,7 @@
 #include <sys/stat.h>
 
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -86,40 +87,61 @@ TEST(SolveSessionTest, OpenFifoReportsInvalidArgumentWithoutHanging) {
 }
 
 TEST(SolveSessionTest, OpenGarbageFileReports) {
-  // Every ssc1 reader — the session, LoadSetSystem and the sscb1
-  // transcoder — must reject the same malformed documents with the same
-  // code.
-  struct Document {
-    const char* name;
-    const char* text;
-  };
-  const Document kDocuments[] = {
-      {"garbage header", "not an instance at all\n"},
-      {"duplicate element", "ssc1 4 2\n3 0 1 1\n1 2\n"},
-      {"trailing header token", "ssc1 4 1 7\n2 0 1\n"},
-      {"trailing content after the last set", "ssc1 4 1\n2 0 1\n1 3\n"},
-      {"truncated body", "ssc1 8 4\n2 0 1\n2 2 3\n"},
-  };
+  ScopedTempDir dir;
+  const std::string path = dir.FilePath("garbage.bin");
+  ASSERT_TRUE(SaveSetSystem(SessionInstance(), path).ok());
+  // Corrupt the header line so the text parser rejects it.
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << "not an instance at all\n";
+  }
+  StatusOr<SolveSession> session = SolveSession::Open(path);
+  EXPECT_FALSE(session.ok());
+}
+
+// Every ssc1 reader — the session, LoadSetSystem and the sscb1 transcoder
+// — must reject the same malformed documents with the same code. The
+// middle three are the documents a second, per-pass text parser once
+// accepted while LoadSetSystem rejected them.
+struct MalformedDocument {
+  const char* name;
+  const char* text;
+};
+
+class MalformedSsc1Test : public ::testing::TestWithParam<MalformedDocument> {
+};
+
+TEST_P(MalformedSsc1Test, EveryReaderRejectsWithInvalidArgument) {
   ScopedTempDir dir;
   const std::string path = dir.FilePath("malformed.ssc");
   const std::string binary_path = dir.FilePath("malformed.sscb1");
-  for (const Document& doc : kDocuments) {
-    SCOPED_TRACE(doc.name);
-    {
-      std::ofstream out(path, std::ios::trunc);
-      out << doc.text;
-    }
-    StatusOr<SolveSession> session = SolveSession::Open(path);
-    ASSERT_FALSE(session.ok());
-    EXPECT_EQ(session.status().code(), StatusCode::kInvalidArgument)
-        << session.status().ToString();
-    StatusOr<SetSystem> loaded = LoadSetSystem(path);
-    ASSERT_FALSE(loaded.ok());
-    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
-    EXPECT_EQ(BinaryInstanceWriter::TranscodeText(path, binary_path).code(),
-              StatusCode::kInvalidArgument);
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << GetParam().text;
   }
+  StatusOr<SolveSession> session = SolveSession::Open(path);
+  ASSERT_FALSE(session.ok());
+  EXPECT_EQ(session.status().code(), StatusCode::kInvalidArgument)
+      << session.status().ToString();
+  StatusOr<SetSystem> loaded = LoadSetSystem(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(BinaryInstanceWriter::TranscodeText(path, binary_path).code(),
+            StatusCode::kInvalidArgument);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Documents, MalformedSsc1Test,
+    ::testing::Values(
+        MalformedDocument{"GarbageHeader", "not an instance at all\n"},
+        MalformedDocument{"DuplicateElement", "ssc1 4 2\n3 0 1 1\n1 2\n"},
+        MalformedDocument{"TrailingHeaderToken", "ssc1 4 1 7\n2 0 1\n"},
+        MalformedDocument{"TrailingContentAfterTheLastSet",
+                          "ssc1 4 1\n2 0 1\n1 3\n"},
+        MalformedDocument{"TruncatedBody", "ssc1 8 4\n2 0 1\n2 2 3\n"}),
+    [](const ::testing::TestParamInfo<MalformedDocument>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(SolveSessionTest, TruncatedTextBodyReportsInsteadOfSolvingAPrefix) {
   // The ssc1 header parses, but the body declares more sets than it
@@ -187,6 +209,88 @@ TEST(SolveSessionTest, TextSourceShardsAndPreservesBytes) {
   EXPECT_EQ(sharded->counters.value(engine_counters::ElementsCovered()),
             baseline->counters.value(engine_counters::ElementsCovered()));
 }
+
+TEST(SolveSessionTest, RepeatedSolvesOnATextSourceAgree) {
+  // The session keeps the system it loaded at Open(): every run streams
+  // the same owned instance, so repeated multi-pass solves agree in full.
+  SessionFixture fx;
+  StatusOr<SolveSession> text = SolveSession::Open(fx.text_path);
+  ASSERT_TRUE(text.ok());
+  const std::vector<std::string> args = {"alpha=2", "epsilon=0.5"};
+  StatusOr<SolveReport> first = text->Solve("assadi", args);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_GT(first->passes, 1u);
+  for (int run = 0; run < 2; ++run) {
+    SCOPED_TRACE("run " + std::to_string(run));
+    StatusOr<SolveReport> again = text->Solve("assadi", args);
+    ASSERT_TRUE(again.ok()) << again.status().ToString();
+    EXPECT_EQ(again->solution.chosen, first->solution.chosen);
+    EXPECT_EQ(again->passes, first->passes);
+    EXPECT_EQ(again->peak_space_bytes, first->peak_space_bytes);
+  }
+}
+
+// What happens to the ssc1 file after Open(). The session parsed it once
+// and owns the result, so no later change to the file reaches a solve.
+enum class FileChange { kTruncated, kReshaped, kDeleted };
+
+class TextSessionFileChangeTest : public ::testing::TestWithParam<FileChange> {
+};
+
+TEST_P(TextSessionFileChangeTest, SolvesTheInstanceLoadedAtOpen) {
+  SessionFixture fx;
+  SolveSession memory = SolveSession::OverSystem(fx.system);
+  StatusOr<SolveReport> baseline =
+      memory.Solve("threshold_greedy", {"beta=2"});
+  ASSERT_TRUE(baseline.ok());
+
+  StatusOr<SolveSession> text = SolveSession::Open(fx.text_path);
+  ASSERT_TRUE(text.ok());
+  switch (GetParam()) {
+    case FileChange::kTruncated: {
+      std::ofstream out(fx.text_path, std::ios::trunc);
+      out << "ssc1 96 12\n2 0 1\n";
+      break;
+    }
+    case FileChange::kReshaped: {
+      Rng rng(5);
+      ASSERT_TRUE(
+          SaveSetSystem(PlantedCoverInstance(40, 5, 2, rng), fx.text_path)
+              .ok());
+      break;
+    }
+    case FileChange::kDeleted:
+      ASSERT_EQ(std::remove(fx.text_path.c_str()), 0);
+      break;
+  }
+
+  EXPECT_EQ(text->universe_size(), fx.system.universe_size());
+  EXPECT_EQ(text->num_sets(), fx.system.num_sets());
+  for (const char* threads : {"threads=1", "threads=2"}) {
+    SCOPED_TRACE(threads);
+    StatusOr<SolveReport> report =
+        text->Solve("threshold_greedy", {"beta=2", threads});
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report->solution.chosen, baseline->solution.chosen);
+    EXPECT_EQ(report->passes, baseline->passes);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Changes, TextSessionFileChangeTest,
+    ::testing::Values(FileChange::kTruncated, FileChange::kReshaped,
+                      FileChange::kDeleted),
+    [](const ::testing::TestParamInfo<FileChange>& info) {
+      switch (info.param) {
+        case FileChange::kTruncated:
+          return std::string("Truncated");
+        case FileChange::kReshaped:
+          return std::string("Reshaped");
+        case FileChange::kDeleted:
+          return std::string("Deleted");
+      }
+      return std::string("Unknown");
+    });
 
 TEST(SolveSessionTest, MmapSourceShardsWithoutUpgrade) {
   SessionFixture fx;

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <string>
 
 #include "instance/generators.h"
+#include "testing/scoped_temp_dir.h"
 #include "util/random.h"
 
 namespace streamsc {
@@ -136,6 +141,17 @@ TEST(SerializationTest, LoadMissingFileIsNotFound) {
       LoadSetSystem("/nonexistent/dir/foo.ssc");
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
+}
+
+TEST(SerializationTest, LoadFifoIsInvalidArgumentWithoutHanging) {
+  // Every ssc1 solve source loads through here, so a FIFO path must come
+  // straight back with a typed error instead of blocking on the open.
+  testing::ScopedTempDir dir;
+  const std::string path = dir.FilePath("pipe.fifo");
+  ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0) << std::strerror(errno);
+  const StatusOr<SetSystem> loaded = LoadSetSystem(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(SerializationTest, SaveToBadPathFails) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+
+#include <cerrno>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -141,6 +144,17 @@ TEST(BinaryStoreTest, TranscodeRejectsMissingAndMalformedText) {
                                                 dir.FilePath("out3.sscb1"))
                 .code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(BinaryStoreTest, TranscodeRejectsFifoWithoutHanging) {
+  testing::ScopedTempDir dir;
+  const std::string path = dir.FilePath("pipe.fifo");
+  ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0) << std::strerror(errno);
+  const std::string out = dir.FilePath("out.sscb1");
+  EXPECT_EQ(BinaryInstanceWriter::TranscodeText(path, out).code(),
+            StatusCode::kInvalidArgument);
+  // Nothing was loaded, so nothing may have been written.
+  EXPECT_FALSE(std::ifstream(out).good());
 }
 
 TEST(BinaryStoreTest, WriterEnforcesSetCountContract) {

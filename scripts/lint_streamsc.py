@@ -41,6 +41,12 @@ chrono        No direct `std::chrono` (or `#include <chrono>`) in src/
               (TraceRecorder::NowNs). A direct clock read bypasses the
               trace/export pipeline and scatters clock choices
               (steady vs system) across layers.
+raw-popcount  No `std::popcount`, `__builtin_popcount*`, popcnt or pext
+              intrinsic in src/ outside util/word_kernels.cc: bit counts
+              and gathers go through the word kernels, which bind
+              POPCNT/BMI2 once per process. Elsewhere the default build
+              (no -mpopcnt) compiles a popcount to a libgcc
+              `__popcountdi2` call per word.
 
 Usage
 -----
@@ -93,6 +99,14 @@ ARENA_PTR_RE = re.compile(
     r"MonotonicArena\s*\*\s*[A-Za-z_]\w*\s*(?:=|;|\{)")
 CHRONO_INCLUDE_RE = re.compile(r"^\s*#\s*include\s+<chrono>")
 CHRONO_RE = re.compile(r"std\s*::\s*chrono")
+
+POPCOUNT_RE = re.compile(
+    r"(?<![_A-Za-z0-9])(?:std\s*::\s*popcount|__builtin_popcount\w*"
+    r"|__builtin_ia32_pext_\w+|_pext_u(?:32|64)|_mm_popcnt_u(?:32|64))"
+    r"(?![_A-Za-z0-9])")
+
+# The one file that may count and gather bits with the builtins.
+POPCOUNT_HOME = "src/util/word_kernels.cc"
 
 # Layers that may touch std::chrono directly: util/ owns Stopwatch, obs/
 # owns TraceRecorder's clock. Everything else must time through those.
@@ -238,6 +252,13 @@ def lint_file(path: pathlib.Path, layer: str,
                 "util/stopwatch.h (Stopwatch) or obs/trace.h "
                 "(TraceRecorder::NowNs) so clock choice and trace export "
                 "stay centralized"))
+        if rel.as_posix() != POPCOUNT_HOME and POPCOUNT_RE.search(line):
+            violations.append(Violation(
+                rel, lineno, "raw-popcount",
+                "raw popcount/pext in src/ — call the util/word_kernels.h "
+                "kernels (CountAndWords, PopcountWords, GatherWords, "
+                "RankMembers, ...), which bind the hardware instruction "
+                "once per process"))
     return violations
 
 
@@ -271,7 +292,7 @@ def main() -> int:
 
     if args.list_rules:
         for rule in ("layer-dag", "raw-assert", "determinism", "engine-ptr",
-                     "arena-ptr", "chrono"):
+                     "arena-ptr", "chrono", "raw-popcount"):
             print(rule)
         return 0
 

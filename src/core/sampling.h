@@ -11,6 +11,7 @@
 #include "util/random.h"
 #include "util/set_view.h"
 #include "util/sparse_set.h"
+#include "util/word_kernels.h"
 
 /// \file sampling.h
 /// Element-sampling machinery (Lemma 3.12 of the paper): a sampled
@@ -86,25 +87,6 @@ class SubUniverse {
   ElementId ToFull(std::size_t i) const { return sample_to_full_[i]; }
 
  private:
-  // Word-gather core of the dense path: projects the full-universe words
-  // at \p words.
-  DynamicBitset ProjectGather(const DynamicBitset::Word* words,
-                              DynamicBitset::Allocator alloc) const;
-
-  // Sparse re-indexing core: calls \p emit(sample_id) for each sampled
-  // member of \p span, in increasing sample order. Defined in sampling.cc
-  // (only instantiated there).
-  template <typename Emit>
-  void ForEachSampled(const SparseSpan& span, Emit&& emit) const;
-
-  // One gather step: the sampled bits of full-universe word `src_word`
-  // land, compacted, at output bit position `dst_bit`.
-  struct GatherBlock {
-    std::uint32_t src_word;
-    std::uint32_t dst_bit;
-    DynamicBitset::Word mask;
-  };
-
   std::size_t full_size_;
   ArenaVector<ElementId> sample_to_full_;
   // Rank structure for full id -> sample id: the sampled bits per
@@ -112,6 +94,8 @@ class SubUniverse {
   // ~n/8 + n/16 bytes total, an order of magnitude smaller than a
   // per-element map — the sparse projection path is lookup-table-miss
   // bound, so the working set matters more than the op count.
+  // RankMembers (util/word_kernels.h) reads the pair to re-index a sparse
+  // set, and the gather plan holds one GatherBlock per non-empty word.
   ArenaVector<DynamicBitset::Word> sampled_words_;
   ArenaVector<std::uint32_t> word_rank_;
   ArenaVector<GatherBlock> gather_;

@@ -62,9 +62,11 @@ struct SearchState {
   ExactSetCoverOptions options;
   // The system's sets, resolved to views once per call.
   ArenaVector<SetView> sets{ArenaAllocator<SetView>::Table()};
-  // degree[e] = number of sets containing element e. Fixed for the whole
-  // search: branching never changes the sets, only the uncovered region.
-  ArenaVector<std::uint32_t> degree{ArenaAllocator<std::uint32_t>::Table()};
+  // The sets containing element e are covering[first[e] .. first[e + 1]),
+  // in increasing id order. Fixed for the whole search: branching never
+  // changes the sets, only the uncovered region.
+  ArenaVector<std::uint32_t> first{ArenaAllocator<std::uint32_t>::Table()};
+  ArenaVector<SetId> covering{ArenaAllocator<SetId>::Table()};
   ArenaVector<SetId> current{ArenaAllocator<SetId>::Table()};
   ArenaVector<SetId> best{ArenaAllocator<SetId>::Table()};
   bool best_feasible = false;
@@ -81,8 +83,8 @@ struct SearchState {
 // Returns an uncovered element with (approximately) the fewest covering
 // sets: the first one of least degree among at most the first 64
 // uncovered elements. Min-degree is a branching heuristic, so an
-// approximate argmin is fine; degrees come from the call's static table,
-// so each scanned element costs one load.
+// approximate argmin is fine; degrees come from the call's incidence
+// lists, so each scanned element costs two loads.
 ElementId PickBranchElement(const SearchState& state,
                             const DynamicBitset& uncovered,
                             std::size_t& degree_out) {
@@ -92,7 +94,7 @@ ElementId PickBranchElement(const SearchState& state,
   for (ElementId e = uncovered.FindFirst();
        e != kInvalidElementId && scanned < 64 && best_degree > 1;
        e = uncovered.FindNext(e), ++scanned) {
-    const std::size_t degree = state.degree[e];
+    const std::size_t degree = state.first[e + 1] - state.first[e];
     if (degree < best_degree) {
       best_degree = degree;
       best_e = e;
@@ -102,7 +104,15 @@ ElementId PickBranchElement(const SearchState& state,
   return best_e;
 }
 
-void Search(SearchState& state, const DynamicBitset& uncovered) {
+// Expands the node whose uncovered region is \p uncovered. \p bounds is
+// null at the root; below it, it is the parent's gain array, whose entries
+// bound this node's gains from above: a child's uncovered region is a
+// subset of its parent's, so no set's gain ever grows on the way down. A
+// node counts a gain exactly only where the answer can change what it
+// does, so every prune decision, candidate gain and candidate order is
+// the one a full sweep of the m sets would give.
+void Search(SearchState& state, const DynamicBitset& uncovered,
+            const Count* bounds) {
   if (state.budget_exhausted) return;
   if (++state.nodes > state.options.max_nodes) {
     state.budget_exhausted = true;
@@ -116,18 +126,19 @@ void Search(SearchState& state, const DynamicBitset& uncovered) {
     return;
   }
 
+  const std::size_t depth = state.current.size();
   const std::size_t budget =
       std::min(state.options.size_limit,
                state.best_feasible ? state.best.size() - 1 : ~std::size_t{0});
-  if (state.current.size() >= budget) return;
+  if (depth >= budget) return;
 
   // Transposition pruning: if this uncovered state was already explored at
   // a depth <= ours, nothing new can be found here.
   const StateKey key = KeyOf(uncovered);
-  auto [it, inserted] = state.seen.try_emplace(key, state.current.size());
+  auto [it, inserted] = state.seen.try_emplace(key, depth);
   if (!inserted) {
-    if (it->second <= state.current.size()) return;
-    it->second = state.current.size();
+    if (it->second <= depth) return;
+    it->second = depth;
   }
 
   // Per-node temporaries stage LIFO in the scratch arena: the gain and
@@ -137,34 +148,60 @@ void Search(SearchState& state, const DynamicBitset& uncovered) {
   const ArenaCheckpoint node_checkpoint(scratch);
   const std::size_t m = state.sets.size();
 
-  // Per-node counting lower bound using the best achievable single-set
-  // gain against the *current* uncovered region. The gains are kept for
-  // the candidate list below.
+  // Counting lower bound: covering `remaining` elements with sets of gain
+  // at most max_gain takes ceil(remaining / max_gain) more sets, which
+  // must fit in the slack budget - depth >= 1. That holds exactly when
+  // max_gain >= cut = ceil(remaining / slack), so the node lives iff some
+  // set's gain reaches `cut`. Clamping the slack to `remaining` keeps an
+  // unbounded budget from overflowing and leaves cut = 1 (some set must
+  // gain anything at all).
   const Count remaining = uncovered.CountSet();
+  const Count slack = std::min<Count>(budget - depth, remaining);
+  const Count cut = CeilDiv(remaining, slack);
+
+  // gains[i] is set i's exact gain against `uncovered` where it was
+  // counted, and its inherited upper bound elsewhere; the children read
+  // it as their bounds. The root counts every set. Below it, only sets
+  // whose bound reaches `cut` are counted, up to the first that does: the
+  // counted sets are those below scan_end whose bound reached cut.
   ArenaVector<Count> gains{ArenaAllocator<Count>(&scratch)};
-  gains.resize(m);
-  Count max_gain = 0;
-  for (SetId i = 0; i < m; ++i) {
-    gains[i] = state.sets[i].CountAnd(uncovered);
-    max_gain = std::max(max_gain, gains[i]);
+  bool alive = false;
+  std::size_t scan_end = m;
+  if (bounds == nullptr) {
+    gains.resize(m);
+    for (SetId i = 0; i < m; ++i) {
+      gains[i] = state.sets[i].CountAnd(uncovered);
+      alive = alive || gains[i] >= cut;
+    }
+  } else {
+    gains.assign(bounds, bounds + m);
+    for (SetId i = 0; i < m && !alive; ++i) {
+      if (bounds[i] < cut) continue;
+      gains[i] = state.sets[i].CountAnd(uncovered);
+      alive = gains[i] >= cut;
+      scan_end = i + 1;
+    }
   }
-  if (max_gain == 0) return;  // infeasible branch
-  const std::size_t lb =
-      static_cast<std::size_t>(CeilDiv(remaining, max_gain));
-  if (state.current.size() + lb > budget) return;
+  if (!alive) return;
+  const auto counted = [&](SetId i) {
+    return bounds == nullptr || (i < scan_end && bounds[i] >= cut);
+  };
 
   std::size_t degree = 0;
   const ElementId e = PickBranchElement(state, uncovered, degree);
   if (degree == 0) return;  // e is coverable by no set: infeasible branch
 
-  // Candidate sets containing e, largest marginal gain first. Built in
-  // increasing set id order, so the (unstable) sort sees the same
-  // sequence on every run and the search order is reproducible.
+  // Candidate sets containing e, largest marginal gain first, each with
+  // its exact gain. Built from e's incidence list, in increasing set id
+  // order, so the (unstable) sort sees the same sequence on every run and
+  // the search order is reproducible.
   using Candidate = std::pair<Count, SetId>;
   ArenaVector<Candidate> candidates{ArenaAllocator<Candidate>(&scratch)};
   candidates.reserve(degree);
-  for (SetId i = 0; i < m; ++i) {
-    if (state.sets[i].Test(e)) candidates.emplace_back(gains[i], i);
+  for (std::uint32_t k = state.first[e]; k < state.first[e + 1]; ++k) {
+    const SetId i = state.covering[k];
+    if (!counted(i)) gains[i] = state.sets[i].CountAnd(uncovered);
+    candidates.emplace_back(gains[i], i);
   }
   std::sort(candidates.begin(), candidates.end(),
             [](const auto& x, const auto& y) { return x.first > y.first; });
@@ -177,7 +214,7 @@ void Search(SearchState& state, const DynamicBitset& uncovered) {
       const ArenaCheckpoint child_checkpoint(scratch);
       DynamicBitset next(uncovered, DynamicBitset::Allocator(&scratch));
       state.sets[id].AndNotInto(next);
-      Search(state, next);
+      Search(state, next, gains.data());
     }
     state.current.pop_back();
   }
@@ -208,11 +245,23 @@ ExactSetCoverResult SolveExactSetCover(const SetSystem& system,
     SearchState state;
     state.options = options;
     state.sets.reserve(system.num_sets());
-    state.degree.assign(system.universe_size(), 0);
+    // Incidence lists: count each element's sets into first[e], turn the
+    // counts into running ends, then fill every list back to front from
+    // the highest set id down, which leaves first[e] at the list's start
+    // and each list in increasing id order.
+    const std::size_t n = system.universe_size();
+    state.first.assign(n + 1, 0);
     for (SetId i = 0; i < system.num_sets(); ++i) {
       const SetView set = system.set(i);
       state.sets.push_back(set);
-      set.ForEach([&state](ElementId e) { ++state.degree[e]; });
+      set.ForEach([&state](ElementId e) { ++state.first[e]; });
+    }
+    for (std::size_t e = 1; e < n; ++e) state.first[e] += state.first[e - 1];
+    state.first[n] = state.first[n - 1];
+    state.covering.resize(state.first[n]);
+    for (SetId i = system.num_sets(); i-- > 0;) {
+      state.sets[i].ForEach(
+          [&state, i](ElementId e) { state.covering[--state.first[e]] = i; });
     }
 
     // Greedy warm start gives the incumbent upper bound (if feasible and
@@ -231,7 +280,7 @@ ExactSetCoverResult SolveExactSetCover(const SetSystem& system,
       }
     }
 
-    Search(state, universe);
+    Search(state, universe, nullptr);
 
     result.solution.chosen.assign(state.best.begin(), state.best.end());
     result.feasible = state.best_feasible;

@@ -17,16 +17,28 @@
 /// as not proven optimal).
 ///
 /// Work that never changes during a search is done once per call: the
-/// sets are resolved to SetViews, and a degree table (n × u32, one pass
-/// over the sets) gives each element's number of covering sets, so the
-/// branching rule costs one load per element it scans. A node then
-/// costs one popcount sweep over the m sets (the bound and the candidate
-/// gains), a hash of the uncovered bitset's n/64 words for the
-/// transposition table, and one word-level copy per child.
+/// sets are resolved to SetViews, and incidence lists (n + 1 offsets and
+/// one set id per element-set incidence, two passes over the sets) give
+/// each element's covering sets in increasing id order, so the branching
+/// rule costs two loads per element it scans and a candidate list costs
+/// one entry per covering set.
+///
+/// Only the root counts all m gains. A child's uncovered region is a
+/// subset of its parent's, so the parent's gains bound the child's from
+/// above, and a node counts a gain exactly only where it can matter: for
+/// the counting bound, the sets whose bound reaches the gain the bound
+/// needs, up to the first that really does; for the branch order, the
+/// sets containing the branch element. Nodes the bound cuts therefore
+/// pay for the few sets that could have kept them alive, and every prune
+/// decision, candidate gain and search order is the one a full sweep
+/// would give. A node further costs a popcount and a hash of the
+/// uncovered bitset's n/64 words (the bound and the transposition table),
+/// an m-entry copy of its parent's gains, and one word-level copy per
+/// child.
 ///
 /// Arena discipline: per-node temporaries (gain and candidate lists,
 /// branch bitsets) stage LIFO in the calling thread's scratch arena; the
-/// call-scoped search state (set views, degree table, incumbent,
+/// call-scoped search state (set views, incidence lists, incumbent,
 /// transposition table) brackets the thread's table arena and is rewound
 /// before returning. \p result_alloc backs the returned solution and
 /// therefore must be neither the scratch nor the table binding — pass a

@@ -2,6 +2,10 @@
 
 #include <array>
 
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <immintrin.h>
+#endif
+
 namespace streamsc {
 namespace {
 
@@ -47,52 +51,232 @@ template <Combine kOp>
   return t0 + t1 + t2 + t3;
 }
 
+// The loop bodies of the projection kernels, always inlined for the same
+// reason as CountLoop: each build below compiles them for its own target.
+
+// rank[w] = set bits in a[0..w).
+[[gnu::always_inline]] inline void PrefixLoop(const Word* a, std::size_t n,
+                                              std::uint32_t* rank) {
+  std::uint32_t total = 0;
+  for (std::size_t w = 0; w < n; ++w) {
+    rank[w] = total;
+    total += static_cast<std::uint32_t>(__builtin_popcountll(a[w]));
+  }
+}
+
+// The rank of each member id among the bits of `mask`; kToBits sets that
+// bit in `dst`, otherwise the rank is appended to `out`. Returns the number
+// of members.
+template <bool kToBits>
+[[gnu::always_inline]] inline std::size_t RankLoop(
+    const ElementId* ids, std::size_t k, const Word* mask,
+    const std::uint32_t* rank, ElementId* out, Word* dst) {
+  std::size_t members = 0;
+  for (std::size_t i = 0; i < k; ++i) {
+    const std::size_t w = ids[i] / 64;
+    const unsigned b = ids[i] % 64;
+    const Word word = mask[w];
+    if (((word >> b) & 1) == 0) continue;
+    const ElementId r =
+        rank[w] + static_cast<ElementId>(
+                      __builtin_popcountll(word & ((Word{1} << b) - 1)));
+    if constexpr (kToBits) {
+      dst[r / 64] |= Word{1} << (r % 64);
+    } else {
+      out[members] = r;
+    }
+    ++members;
+  }
+  return members;
+}
+
+// Compacts the bits of x selected by mask into the low bits of the result
+// (pext semantics) without BMI2: one iteration per mask bit that survives
+// in x, so an all-zero input costs one branch.
+[[gnu::always_inline]] inline Word ExtractLoop(Word x, Word mask) {
+  Word selected = x & mask;
+  Word out = 0;
+  while (selected != 0) {
+    const Word lowest = selected & (~selected + 1);
+    // Rank of this bit among the mask bits = its output position.
+    out |= Word{1} << __builtin_popcountll(mask & (lowest - 1));
+    selected ^= lowest;
+  }
+  return out;
+}
+
+// ORs a block's extracted bits into dst at bit dst_bit. The bits that do
+// not fit in that word spill into the next one, which exists exactly when
+// any do.
+[[gnu::always_inline]] inline void PlaceBits(Word* dst, std::uint32_t dst_bit,
+                                             Word bits) {
+  if (bits == 0) return;
+  const std::size_t word = dst_bit / 64;
+  const unsigned offset = dst_bit % 64;
+  dst[word] |= bits << offset;
+  if (offset == 0) return;
+  const Word spill = bits >> (64 - offset);
+  if (spill != 0) dst[word + 1] |= spill;
+}
+
+// The gather without BMI2. The pext builds below run the same PlaceBits
+// loop around the instruction; an always-inline helper cannot hold it,
+// since GCC refuses to inline a BMI2 intrinsic into a function that is not
+// itself compiled for BMI2.
+[[gnu::always_inline]] inline void GatherLoop(const Word* src,
+                                              const GatherBlock* blocks,
+                                              std::size_t n, Word* dst) {
+  for (std::size_t i = 0; i < n; ++i) {
+    PlaceBits(dst, blocks[i].dst_bit,
+              ExtractLoop(src[blocks[i].src_word], blocks[i].mask));
+  }
+}
+
 #if defined(__POPCNT__)
 
-// The compiler targets POPCNT already: call the loop directly.
+// The compiler targets POPCNT already: call the loops directly.
 template <Combine kOp>
 Count Run(const Word* a, const Word* b, std::size_t n) {
   return CountLoop<kOp>(a, b, n);
 }
 
+void RunPrefix(const Word* a, std::size_t n, std::uint32_t* rank) {
+  PrefixLoop(a, n, rank);
+}
+
+template <bool kToBits>
+std::size_t RunRank(const ElementId* ids, std::size_t k, const Word* mask,
+                    const std::uint32_t* rank, ElementId* out, Word* dst) {
+  return RankLoop<kToBits>(ids, k, mask, rank, out, dst);
+}
+
+#if defined(__BMI2__)
+
+void RunGather(const Word* src, const GatherBlock* blocks, std::size_t n,
+               Word* dst) {
+  for (std::size_t i = 0; i < n; ++i) {
+    PlaceBits(dst, blocks[i].dst_bit,
+              _pext_u64(src[blocks[i].src_word], blocks[i].mask));
+  }
+}
+
+std::string_view ActiveGatherName() { return "native-bmi2"; }
+
+#else
+
+void RunGather(const Word* src, const GatherBlock* blocks, std::size_t n,
+               Word* dst) {
+  GatherLoop(src, blocks, n, dst);
+}
+
+std::string_view ActiveGatherName() { return "native-popcnt"; }
+
+#endif
+
 std::string_view ActiveName() { return "native-popcnt"; }
 
 #else
 
-using KernelFn = Count (*)(const Word*, const Word*, std::size_t);
+using CountFn = Count (*)(const Word*, const Word*, std::size_t);
+using PrefixFn = void (*)(const Word*, std::size_t, std::uint32_t*);
+using RankFn = std::size_t (*)(const ElementId*, std::size_t, const Word*,
+                               const std::uint32_t*, ElementId*, Word*);
+using GatherFn = void (*)(const Word*, const GatherBlock*, std::size_t,
+                          Word*);
 
-// One ISA's kernels, indexed by Combine.
+// One ISA's kernels: the counts indexed by Combine, the ranks by kToBits.
 struct KernelSet {
-  std::array<KernelFn, 4> fns;
+  std::array<CountFn, 4> count;
+  PrefixFn prefix;
+  std::array<RankFn, 2> rank;
+  GatherFn gather;
   std::string_view name;
+  std::string_view gather_name;
 };
 
 template <Combine kOp>
-Count Portable(const Word* a, const Word* b, std::size_t n) {
+Count PortableCount(const Word* a, const Word* b, std::size_t n) {
   return CountLoop<kOp>(a, b, n);
 }
 
+void PortablePrefix(const Word* a, std::size_t n, std::uint32_t* rank) {
+  PrefixLoop(a, n, rank);
+}
+
+template <bool kToBits>
+std::size_t PortableRank(const ElementId* ids, std::size_t k, const Word* mask,
+                         const std::uint32_t* rank, ElementId* out,
+                         Word* dst) {
+  return RankLoop<kToBits>(ids, k, mask, rank, out, dst);
+}
+
+void PortableGather(const Word* src, const GatherBlock* blocks, std::size_t n,
+                    Word* dst) {
+  GatherLoop(src, blocks, n, dst);
+}
+
 constexpr KernelSet kPortable = {
-    {&Portable<Combine::kFirst>, &Portable<Combine::kAnd>,
-     &Portable<Combine::kAndNot>, &Portable<Combine::kXor>},
+    {&PortableCount<Combine::kFirst>, &PortableCount<Combine::kAnd>,
+     &PortableCount<Combine::kAndNot>, &PortableCount<Combine::kXor>},
+    &PortablePrefix,
+    {&PortableRank<false>, &PortableRank<true>},
+    &PortableGather,
+    "portable",
     "portable"};
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 
 template <Combine kOp>
-__attribute__((target("popcnt"))) Count Hardware(const Word* a, const Word* b,
-                                                 std::size_t n) {
+__attribute__((target("popcnt"))) Count PopcntCount(const Word* a,
+                                                    const Word* b,
+                                                    std::size_t n) {
   return CountLoop<kOp>(a, b, n);
 }
 
-constexpr KernelSet kHardware = {
-    {&Hardware<Combine::kFirst>, &Hardware<Combine::kAnd>,
-     &Hardware<Combine::kAndNot>, &Hardware<Combine::kXor>},
+__attribute__((target("popcnt"))) void PopcntPrefix(const Word* a,
+                                                    std::size_t n,
+                                                    std::uint32_t* rank) {
+  PrefixLoop(a, n, rank);
+}
+
+template <bool kToBits>
+__attribute__((target("popcnt"))) std::size_t PopcntRank(
+    const ElementId* ids, std::size_t k, const Word* mask,
+    const std::uint32_t* rank, ElementId* out, Word* dst) {
+  return RankLoop<kToBits>(ids, k, mask, rank, out, dst);
+}
+
+__attribute__((target("popcnt"))) void PopcntGather(const Word* src,
+                                                    const GatherBlock* blocks,
+                                                    std::size_t n, Word* dst) {
+  GatherLoop(src, blocks, n, dst);
+}
+
+__attribute__((target("bmi2,popcnt"))) void Bmi2Gather(
+    const Word* src, const GatherBlock* blocks, std::size_t n, Word* dst) {
+  for (std::size_t i = 0; i < n; ++i) {
+    PlaceBits(dst, blocks[i].dst_bit,
+              _pext_u64(src[blocks[i].src_word], blocks[i].mask));
+  }
+}
+
+constexpr KernelSet kPopcnt = {
+    {&PopcntCount<Combine::kFirst>, &PopcntCount<Combine::kAnd>,
+     &PopcntCount<Combine::kAndNot>, &PopcntCount<Combine::kXor>},
+    &PopcntPrefix,
+    {&PopcntRank<false>, &PopcntRank<true>},
+    &PopcntGather,
+    "popcnt",
     "popcnt"};
+
+// BMI2 changes only the gather; the counts and ranks are the POPCNT ones.
+constexpr KernelSet kBmi2 = {kPopcnt.count, kPopcnt.prefix, kPopcnt.rank,
+                             &Bmi2Gather,   "popcnt",       "bmi2"};
 
 KernelSet Select() {
   __builtin_cpu_init();
-  return __builtin_cpu_supports("popcnt") ? kHardware : kPortable;
+  if (!__builtin_cpu_supports("popcnt")) return kPortable;
+  return __builtin_cpu_supports("bmi2") ? kBmi2 : kPopcnt;
 }
 
 #else
@@ -109,10 +293,27 @@ const KernelSet& Active() {
 
 template <Combine kOp>
 Count Run(const Word* a, const Word* b, std::size_t n) {
-  return Active().fns[static_cast<std::size_t>(kOp)](a, b, n);
+  return Active().count[static_cast<std::size_t>(kOp)](a, b, n);
+}
+
+void RunPrefix(const Word* a, std::size_t n, std::uint32_t* rank) {
+  Active().prefix(a, n, rank);
+}
+
+template <bool kToBits>
+std::size_t RunRank(const ElementId* ids, std::size_t k, const Word* mask,
+                    const std::uint32_t* rank, ElementId* out, Word* dst) {
+  return Active().rank[kToBits](ids, k, mask, rank, out, dst);
+}
+
+void RunGather(const Word* src, const GatherBlock* blocks, std::size_t n,
+               Word* dst) {
+  Active().gather(src, blocks, n, dst);
 }
 
 std::string_view ActiveName() { return Active().name; }
+
+std::string_view ActiveGatherName() { return Active().gather_name; }
 
 #endif
 
@@ -173,6 +374,30 @@ void OrWords(std::uint64_t* dst, const std::uint64_t* src, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) dst[i] |= src[i];
 }
 
+void PrefixPopcountWords(const std::uint64_t* a, std::size_t n,
+                         std::uint32_t* rank) {
+  RunPrefix(a, n, rank);
+}
+
+void GatherWords(const std::uint64_t* src, const GatherBlock* blocks,
+                 std::size_t n, std::uint64_t* dst) {
+  RunGather(src, blocks, n, dst);
+}
+
+std::size_t RankMembers(const ElementId* ids, std::size_t k,
+                        const std::uint64_t* mask, const std::uint32_t* rank,
+                        ElementId* out) {
+  return RunRank<false>(ids, k, mask, rank, out, nullptr);
+}
+
+void RankMembersToBits(const ElementId* ids, std::size_t k,
+                       const std::uint64_t* mask, const std::uint32_t* rank,
+                       std::uint64_t* dst) {
+  RunRank<true>(ids, k, mask, rank, nullptr, dst);
+}
+
 std::string_view WordKernelName() { return ActiveName(); }
+
+std::string_view GatherKernelName() { return ActiveGatherName(); }
 
 }  // namespace streamsc

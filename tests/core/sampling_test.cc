@@ -63,6 +63,18 @@ TEST(SubUniverseTest, ProjectLiftRoundTripOnSampledElements) {
   EXPECT_EQ(round, full & sampled);
 }
 
+// The members at the two ends of every universe word (ids 64w, 64w + 1,
+// 64w + 62, 64w + 63), the bits where a gather block's output starts,
+// ends or spills into the next output word.
+DynamicBitset WordEdges(std::size_t n) {
+  DynamicBitset out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t b = i % 64;
+    if (b <= 1 || b >= 62) out.Set(i);
+  }
+  return out;
+}
+
 TEST(SubUniverseTest, WordGatherMatchesElementwiseProjection) {
   // The gather-based Project must agree bit-for-bit with the definitional
   // per-element projection, across word-boundary-straddling universes,
@@ -85,6 +97,39 @@ TEST(SubUniverseTest, WordGatherMatchesElementwiseProjection) {
       EXPECT_EQ(sub.Project(view), expected) << "n=" << n;
     }
     EXPECT_EQ(sub.Project(dense_set), sub.Project(SetView(dense_set)));
+  }
+
+  // Samples whose blocks are full words (every output word boundary is a
+  // block boundary), word-edge bits only, or dense enough that most blocks
+  // spill into the next output word; dense and sparse sources of random
+  // and word-edge members. Both projections must agree with the
+  // definitional per-element one.
+  for (const std::size_t n : {64, 65, 128, 191, 256, 1000}) {
+    Rng rng(70 + n);
+    const std::vector<DynamicBitset> samples = {
+        DynamicBitset::Full(n), WordEdges(n), rng.BernoulliSubset(n, 0.9),
+        rng.BernoulliSubset(n, 0.6)};
+    const std::vector<DynamicBitset> members = {
+        WordEdges(n), DynamicBitset::Full(n), rng.BernoulliSubset(n, 0.5),
+        rng.BernoulliSubset(n, 0.02)};
+    for (const DynamicBitset& sampled : samples) {
+      const SubUniverse sub(sampled);
+      for (const DynamicBitset& dense_set : members) {
+        const SparseSet sparse_set = SparseSet::FromBitset(dense_set);
+        DynamicBitset expected(sub.size());
+        for (std::size_t i = 0; i < sub.size(); ++i) {
+          if (dense_set.Test(sub.ToFull(i))) expected.Set(i);
+        }
+        for (const SetView view : {SetView(dense_set), SetView(sparse_set)}) {
+          SCOPED_TRACE("n=" + std::to_string(n) +
+                       " sample=" + std::to_string(sub.size()) +
+                       " members=" + std::to_string(dense_set.CountSet()) +
+                       (view.is_dense_rep() ? " dense" : " sparse"));
+          EXPECT_EQ(sub.Project(view), expected);
+          EXPECT_TRUE(ViewOf(sub.ProjectAdaptive(view)) == SetView(expected));
+        }
+      }
+    }
   }
 }
 

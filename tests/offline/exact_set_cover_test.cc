@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "instance/generators.h"
 #include "offline/greedy.h"
+#include "util/math.h"
 #include "util/random.h"
 
 namespace streamsc {
@@ -232,6 +236,43 @@ const std::vector<GoldenSearch>& GoldenSearches() {
       {256, 40, 32, 14, kNoLimit, 20000, 467, true, true,
        {4, 30, 25, 38, 32, 16, 34, 17, 31, 19, 18, 12, 7, 28, 15, 11, 37, 39,
         24, 8}},
+      // Sparse rows: the sets have fewer than n/32 members, so all of them
+      // but the patch set that makes an instance feasible store as
+      // SparseSpans, and each gain is counted by membership probes.
+      // The 4096/128/64 rows die within a few nodes on the counting bound;
+      // the limit-39 rows below them search the whole budget without an
+      // incumbent (or, at 512/160/15, finish), and the unlimited rows
+      // search from the greedy incumbent.
+      {4096, 128, 64, 11, 8, 2000, 2, true, false, {}},
+      {4096, 128, 64, 11, 12, 2000, 2, true, false, {}},
+      {4096, 128, 64, 11, 39, 2000, 2, true, false, {}},
+      {4096, 128, 64, 12, 8, 2000, 2, true, false, {}},
+      {4096, 128, 64, 12, 12, 2000, 4, true, false, {}},
+      {4096, 128, 64, 12, 39, 2000, 4, true, false, {}},
+      {2048, 256, 60, 11, 39, 2000, 2001, false, false, {}},
+      {2048, 256, 60, 11, kNoLimit, 2000, 2001, false, true,
+       {0, 9, 38, 20, 24, 33, 35, 152, 71, 214, 6, 91, 92, 134, 254, 183, 98,
+        94, 246, 109, 59, 138, 65, 69, 77, 123, 102, 96, 249, 101, 197, 25, 66,
+        215, 72, 165, 186, 224, 16, 126, 122, 128, 219, 30, 130, 177, 80, 118,
+        144, 145, 125, 232, 238, 29, 43, 63, 141, 160, 15, 40, 47, 31, 41, 105,
+        137, 146, 217, 3, 10, 62, 188, 17, 23, 136, 157, 208, 253, 56, 153, 251,
+        2, 53, 83, 124, 159, 171, 192, 216, 12, 115, 151, 155, 169, 187, 189,
+        209, 7, 13, 19, 26, 67, 88, 99, 174, 175, 195, 199}},
+      {1024, 256, 30, 12, 39, 2000, 2001, false, false, {}},
+      {1024, 256, 30, 12, kNoLimit, 2000, 2001, false, true,
+       {92, 39, 7, 192, 31, 145, 45, 27, 154, 256, 65, 190, 52, 70, 105, 158,
+        167, 103, 149, 104, 33, 148, 243, 29, 57, 37, 173, 150, 48, 80, 79, 246,
+        172, 71, 241, 114, 222, 117, 16, 152, 209, 60, 198, 66, 234, 111, 83,
+        178, 176, 175, 24, 58, 171, 40, 13, 87, 141, 91, 53, 95, 9, 237, 191,
+        118, 253, 3, 98, 161, 255, 56, 211, 23, 77, 195, 213, 100, 133, 8, 217,
+        223, 86, 2, 200, 137, 63, 112, 12, 123, 231, 181}},
+      {512, 160, 15, 11, 39, 20000, 5005, true, false, {}},
+      {512, 160, 15, 12, kNoLimit, 20000, 20001, false, true,
+       {106, 38, 10, 24, 36, 0, 114, 6, 5, 2, 133, 26, 61, 144, 132, 145, 57,
+        52, 32, 23, 76, 13, 123, 141, 122, 17, 8, 88, 42, 102, 40, 68, 116, 20,
+        59, 67, 81, 160, 138, 47, 154, 119, 48, 91, 155, 97, 75, 110, 127, 109,
+        72, 86, 39, 103, 56, 51, 3, 11, 115, 58, 99, 156, 147, 62, 4, 15, 104,
+        100, 151, 125, 31, 41}},
   };
   return rows;
 }
@@ -255,6 +296,164 @@ TEST(ExactSetCoverTest, GoldenSearchOrderIsPinned) {
                                  result.solution.chosen.end()),
               row.chosen);
   }
+}
+
+// The branch-and-bound as a full sweep: every node counts the gain of
+// every set, then applies the same counting bound, branching rule and
+// candidate order as the solver. The solver counts only the gains that
+// can change a decision, so it must expand exactly the same nodes.
+class FullSweepSearch {
+ public:
+  FullSweepSearch(const SetSystem& system, const ExactSetCoverOptions& options)
+      : system_(system), options_(options), degree_(system.universe_size()) {
+    for (SetId i = 0; i < system.num_sets(); ++i) {
+      system.set(i).ForEach([this](ElementId e) { ++degree_[e]; });
+    }
+    const Solution greedy =
+        GreedySetCover(system, DynamicBitset::Full(system.universe_size()));
+    if (system.IsFeasibleCover(greedy.chosen) &&
+        greedy.chosen.size() <= options.size_limit) {
+      best_.assign(greedy.chosen.begin(), greedy.chosen.end());
+      best_feasible_ = true;
+    }
+    Search(DynamicBitset::Full(system.universe_size()));
+  }
+
+  std::uint64_t nodes() const { return nodes_; }
+  bool complete() const { return !exhausted_; }
+  bool feasible() const { return best_feasible_; }
+  const std::vector<SetId>& best() const { return best_; }
+
+ private:
+  void Search(const DynamicBitset& uncovered) {
+    if (exhausted_) return;
+    if (++nodes_ > options_.max_nodes) {
+      exhausted_ = true;
+      return;
+    }
+    if (uncovered.None()) {
+      if (!best_feasible_ || current_.size() < best_.size()) {
+        best_ = current_;
+        best_feasible_ = true;
+      }
+      return;
+    }
+    const std::size_t budget =
+        std::min(options_.size_limit,
+                 best_feasible_ ? best_.size() - 1 : ~std::size_t{0});
+    if (current_.size() >= budget) return;
+    const std::vector<std::uint64_t> key(
+        uncovered.WordData(), uncovered.WordData() + uncovered.WordCount());
+    const auto [it, inserted] = seen_.try_emplace(key, current_.size());
+    if (!inserted) {
+      if (it->second <= current_.size()) return;
+      it->second = current_.size();
+    }
+
+    const std::size_t m = system_.num_sets();
+    std::vector<Count> gains(m);
+    Count max_gain = 0;
+    for (SetId i = 0; i < m; ++i) {
+      gains[i] = system_.set(i).CountAnd(uncovered);
+      max_gain = std::max(max_gain, gains[i]);
+    }
+    if (max_gain == 0) return;
+    if (current_.size() + CeilDiv(uncovered.CountSet(), max_gain) > budget) {
+      return;
+    }
+
+    // The first element of least degree among the first 64 uncovered.
+    ElementId e = kInvalidElementId;
+    std::size_t degree = ~std::size_t{0};
+    std::size_t scanned = 0;
+    for (ElementId x = uncovered.FindFirst();
+         x != kInvalidElementId && scanned < 64 && degree > 1;
+         x = uncovered.FindNext(x), ++scanned) {
+      if (degree_[x] < degree) {
+        degree = degree_[x];
+        e = x;
+      }
+    }
+    if (degree == 0) return;
+
+    std::vector<std::pair<Count, SetId>> candidates;
+    for (SetId i = 0; i < m; ++i) {
+      if (system_.set(i).Test(e)) candidates.emplace_back(gains[i], i);
+    }
+    std::sort(candidates.begin(), candidates.end(),
+              [](const auto& x, const auto& y) { return x.first > y.first; });
+    for (const auto& candidate : candidates) {
+      if (exhausted_) return;
+      current_.push_back(candidate.second);
+      DynamicBitset next = uncovered;
+      system_.set(candidate.second).AndNotInto(next);
+      Search(next);
+      current_.pop_back();
+    }
+  }
+
+  const SetSystem& system_;
+  ExactSetCoverOptions options_;
+  std::vector<std::size_t> degree_;
+  std::vector<SetId> current_;
+  std::vector<SetId> best_;
+  bool best_feasible_ = false;
+  std::uint64_t nodes_ = 0;
+  bool exhausted_ = false;
+  std::map<std::vector<std::uint64_t>, std::size_t> seen_;
+};
+
+TEST(ExactSetCoverTest, MatchesFullSweepSearch) {
+  // Dense and sparse uniform instances, with and without a size limit, at
+  // budgets from a few nodes to a complete search. The small 60/30/6
+  // shape runs more seeds: its searches complete and reach candidates
+  // whose gains fall below the bound's cut, where an inexact gain would
+  // reorder the branches.
+  struct Shape {
+    std::size_t n, m, set_size;
+    std::uint64_t seeds;
+  };
+  const Shape shapes[] = {{96, 24, 16, 4},
+                          {200, 40, 30, 4},
+                          {512, 96, 12, 4},
+                          {320, 64, 8, 4},
+                          {60, 30, 6, 32}};
+  std::size_t runs = 0;
+  std::size_t complete = 0;
+  for (const Shape& shape : shapes) {
+    for (std::uint64_t seed = 1; seed <= shape.seeds; ++seed) {
+      Rng rng(seed);
+      const SetSystem system =
+          UniformRandomInstance(shape.n, shape.m, shape.set_size, rng);
+      for (const std::size_t limit : {std::size_t{6}, std::size_t{12},
+                                      std::size_t{24}, kNoLimit}) {
+        for (const std::uint64_t budget : {20, 300, 3000}) {
+          SCOPED_TRACE("n=" + std::to_string(shape.n) +
+                       " m=" + std::to_string(shape.m) +
+                       " seed=" + std::to_string(seed) +
+                       " limit=" + std::to_string(limit) +
+                       " budget=" + std::to_string(budget));
+          ExactSetCoverOptions options;
+          options.max_nodes = budget;
+          options.size_limit = limit;
+          const FullSweepSearch expected(system, options);
+          const ExactSetCoverResult result =
+              SolveExactSetCover(system, options);
+          EXPECT_EQ(result.nodes, expected.nodes());
+          EXPECT_EQ(result.complete, expected.complete());
+          EXPECT_EQ(result.feasible, expected.feasible());
+          EXPECT_EQ(std::vector<SetId>(result.solution.chosen.begin(),
+                                       result.solution.chosen.end()),
+                    expected.best());
+          ++runs;
+          complete += expected.complete() ? 1 : 0;
+        }
+      }
+    }
+  }
+  // Both outcomes of the budget must occur.
+  EXPECT_GT(complete, 0u);
+  EXPECT_LT(complete, runs);
 }
 
 // Whenever the search reports no cover, greedy on the same system and

@@ -91,13 +91,24 @@ class LintStreamscTest(unittest.TestCase):
                              "chrono")
         self.assert_reported(result, "src/dynamic/bad_overlay.cc", 5,
                              "chrono")
+        # Raw popcount and pext outside util/word_kernels.cc, in a solver
+        # layer and in util/ itself; the kernel home is exempt.
+        self.assert_reported(result, "src/core/bad_popcount.cc", 5,
+                             "raw-popcount")
+        self.assert_reported(result, "src/core/bad_popcount.cc", 6,
+                             "raw-popcount")
+        self.assert_reported(result, "src/core/bad_popcount.cc", 8,
+                             "raw-popcount")
+        self.assert_reported(result, "src/util/bad_rank.h", 3,
+                             "raw-popcount")
+        self.assertNotIn("src/util/word_kernels.cc", result.stdout)
 
     def test_violation_count_is_exact(self):
         """No over-reporting: exactly the planted violations, nothing
         from comments, string literals, or the clean lines around them."""
         result = run_linter("--root", str(FIXTURES / "violations"))
         reported = [l for l in result.stdout.splitlines() if "[" in l]
-        self.assertEqual(len(reported), 16, result.stdout)
+        self.assertEqual(len(reported), 20, result.stdout)
 
     def test_real_tree_is_clean(self):
         """The wall starts (and stays) at zero violations on the repo."""
@@ -112,7 +123,7 @@ class LintStreamscTest(unittest.TestCase):
         rules = result.stdout.split()
         self.assertEqual(
             rules, ["layer-dag", "raw-assert", "determinism", "engine-ptr",
-                    "arena-ptr", "chrono"])
+                    "arena-ptr", "chrono", "raw-popcount"])
 
 
 class TidyGatingTest(unittest.TestCase):

@@ -119,10 +119,7 @@ template <bool kToBits>
   if (spill != 0) dst[word + 1] |= spill;
 }
 
-// The gather without BMI2. The pext builds below run the same PlaceBits
-// loop around the instruction; an always-inline helper cannot hold it,
-// since GCC refuses to inline a BMI2 intrinsic into a function that is not
-// itself compiled for BMI2.
+// The gather without BMI2.
 [[gnu::always_inline]] inline void GatherLoop(const Word* src,
                                               const GatherBlock* blocks,
                                               std::size_t n, Word* dst) {
@@ -131,6 +128,22 @@ template <bool kToBits>
               ExtractLoop(src[blocks[i].src_word], blocks[i].mask));
   }
 }
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+
+// The gather with BMI2. It repeats GatherLoop around the instruction
+// rather than sharing it, because GCC refuses to inline a BMI2 intrinsic
+// into an always-inline helper that is not itself compiled for BMI2.
+// (Unused in a build that targets POPCNT but not BMI2.)
+[[maybe_unused]] __attribute__((target("bmi2,popcnt"))) void Bmi2Gather(
+    const Word* src, const GatherBlock* blocks, std::size_t n, Word* dst) {
+  for (std::size_t i = 0; i < n; ++i) {
+    PlaceBits(dst, blocks[i].dst_bit,
+              _pext_u64(src[blocks[i].src_word], blocks[i].mask));
+  }
+}
+
+#endif
 
 #if defined(__POPCNT__)
 
@@ -154,10 +167,7 @@ std::size_t RunRank(const ElementId* ids, std::size_t k, const Word* mask,
 
 void RunGather(const Word* src, const GatherBlock* blocks, std::size_t n,
                Word* dst) {
-  for (std::size_t i = 0; i < n; ++i) {
-    PlaceBits(dst, blocks[i].dst_bit,
-              _pext_u64(src[blocks[i].src_word], blocks[i].mask));
-  }
+  Bmi2Gather(src, blocks, n, dst);
 }
 
 std::string_view ActiveGatherName() { return "native-bmi2"; }
@@ -250,14 +260,6 @@ __attribute__((target("popcnt"))) void PopcntGather(const Word* src,
                                                     const GatherBlock* blocks,
                                                     std::size_t n, Word* dst) {
   GatherLoop(src, blocks, n, dst);
-}
-
-__attribute__((target("bmi2,popcnt"))) void Bmi2Gather(
-    const Word* src, const GatherBlock* blocks, std::size_t n, Word* dst) {
-  for (std::size_t i = 0; i < n; ++i) {
-    PlaceBits(dst, blocks[i].dst_bit,
-              _pext_u64(src[blocks[i].src_word], blocks[i].mask));
-  }
 }
 
 constexpr KernelSet kPopcnt = {

@@ -129,9 +129,10 @@ void ForEachSetBit(const std::uint64_t* a, std::size_t n, Fn&& fn) {
 /// not get it.
 std::string_view WordKernelName();
 
-/// Name of the build the projection calls (PrefixPopcountWords,
+/// Name of the kernel set the projection calls (PrefixPopcountWords,
 /// GatherWords, RankMembers*) run: "native-bmi2" or "native-popcnt" (no
-/// dispatch), "bmi2" or "popcnt" (picked at run time) or "portable".
+/// dispatch), "bmi2" (the POPCNT set with a pext gather) or "popcnt"
+/// (picked at run time) or "portable".
 std::string_view GatherKernelName();
 
 }  // namespace streamsc

@@ -267,22 +267,18 @@ TEST(WordKernelsTest, HardwarePopcountIsActiveWhenTheCpuHasIt) {
 }
 
 TEST(WordKernelsTest, Bmi2GatherIsActiveWhenTheCpuHasIt) {
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-  __builtin_cpu_init();
-  const bool popcnt = __builtin_cpu_supports("popcnt");
-  const bool bmi2 = __builtin_cpu_supports("bmi2");
 #if defined(__POPCNT__) && defined(__BMI2__)
-  (void)popcnt;
-  (void)bmi2;
   EXPECT_EQ(GatherKernelName(), "native-bmi2");
 #elif defined(__POPCNT__)
-  (void)popcnt;
-  (void)bmi2;
   EXPECT_EQ(GatherKernelName(), "native-popcnt");
-#else
-  EXPECT_EQ(GatherKernelName(),
-            !popcnt ? "portable" : (bmi2 ? "bmi2" : "popcnt"));
-#endif
+#elif defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+  __builtin_cpu_init();
+  if (!__builtin_cpu_supports("popcnt")) {
+    EXPECT_EQ(GatherKernelName(), "portable");
+  } else {
+    EXPECT_EQ(GatherKernelName(),
+              __builtin_cpu_supports("bmi2") ? "bmi2" : "popcnt");
+  }
 #else
   EXPECT_EQ(GatherKernelName(), "portable");
 #endif

@@ -60,8 +60,8 @@ void RunFamily(const std::string& family, const SetSystem& system,
     table.BeginRow();
     table.AddCell(family);
     table.AddCell("one-shot (Assadi)");
-    table.AddCell(result.passes);
-    table.AddCell(static_cast<double>(result.peak_space_bytes) * 8.0, 0);
+    table.AddCell(result.stats.passes);
+    table.AddCell(static_cast<double>(result.stats.peak_space_bytes) * 8.0, 0);
     table.AddCell(static_cast<std::uint64_t>(result.solution.size()));
     table.AddCell(result.feasible ? "yes" : "NO");
   }
@@ -75,8 +75,8 @@ void RunFamily(const std::string& family, const SetSystem& system,
     table.BeginRow();
     table.AddCell(family);
     table.AddCell("iterative (Har-Peled)");
-    table.AddCell(result.passes);
-    table.AddCell(static_cast<double>(result.peak_space_bytes) * 8.0, 0);
+    table.AddCell(result.stats.passes);
+    table.AddCell(static_cast<double>(result.stats.peak_space_bytes) * 8.0, 0);
     table.AddCell(static_cast<std::uint64_t>(result.solution.size()));
     table.AddCell(result.feasible ? "yes" : "NO");
   }

@@ -38,8 +38,8 @@ void EpsSweepSingleGuess() {
     table.AddCell(static_cast<std::uint64_t>(result.solution.size()));
     table.AddCell(budget, 1);
     table.AddCell(result.within_budget ? "yes" : "NO");
-    table.AddCell(result.passes);
-    table.AddCell(static_cast<double>(result.peak_space_bytes) * 8, 0);
+    table.AddCell(result.stats.passes);
+    table.AddCell(static_cast<double>(result.stats.peak_space_bytes) * 8, 0);
   }
   table.Print(std::cout);
   std::cout << "# expect: solutions within budget at every eps; space "

@@ -36,7 +36,6 @@
 #include "instance/set_system.h"
 #include "stream/engine_context.h"
 #include "stream/parallel_pass_engine.h"
-#include "stream/stream_adapters.h"
 #include "testing/alloc_counter.h"
 #include "util/arena.h"
 #include "util/check.h"

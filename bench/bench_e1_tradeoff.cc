@@ -51,13 +51,13 @@ void SweepAlpha() {
             SafeLog(static_cast<double>(m)) / (eps) +
         static_cast<double>(n);
     const double measured_bits =
-        static_cast<double>(result.peak_space_bytes) * 8.0;
+        static_cast<double>(result.stats.peak_space_bytes) * 8.0;
     table.BeginRow();
     table.AddCell(static_cast<std::uint64_t>(alpha));
-    table.AddCell(result.passes);
+    table.AddCell(result.stats.passes);
     table.AddCell(static_cast<std::uint64_t>(result.solution.size()));
     table.AddCell(static_cast<double>(result.solution.size()) / opt, 2);
-    table.AddCell(HumanBytes(result.peak_space_bytes));
+    table.AddCell(HumanBytes(result.stats.peak_space_bytes));
     table.AddCell(measured_bits, 0);
     table.AddCell(predicted_bits, 0);
     table.AddCell(measured_bits / predicted_bits, 3);
@@ -83,7 +83,8 @@ void SweepN() {
     AssadiSetCover algorithm(config);
     Rng run_rng(200 + n);
     const GuessResult result = algorithm.RunWithGuess(stream, opt, run_rng);
-    const double bits = static_cast<double>(result.peak_space_bytes) * 8.0;
+    const double bits =
+        static_cast<double>(result.stats.peak_space_bytes) * 8.0;
     const double norm =
         bits / (static_cast<double>(m) * NthRoot(n, 2.0) *
                 SafeLog(static_cast<double>(m)));
@@ -92,7 +93,7 @@ void SweepN() {
     table.AddCell(bits, 0);
     table.AddCell(NthRoot(n, 2.0), 1);
     table.AddCell(norm, 3);
-    table.AddCell(result.passes);
+    table.AddCell(result.stats.passes);
   }
   table.Print(std::cout);
   std::cout << "# expect: last column roughly flat (constant band) while "
@@ -116,7 +117,8 @@ void SweepM() {
     AssadiSetCover algorithm(config);
     Rng run_rng(300 + m);
     const GuessResult result = algorithm.RunWithGuess(stream, opt, run_rng);
-    const double bits = static_cast<double>(result.peak_space_bytes) * 8.0;
+    const double bits =
+        static_cast<double>(result.stats.peak_space_bytes) * 8.0;
     table.BeginRow();
     table.AddCell(static_cast<std::uint64_t>(m));
     table.AddCell(bits, 0);

@@ -54,7 +54,7 @@ void SweepSamplingBoost() {
       Rng run_rng(trial + 5);
       const GuessResult result =
           algorithm.RunWithGuess(stream, opt_guess, run_rng);
-      space_sum += static_cast<double>(result.peak_space_bytes) * 8.0;
+      space_sum += static_cast<double>(result.stats.peak_space_bytes) * 8.0;
       ratio_sum += static_cast<double>(result.solution.size()) /
                    static_cast<double>(opt_guess);
       residual_sum += static_cast<double>(result.residual_after_iterations);
@@ -93,15 +93,15 @@ void SpaceTimesPasses() {
     AssadiSetCover algorithm(config);
     Rng run_rng(alpha + 77);
     const GuessResult result = algorithm.RunWithGuess(stream, opt, run_rng);
-    const double ps = static_cast<double>(result.passes) *
-                      static_cast<double>(result.peak_space_bytes) * 8.0;
+    const double ps = static_cast<double>(result.stats.passes) *
+                      static_cast<double>(result.stats.peak_space_bytes) * 8.0;
     const double bound =
         static_cast<double>(m) *
         NthRoot(static_cast<double>(n), static_cast<double>(alpha));
     table.BeginRow();
     table.AddCell(static_cast<std::uint64_t>(alpha));
-    table.AddCell(result.passes);
-    table.AddCell(static_cast<double>(result.peak_space_bytes) * 8.0, 0);
+    table.AddCell(result.stats.passes);
+    table.AddCell(static_cast<double>(result.stats.peak_space_bytes) * 8.0, 0);
     table.AddCell(ps, 0);
     table.AddCell(bound, 0);
     table.AddCell(ps / bound, 2);

@@ -51,13 +51,13 @@ int main(int argc, char** argv) {
     const GuessResult result = algorithm.RunWithGuess(stream, opt, run_rng);
     table.BeginRow();
     table.AddCell(static_cast<std::uint64_t>(alpha));
-    table.AddCell(result.passes);
+    table.AddCell(result.stats.passes);
     table.AddCell(static_cast<std::uint64_t>(result.solution.size()));
     table.AddCell(static_cast<double>(result.solution.size()) /
                       static_cast<double>(opt),
                   2);
-    table.AddCell(HumanBytes(result.peak_space_bytes));
-    table.AddCell(static_cast<double>(result.peak_space_bytes) * 8, 0);
+    table.AddCell(HumanBytes(result.stats.peak_space_bytes));
+    table.AddCell(static_cast<double>(result.stats.peak_space_bytes) * 8, 0);
     table.AddCell(static_cast<double>(m) *
                       NthRoot(static_cast<double>(n),
                               static_cast<double>(alpha)),

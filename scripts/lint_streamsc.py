@@ -47,6 +47,12 @@ raw-popcount  No `std::popcount`, `__builtin_popcount*`, popcnt or pext
               POPCNT/BMI2 once per process. Elsewhere the default build
               (no -mpopcnt) compiles a popcount to a libgcc
               `__popcountdi2` call per word.
+raw-pass      No `BeginPass(` or `Next(&` outside src/stream, src/storage
+              and src/dynamic (the layers that implement streams and
+              their pass primitives): every other layer passes over a
+              stream through EngineContext, whose engine.passes counter
+              is the run's reported pass count. A pass driven around it
+              would be missing from every report.
 
 Usage
 -----
@@ -107,6 +113,13 @@ POPCOUNT_RE = re.compile(
 
 # The one file that may count and gather bits with the builtins.
 POPCOUNT_HOME = "src/util/word_kernels.cc"
+
+RAW_PASS_RE = re.compile(
+    r"(?<![_A-Za-z0-9])(?:BeginPass\s*\(|Next\s*\(\s*&)")
+
+# Layers that implement streams and their pass primitives; everything
+# else passes over a stream through EngineContext.
+RAW_PASS_EXEMPT_LAYERS = {"stream", "storage", "dynamic"}
 
 # Layers that may touch std::chrono directly: util/ owns Stopwatch, obs/
 # owns TraceRecorder's clock. Everything else must time through those.
@@ -259,6 +272,12 @@ def lint_file(path: pathlib.Path, layer: str,
                 "kernels (CountAndWords, PopcountWords, GatherWords, "
                 "RankMembers, ...), which bind the hardware instruction "
                 "once per process"))
+        if layer not in RAW_PASS_EXEMPT_LAYERS and RAW_PASS_RE.search(line):
+            violations.append(Violation(
+                rel, lineno, "raw-pass",
+                "direct BeginPass()/Next(&) outside stream//storage//"
+                "dynamic/ — pass over the stream through an EngineContext "
+                "primitive, which counts the pass in engine.passes"))
     return violations
 
 
@@ -292,7 +311,7 @@ def main() -> int:
 
     if args.list_rules:
         for rule in ("layer-dag", "raw-assert", "determinism", "engine-ptr",
-                     "arena-ptr", "chrono", "raw-popcount"):
+                     "arena-ptr", "chrono", "raw-popcount", "raw-pass"):
             print(rule)
         return 0
 

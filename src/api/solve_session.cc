@@ -9,6 +9,7 @@
 #include "obs/trace.h"
 #include "storage/mmap_set_stream.h"
 #include "stream/engine_context.h"
+#include "util/space_meter.h"
 #include "util/stopwatch.h"
 
 namespace streamsc {
@@ -38,6 +39,10 @@ CounterId DynDeltaRecords() {
   static const CounterId id = CounterId::Gauge("dynamic.delta_records");
   return id;
 }
+
+// Metering categories of a warm start: U and the re-used solution ids.
+const SpaceCategory kUncoveredCat("uncovered");
+const SpaceCategory kSolutionCat("solution");
 
 // Warm start is refused when the delta invalidated at least half of the
 // previous solution: re-covering that much residue approaches a cold
@@ -357,7 +362,6 @@ StatusOr<SolveReport> SolveSession::RunWarmStart(
   Stopwatch timer;
   EngineContext ctx(*stream_, context);
   const TraceSpan span(trace_, TraceCategory::kPhase, "dynamic.warm_resolve");
-  const std::uint64_t passes_before = stream_->passes();
 
   // The surviving prefix is kept verbatim; subtracting it leaves exactly
   // the residue the delta exposed, which one cleanup pass re-covers. With
@@ -365,6 +369,7 @@ StatusOr<SolveReport> SolveSession::RunWarmStart(
   // reproduced byte-for-byte.
   DynamicBitset uncovered = DynamicBitset::Full(
       stream_->universe_size(), ctx.alloc<DynamicBitset::Word>());
+  ctx.meter().Charge(uncovered.ByteSize(), kUncoveredCat);
   Solution solution(context.arena);
   solution.chosen.assign(prefix.begin(), prefix.end());
   ctx.SubtractPass(std::span<const SetId>(prefix), uncovered);
@@ -373,17 +378,18 @@ StatusOr<SolveReport> SolveSession::RunWarmStart(
     ctx.CoverResiduePass(uncovered,
                          [&](SetId id) { solution.chosen.push_back(id); });
   }
+  ctx.meter().Charge(solution.chosen.size() * sizeof(SetId), kSolutionCat);
 
   SolveReport report;
   report.solver = memo_solver_;
   report.algorithm = memo_algorithm_;
   report.kind = SolverKind::kSetCover;
   report.feasible = uncovered.None();
-  report.passes = stream_->passes() - passes_before;
-  report.peak_space_bytes =
-      uncovered.ByteSize() + solution.chosen.size() * sizeof(SetId);
+  const StreamRunStats stats = ctx.Stats();
+  report.passes = stats.passes;
+  report.peak_space_bytes = stats.peak_space_bytes;
   report.solution = std::move(solution);
-  report.counters.MergeFrom(ctx.counters());
+  report.counters.MergeFrom(stats.counters);
   report.warm_start = true;
   report.surviving_prefix = prefix.size();
   report.residue_elements = residue;

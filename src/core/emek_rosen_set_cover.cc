@@ -38,7 +38,6 @@ std::size_t EmekRosenSetCover::ThresholdFor(std::size_t n) const {
 SetCoverRunResult EmekRosenSetCover::Run(SetStream& stream,
                                          const RunContext& context) {
   const std::size_t n = stream.universe_size();
-  const std::uint64_t passes_before = stream.passes();
   // An explicit threshold above n silently disables the "big set" rule —
   // the O(√n) bound degrades to witness-only O(n) without any signal.
   // That is a configuration bug, not a parameter choice.
@@ -49,8 +48,8 @@ SetCoverRunResult EmekRosenSetCover::Run(SetStream& stream,
   const std::size_t theta = ThresholdFor(n);
 
   SetCoverRunResult result;
-  SpaceMeter meter;
   EngineContext ctx(stream, context);
+  SpaceMeter& meter = ctx.meter();
 
   // Run-lived state (the uncovered bitset, the witness array, the
   // solution ids) on the run arena.
@@ -124,9 +123,7 @@ SetCoverRunResult EmekRosenSetCover::Run(SetStream& stream,
 
   result.solution = std::move(solution);
   result.feasible = uncovered.None();
-  result.stats.passes = stream.passes() - passes_before;
-  result.stats.peak_space_bytes = meter.peak();
-  result.stats.counters = ctx.counters();
+  result.stats = ctx.Stats();
   return result;
 }
 

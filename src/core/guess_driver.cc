@@ -8,6 +8,7 @@
 #include "offline/exact_set_cover.h"
 #include "offline/greedy.h"
 #include "util/check.h"
+#include "util/space_meter.h"
 
 namespace streamsc {
 namespace {
@@ -71,7 +72,6 @@ GuessRun::GuessRun(SetStream& stream, const RunContext& context,
                    std::size_t opt_guess, double budget_factor,
                    SubsolveMemo* memo)
     : memo_(memo),
-      passes_before_(stream.passes()),
       opt_guess_(opt_guess),
       budget_(budget_factor * static_cast<double>(opt_guess)),
       ctx_(stream, context),
@@ -80,12 +80,12 @@ GuessRun::GuessRun(SetStream& stream, const RunContext& context,
       uncovered_(DynamicBitset::Full(stream.universe_size(),
                                      ctx_.alloc<DynamicBitset::Word>())),
       solution_(ctx_.alloc<SetId>()) {
-  meter_.Charge(uncovered_.ByteSize(), kUncoveredCat);
+  ctx_.meter().Charge(uncovered_.ByteSize(), kUncoveredCat);
 }
 
 void GuessRun::Take(SetId id) {
   solution_.chosen.push_back(id);
-  meter_.SetCategory(SolutionBytes(solution_.size()), kSolutionCat);
+  ctx_.meter().SetCategory(SolutionBytes(solution_.size()), kSolutionCat);
 }
 
 void GuessRun::Prune(double threshold) {
@@ -96,7 +96,7 @@ void GuessRun::Prune(double threshold) {
 void GuessRun::TakeAndSubtract(const ArenaVector<SetId>& chosen) {
   solution_.chosen.insert(solution_.chosen.end(), chosen.begin(),
                           chosen.end());
-  meter_.SetCategory(SolutionBytes(solution_.size()), kSolutionCat);
+  ctx_.meter().SetCategory(SolutionBytes(solution_.size()), kSolutionCat);
   ctx_.RecordTakes(chosen.size(), 0);
 
   // (d) One pass subtracting the chosen sets' *full* contents from U.
@@ -115,8 +115,8 @@ bool GuessRun::Step(double rate, Rng& rng, const char* subsolve_span,
     CountSubsolveMemoHit(ctx_.counters());
     // The memo stands in for the projections the step would have
     // stored, so the guess's space is that of the memo-less step.
-    meter_.Charge(memo_->projection_bytes_, kSubsolveMemoCat);
-    meter_.Release(memo_->projection_bytes_, kSubsolveMemoCat);
+    ctx_.meter().Charge(memo_->projection_bytes_, kSubsolveMemoCat);
+    ctx_.meter().Release(memo_->projection_bytes_, kSubsolveMemoCat);
     if (!memo_->solved_) return false;
     TakeAndSubtract(memo_->chosen_);
     return true;
@@ -151,8 +151,8 @@ bool GuessRun::Step(double rate, Rng& rng, const char* subsolve_span,
       },
       [&](const StreamItem& it, ProjectedSet proj) {
         const SetId pid = StoreProjection(projections, std::move(proj));
-        meter_.Charge(projections.SetBytes(pid) + sizeof(SetId),
-                      kProjectionsCat);
+        ctx_.meter().Charge(projections.SetBytes(pid) + sizeof(SetId),
+                            kProjectionsCat);
         projection_ids.push_back(it.id);
       });
 
@@ -169,8 +169,9 @@ bool GuessRun::Step(double rate, Rng& rng, const char* subsolve_span,
   }
   for (SetId& id : chosen) id = projection_ids[id];
   // Stored projections are dropped once the sub-instance is solved.
-  const Bytes projection_bytes = meter_.CategoryCurrent(kProjectionsCat);
-  meter_.Release(projection_bytes, kProjectionsCat);
+  const Bytes projection_bytes =
+      ctx_.meter().CategoryCurrent(kProjectionsCat);
+  ctx_.meter().Release(projection_bytes, kProjectionsCat);
   if (memoizable) memo_->Store(uncovered_, solved, chosen, projection_bytes);
   if (!solved) return false;
 
@@ -221,9 +222,7 @@ GuessResult GuessRun::Finish(bool guess_ok, bool cover_residue) {
   result.within_budget =
       result.feasible && static_cast<double>(solution_.size()) <= budget_;
   result.solution = std::move(solution_);
-  result.passes = ctx_.stream().passes() - passes_before_;
-  result.peak_space_bytes = meter_.peak();
-  result.counters = ctx_.counters();
+  result.stats = ctx_.Stats();
   return result;
 }
 
@@ -240,7 +239,6 @@ SetCoverRunResult RunGuesses(
     FunctionRef<GuessResult(std::size_t opt_guess, Rng& rng,
                             SubsolveMemo& memo)>
         run_guess) {
-  const std::uint64_t passes_before = stream.passes();
   Rng rng(seed);
   SubsolveMemo memo(context.arena);
   SetCoverRunResult out;
@@ -249,9 +247,7 @@ SetCoverRunResult RunGuesses(
     TraceSpan guess_span(context.trace, TraceCategory::kPhase, "guess");
     guess_span.AddArg("opt_guess", guess);
     GuessResult r = run_guess(guess, rng, memo);
-    out.stats.peak_space_bytes =
-        std::max(out.stats.peak_space_bytes, r.peak_space_bytes);
-    out.stats.counters.MergeFrom(r.counters);
+    out.stats.MergeFrom(r.stats);
     if (!r.within_budget) return false;
     out.solution = std::move(r.solution);
     out.feasible = true;
@@ -270,8 +266,6 @@ SetCoverRunResult RunGuesses(
       if (try_guess(guess)) break;
     }
   }
-
-  out.stats.passes = stream.passes() - passes_before;
   return out;
 }
 

@@ -10,7 +10,6 @@
 #include "util/bitset.h"
 #include "util/function_ref.h"
 #include "util/random.h"
-#include "util/space_meter.h"
 
 /// \file guess_driver.h
 /// The shape Algorithm 1 (Theorem 2) shares with its two baselines,
@@ -44,10 +43,8 @@ struct GuessResult {
   Solution solution;
   bool feasible = false;         ///< Covered everything.
   bool within_budget = false;    ///< Feasible with ≤ budget_factor·õpt sets.
-  std::uint64_t passes = 0;
-  Bytes peak_space_bytes = 0;
   std::uint64_t residual_after_iterations = 0;  ///< |U| left before cleanup.
-  CounterSet counters;  ///< Per-guess engine and sub-solver counters.
+  StreamRunStats stats;  ///< The guess's passes, peak space and counters.
 };
 
 /// Solves a projected sub-instance: writes the chosen local set ids into
@@ -80,8 +77,8 @@ class SubsolveMemo {
   ArenaVector<SetId> chosen_;
 };
 
-/// The state of one guess: its engine context, space meter, uncovered
-/// elements U and solution so far.
+/// The state of one guess: its engine context (the guess's ledger of
+/// passes, space and counters), uncovered elements U and solution so far.
 class GuessRun {
  public:
   /// A guess succeeds with a feasible cover of at most
@@ -135,11 +132,9 @@ class GuessRun {
   void TakeAndSubtract(const ArenaVector<SetId>& chosen);
 
   SubsolveMemo* memo_;
-  std::uint64_t passes_before_;
   std::size_t opt_guess_;
   double budget_;
   EngineContext ctx_;
-  SpaceMeter meter_;
   DynamicBitset uncovered_;
   Solution solution_;
 };

@@ -47,12 +47,11 @@ MaxCoverageRunResult ElementSamplingMaxCoverage::Run(
     SetStream& stream, std::size_t k, const RunContext& context) {
   const std::size_t n = stream.universe_size();
   const std::size_t m = stream.num_sets();
-  const std::uint64_t passes_before = stream.passes();
   Rng rng(config_.seed);
 
   MaxCoverageRunResult result;
-  SpaceMeter meter;
   EngineContext ctx(stream, context);
+  SpaceMeter& meter = ctx.meter();
 
   // Everything here is run-lived (one sample, one projection store, one
   // solve): it all goes straight on the run arena.
@@ -122,9 +121,7 @@ MaxCoverageRunResult ElementSamplingMaxCoverage::Run(
   result.coverage = covered.CountSet();
   ctx.RecordTakes(result.solution.size(), result.coverage);
 
-  result.stats.passes = stream.passes() - passes_before;
-  result.stats.peak_space_bytes = meter.peak();
-  result.stats.counters = ctx.counters();
+  result.stats = ctx.Stats();
   return result;
 }
 
@@ -141,10 +138,8 @@ std::string SieveMaxCoverage::name() const {
 MaxCoverageRunResult SieveMaxCoverage::Run(SetStream& stream, std::size_t k,
                                            const RunContext& context) {
   const std::size_t n = stream.universe_size();
-  const std::uint64_t passes_before = stream.passes();
 
   MaxCoverageRunResult result;
-  SpaceMeter meter;
   EngineContext ctx(stream, context);
 
   // One candidate solution per OPT guess v on the grid (1+ε)^j in
@@ -165,7 +160,8 @@ MaxCoverageRunResult SieveMaxCoverage::Run(SetStream& stream, std::size_t k,
         Candidate{v, DynamicBitset(n, ctx.alloc<DynamicBitset::Word>()),
                   ArenaVector<SetId>(ctx.alloc<SetId>())});
     candidates.back().chosen.reserve(k);
-    meter.Charge(candidates.back().covered.ByteSize(), kCandidatesCat);
+    ctx.meter().Charge(candidates.back().covered.ByteSize(),
+                       kCandidatesCat);
   }
 
   // Every guess is an independent lane: its take decisions depend only on
@@ -218,9 +214,7 @@ MaxCoverageRunResult SieveMaxCoverage::Run(SetStream& stream, std::size_t k,
     result.coverage = best_coverage;
   }
 
-  result.stats.passes = stream.passes() - passes_before;
-  result.stats.peak_space_bytes = meter.peak();
-  result.stats.counters = ctx.counters();
+  result.stats = ctx.Stats();
   return result;
 }
 

@@ -30,14 +30,12 @@ std::string OnePassSetCover::name() const {
 SetCoverRunResult OnePassSetCover::Run(SetStream& stream,
                                        const RunContext& context) {
   const std::size_t n = stream.universe_size();
-  const std::uint64_t passes_before = stream.passes();
 
   SetCoverRunResult result;
-  SpaceMeter meter;
   EngineContext ctx(stream, context);
   DynamicBitset uncovered =
       DynamicBitset::Full(n, ctx.alloc<DynamicBitset::Word>());
-  meter.Charge(uncovered.ByteSize(), kUncoveredCat);
+  ctx.meter().Charge(uncovered.ByteSize(), kUncoveredCat);
   Solution solution(ctx.alloc<SetId>());
 
   // The acceptance bar max(1, frac·|U|) shrinks together with |U|, so
@@ -54,7 +52,7 @@ SetCoverRunResult OnePassSetCover::Run(SetStream& stream,
                  static_cast<double>(uncovered.CountSet()));
     if (static_cast<double>(gain) >= needed) {
       solution.chosen.push_back(item.id);
-      meter.SetCategory(solution.size() * sizeof(SetId), kSolutionCat);
+      ctx.meter().SetCategory(solution.size() * sizeof(SetId), kSolutionCat);
       item.set.AndNotInto(uncovered);
       ctx.RecordTake(gain);
     }
@@ -62,9 +60,7 @@ SetCoverRunResult OnePassSetCover::Run(SetStream& stream,
 
   result.solution = std::move(solution);
   result.feasible = uncovered.None();
-  result.stats.passes = stream.passes() - passes_before;
-  result.stats.peak_space_bytes = meter.peak();
-  result.stats.counters = ctx.counters();
+  result.stats = ctx.Stats();
   return result;
 }
 

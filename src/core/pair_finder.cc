@@ -32,11 +32,10 @@ PairFinderResult ExactPairFinder::Run(SetStream& stream,
   const std::size_t n = stream.universe_size();
   const std::size_t m = stream.num_sets();
   const std::size_t p = std::min(config_.passes, std::max<std::size_t>(n, 1));
-  const std::uint64_t passes_before = stream.passes();
 
   PairFinderResult result;
-  SpaceMeter meter;
   EngineContext ctx(stream, context);
+  SpaceMeter& meter = ctx.meter();
   result.solution = Solution(ctx.alloc<SetId>());
 
   // Candidate pairs (i <= j) surviving all chunks seen so far. Seeded from
@@ -188,9 +187,7 @@ PairFinderResult ExactPairFinder::Run(SetStream& stream,
       result.solution.chosen[0] == result.solution.chosen[1]) {
     result.solution.chosen.pop_back();  // single-set cover
   }
-  result.stats.passes = stream.passes() - passes_before;
-  result.stats.peak_space_bytes = meter.peak();
-  result.stats.counters = ctx.counters();
+  result.stats = ctx.Stats();
   return result;
 }
 

@@ -30,19 +30,17 @@ std::string ThresholdGreedySetCover::name() const {
 SetCoverRunResult ThresholdGreedySetCover::Run(SetStream& stream,
                                                const RunContext& context) {
   const std::size_t n = stream.universe_size();
-  const std::uint64_t passes_before = stream.passes();
 
   SetCoverRunResult result;
-  SpaceMeter meter;
   EngineContext ctx(stream, context);
   DynamicBitset uncovered =
       DynamicBitset::Full(n, ctx.alloc<DynamicBitset::Word>());
-  meter.Charge(uncovered.ByteSize(), kUncoveredCat);
+  ctx.meter().Charge(uncovered.ByteSize(), kUncoveredCat);
   Solution solution(ctx.alloc<SetId>());
 
   const auto take = [&](SetId id) {
     solution.chosen.push_back(id);
-    meter.SetCategory(solution.size() * sizeof(SetId), kSolutionCat);
+    ctx.meter().SetCategory(solution.size() * sizeof(SetId), kSolutionCat);
   };
 
   // Thresholds n, n/β, n/β², ..., ending with a final pass at exactly 1 —
@@ -63,9 +61,7 @@ SetCoverRunResult ThresholdGreedySetCover::Run(SetStream& stream,
 
   result.solution = std::move(solution);
   result.feasible = uncovered.None();
-  result.stats.passes = stream.passes() - passes_before;
-  result.stats.peak_space_bytes = meter.peak();
-  result.stats.counters = ctx.counters();
+  result.stats = ctx.Stats();
   return result;
 }
 

@@ -12,7 +12,6 @@ namespace {
 
 using sscd1::FileHeader;
 using sscd1::RecordHeader;
-using Word = DynamicBitset::Word;
 
 Status Malformed(const std::string& what) {
   return Status::InvalidArgument("sscd1: " + what);
@@ -101,7 +100,6 @@ Status DeltaLog::Load(const std::string& path) {
   base_num_sets_ = header.base_num_sets;
   record_count_ = header.record_count;
 
-  const std::size_t word_count = (universe_size_ + 63) / 64;
   std::uint64_t offset = sizeof(FileHeader);
   for (std::uint64_t i = 0; i < record_count_; ++i) {
     const std::string where = "record " + std::to_string(i) + ": ";
@@ -125,47 +123,13 @@ Status DeltaLog::Load(const std::string& path) {
       }
       case sscd1::kAddSet:
       case sscd1::kReplaceSet: {
-        const std::byte* payload = file_.data() + offset + sizeof(record);
         Slot slot;
         slot.version = i + 1;
-        if (record.rep == sscb1::kDense) {
-          const Word* words = reinterpret_cast<const Word*>(payload);
-          // Same tail invariant as sscb1: phantom bits beyond n would
-          // silently corrupt counts and projections.
-          if (universe_size_ % 64 != 0 && word_count > 0) {
-            const Word tail_mask = ~Word{0} << (universe_size_ % 64);
-            if ((words[word_count - 1] & tail_mask) != 0) {
-              return Malformed(
-                  where + "dense tail bits beyond the universe are set");
-            }
-          }
-          DenseSpan span(words, universe_size_);
-          if (span.CountSet() != record.count) {
-            return Malformed(where +
-                             "payload popcount mismatches the record count");
-          }
-          slot.payload = span;
-        } else {
-          const ElementId* ids = reinterpret_cast<const ElementId*>(payload);
-          for (std::uint32_t k = 0; k < record.count; ++k) {
-            if (ids[k] >= universe_size_) {
-              return Malformed(where + "element out of range");
-            }
-            if (k > 0 && ids[k] <= ids[k - 1]) {
-              return Malformed(where + "elements not strictly increasing");
-            }
-          }
-          // The pad bytes are part of the record; require them zero so a
-          // log has exactly one byte representation per logical content.
-          const std::uint64_t raw = record.count * sizeof(ElementId);
-          const std::uint64_t padded = sscb1::SparsePayloadBytes(record.count);
-          for (std::uint64_t b = raw; b < padded; ++b) {
-            if (payload[b] != std::byte{0}) {
-              return Malformed(where + "nonzero sparse payload padding");
-            }
-          }
-          slot.payload = SparseSpan(ids, record.count, universe_size_);
-        }
+        const char* const fault = CheckSetPayload(
+            file_.data() + offset + sizeof(record),
+            record.rep == sscb1::kSparse, record.count, universe_size_,
+            PayloadCountSource::kRecord, &slot.payload);
+        if (fault != nullptr) return Malformed(where + fault);
         if (record.type == sscd1::kAddSet) {
           appended_.push_back(slot);
         } else {
@@ -201,12 +165,10 @@ SetView DeltaLog::slot_view(std::uint64_t slot) const {
 
 DeltaLogWriter::DeltaLogWriter(const std::string& path,
                                std::size_t universe_size,
-                               std::size_t base_num_sets,
-                               double sparsity_threshold)
+                               std::size_t base_num_sets)
     : path_(path),
       universe_size_(universe_size),
-      base_num_sets_(base_num_sets),
-      sparsity_threshold_(sparsity_threshold) {
+      base_num_sets_(base_num_sets) {
   status_ = sscb1::CheckHostEndianness();
   if (!status_.ok()) return;
   if (universe_size > sscd1::kMaxDimension ||
@@ -234,9 +196,7 @@ DeltaLogWriter::DeltaLogWriter(const std::string& path,
   out_.flush();
 }
 
-DeltaLogWriter::DeltaLogWriter(const std::string& path,
-                               double sparsity_threshold)
-    : path_(path), sparsity_threshold_(sparsity_threshold) {
+DeltaLogWriter::DeltaLogWriter(const std::string& path) : path_(path) {
   // Full reader replay first: append mode refuses to extend a log it
   // could not itself read back, and the replay hands us the liveness
   // state the new records must be validated against.
@@ -281,8 +241,7 @@ Status DeltaLogWriter::WritePayloadRecord(sscd1::RecordType type,
         "sscd1: set universe size mismatches the log header"));
   }
   const Count count = set.CountSet();
-  const bool sparse = SetPayloadEncoder::StoresSparse(count, universe_size_,
-                                                      sparsity_threshold_);
+  const bool sparse = SetPayloadEncoder::StoresSparse(count, universe_size_);
 
   RecordHeader record = {};
   record.type = static_cast<std::uint16_t>(type);

@@ -138,19 +138,15 @@ class DeltaLogWriter {
  public:
   /// Create mode: truncates \p path to an empty log over a base of
   /// (\p universe_size, \p base_num_sets). Sets added or replaced are
-  /// stored dense or sparse by \p sparsity_threshold, the same rule as
-  /// SetSystem and the sscb1 writer.
-  DeltaLogWriter(
-      const std::string& path, std::size_t universe_size,
-      std::size_t base_num_sets,
-      double sparsity_threshold = SetSystem::kDefaultSparsityThreshold);
+  /// stored dense or sparse by SetSystem's default density rule, like the
+  /// sscb1 writer.
+  DeltaLogWriter(const std::string& path, std::size_t universe_size,
+                 std::size_t base_num_sets);
 
   /// Append mode: validates the existing log at \p path (full DeltaLog
   /// replay — liveness state carries over) and positions after its last
   /// record.
-  explicit DeltaLogWriter(
-      const std::string& path,
-      double sparsity_threshold = SetSystem::kDefaultSparsityThreshold);
+  explicit DeltaLogWriter(const std::string& path);
 
   DeltaLogWriter(const DeltaLogWriter&) = delete;
   DeltaLogWriter& operator=(const DeltaLogWriter&) = delete;
@@ -195,7 +191,6 @@ class DeltaLogWriter {
   std::string path_;
   std::size_t universe_size_ = 0;
   std::uint64_t base_num_sets_ = 0;
-  double sparsity_threshold_ = 0.0;
   std::uint64_t offset_ = 0;  // current write position (== file size)
   std::uint64_t record_count_ = 0;
   // Liveness as (slot count, tombstone set): like the reader's slot

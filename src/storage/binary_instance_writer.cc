@@ -25,12 +25,8 @@ FileHeader ProvisionalHeader(std::size_t universe_size, std::size_t num_sets) {
 
 BinaryInstanceWriter::BinaryInstanceWriter(const std::string& path,
                                            std::size_t universe_size,
-                                           std::size_t num_sets,
-                                           double sparsity_threshold)
-    : path_(path),
-      universe_size_(universe_size),
-      num_sets_(num_sets),
-      sparsity_threshold_(sparsity_threshold) {
+                                           std::size_t num_sets)
+    : path_(path), universe_size_(universe_size), num_sets_(num_sets) {
   status_ = sscb1::CheckHostEndianness();
   if (!status_.ok()) return;
   if (universe_size > sscb1::kMaxDimension || num_sets > sscb1::kMaxDimension) {
@@ -78,8 +74,7 @@ Status BinaryInstanceWriter::AddSet(SetView set) {
   }
 
   const Count count = set.CountSet();
-  const bool sparse = SetPayloadEncoder::StoresSparse(count, universe_size_,
-                                                      sparsity_threshold_);
+  const bool sparse = SetPayloadEncoder::StoresSparse(count, universe_size_);
 
   SetIndexEntry entry = {};
   entry.offset = offset_;

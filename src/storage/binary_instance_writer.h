@@ -29,10 +29,9 @@ class BinaryInstanceWriter {
  public:
   /// Opens \p path for writing and emits a provisional header. Check
   /// status() before use. Each added set is stored dense or sparse by
-  /// \p sparsity_threshold, the same rule as SetSystem.
-  BinaryInstanceWriter(
-      const std::string& path, std::size_t universe_size, std::size_t num_sets,
-      double sparsity_threshold = SetSystem::kDefaultSparsityThreshold);
+  /// SetSystem's default density rule.
+  BinaryInstanceWriter(const std::string& path, std::size_t universe_size,
+                       std::size_t num_sets);
 
   BinaryInstanceWriter(const BinaryInstanceWriter&) = delete;
   BinaryInstanceWriter& operator=(const BinaryInstanceWriter&) = delete;
@@ -70,7 +69,6 @@ class BinaryInstanceWriter {
   std::string path_;
   std::size_t universe_size_ = 0;
   std::size_t num_sets_ = 0;
-  double sparsity_threshold_ = 0.0;
   std::uint64_t offset_ = 0;  // current write position
   std::vector<sscb1::SetIndexEntry> index_;
   SetPayloadEncoder payload_;

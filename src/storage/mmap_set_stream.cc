@@ -3,6 +3,7 @@
 #include <cstring>
 #include <fstream>
 
+#include "storage/set_payload.h"
 #include "util/check.h"
 #include "util/file_probe.h"
 
@@ -12,7 +13,6 @@ namespace {
 
 using sscb1::FileHeader;
 using sscb1::SetIndexEntry;
-using Word = DynamicBitset::Word;
 
 Status Malformed(const std::string& what) {
   return Status::InvalidArgument("sscb1: " + what);
@@ -63,45 +63,18 @@ Status MmapSetStream::Load(const std::string& path) {
     if (!status.ok()) return status;
   }
 
-  const std::size_t word_count = (universe_size_ + 63) / 64;
   for (std::size_t id = 0; id < m; ++id) {
     const SetIndexEntry& entry = entries[id];
-    const std::byte* payload = file_.data() + entry.offset;
-    if (entry.rep == sscb1::kDense) {
-      const Word* words = reinterpret_cast<const Word*>(payload);
-      // Tail invariant: bits beyond n must be zero, or CountSet /
-      // projection results would silently include phantom elements.
-      if (universe_size_ % 64 != 0 && word_count > 0) {
-        const Word tail_mask = ~Word{0} << (universe_size_ % 64);
-        if ((words[word_count - 1] & tail_mask) != 0) {
-          return Malformed("set " + std::to_string(id) +
-                           ": dense tail bits beyond the universe are set");
-        }
-      }
-      DenseSpan span(words, universe_size_);
-      if (span.CountSet() != entry.count) {
-        return Malformed("set " + std::to_string(id) +
-                         ": payload popcount mismatches the index count");
-      }
-      sets_.push_back(span);
-    } else {
-      const ElementId* ids = reinterpret_cast<const ElementId*>(payload);
-      // Sorted, unique, in-range: everything SparseSpan's O(k) operations
-      // assume. Validating once here is what makes serving the payload
-      // verbatim safe.
-      for (std::size_t i = 0; i < entry.count; ++i) {
-        if (ids[i] >= universe_size_) {
-          return Malformed("set " + std::to_string(id) +
-                           ": element out of range");
-        }
-        if (i > 0 && ids[i] <= ids[i - 1]) {
-          return Malformed("set " + std::to_string(id) +
-                           ": elements not strictly increasing");
-        }
-      }
-      sets_.push_back(SparseSpan(ids, entry.count, universe_size_));
-      ++sparse_sets_;
+    const bool sparse = entry.rep == sscb1::kSparse;
+    SetView view;
+    const char* const fault =
+        CheckSetPayload(file_.data() + entry.offset, sparse, entry.count,
+                        universe_size_, PayloadCountSource::kIndex, &view);
+    if (fault != nullptr) {
+      return Malformed("set " + std::to_string(id) + ": " + fault);
     }
+    sets_.push_back(view);
+    if (sparse) ++sparse_sets_;
   }
   return Status::Ok();
 }

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "instance/set_system.h"
 #include "util/common.h"
 #include "util/function_ref.h"
 #include "util/set_view.h"
@@ -11,10 +12,10 @@
 /// \file set_payload.h
 /// The one encoder of a set's on-disk payload, shared by the sscb1 writer
 /// (storage/binary_instance_writer.h) and the sscd1 writer
-/// (dynamic/delta_log.h). Both formats store a set in one of the two
-/// shapes of storage/binary_format.h — ceil(n/64) dense words, or sorted
-/// 32-bit ids zero-padded to 8 bytes — chosen by the same density rule
-/// SetSystem uses.
+/// (dynamic/delta_log.h), and the one check their readers apply to it.
+/// Both formats store a set in one of the two shapes of
+/// storage/binary_format.h — ceil(n/64) dense words, or sorted 32-bit ids
+/// zero-padded to 8 bytes — chosen by SetSystem's default density rule.
 
 namespace streamsc {
 
@@ -26,11 +27,12 @@ class SetPayloadEncoder {
   using WriteFn = FunctionRef<bool(const void*, std::size_t)>;
 
   /// True iff a set of \p count members over \p universe_size elements is
-  /// stored sparse: its density is strictly below \p sparsity_threshold.
-  static bool StoresSparse(Count count, std::size_t universe_size,
-                           double sparsity_threshold) {
+  /// stored sparse: its density is strictly below
+  /// SetSystem::kDefaultSparsityThreshold.
+  static bool StoresSparse(Count count, std::size_t universe_size) {
     return static_cast<double>(count) <
-           sparsity_threshold * static_cast<double>(universe_size);
+           SetSystem::kDefaultSparsityThreshold *
+               static_cast<double>(universe_size);
   }
 
   /// Writes \p set's payload in the sparse (\p sparse) or dense shape
@@ -43,6 +45,23 @@ class SetPayloadEncoder {
  private:
   std::vector<ElementId> ids_;
 };
+
+/// Where a payload's member count is stated: an sscb1 index entry or an
+/// sscd1 record header (named in CheckSetPayload's popcount message).
+enum class PayloadCountSource { kIndex, kRecord };
+
+/// Checks one stored payload against the invariants of
+/// storage/binary_format.h and, when it holds them, points \p *view at
+/// it. \p payload is the payload's first byte, 8-byte aligned, with the
+/// full stored size (pad included) inside the mapping — the caller's
+/// index or record check. \p count is the member count \p source claims.
+/// Dense: no bit beyond the universe and a popcount equal to \p count.
+/// Sparse: ids in range and strictly increasing, pad bytes zero, so a set
+/// has one stored form. Returns null when the payload is well formed,
+/// else what is wrong.
+const char* CheckSetPayload(const std::byte* payload, bool sparse,
+                            Count count, std::size_t universe_size,
+                            PayloadCountSource source, SetView* view);
 
 }  // namespace streamsc
 

@@ -80,12 +80,21 @@ void EngineContext::GainScanPassNamed(
 
 void EngineContext::ThresholdPass(double threshold, DynamicBitset& uncovered,
                                   FunctionRef<void(SetId)> on_take) {
-  const auto take = [&](SetId id, Count gain) {
-    on_take(id);
-    RecordTake(gain);
-  };
-  const ThresholdTakeVisitor visitor(threshold, uncovered, take);
-  GainScanPassNamed("threshold", uncovered, visitor);
+  GainScanPassNamed(
+      "threshold", uncovered,
+      [&](const StreamItem& item, Count bound, bool bound_is_exact) {
+        // A below-threshold bound is a proof of ineligibility (gains only
+        // shrink); survivors are re-evaluated against the live
+        // `uncovered`, in order.
+        if (static_cast<double>(bound) < threshold) return;
+        const Count gain =
+            bound_is_exact ? bound : item.set.CountAnd(uncovered);
+        if (gain > 0 && static_cast<double>(gain) >= threshold) {
+          on_take(item.id);
+          RecordTake(gain);
+          item.set.AndNotInto(uncovered);
+        }
+      });
 }
 
 void EngineContext::IndependentScanPass(
@@ -112,6 +121,20 @@ void EngineContext::IndependentScanPass(
 
 void EngineContext::SubtractPass(std::span<const SetId> chosen,
                                  DynamicBitset& uncovered) {
+  ChosenSetsPass("subtract", chosen, &uncovered,
+                 [&](SetView set) { set.AndNotInto(uncovered); });
+}
+
+void EngineContext::UnionPass(std::span<const SetId> chosen,
+                              DynamicBitset& covered) {
+  ChosenSetsPass("union", chosen, nullptr,
+                 [&](SetView set) { set.OrInto(covered); });
+}
+
+void EngineContext::ChosenSetsPass(const char* name,
+                                   std::span<const SetId> chosen,
+                                   DynamicBitset* uncovered,
+                                   FunctionRef<void(SetView)> fold) {
   if (chosen.empty()) return;
   // Sort a scratch copy of the ids (the caller's order is not ours to
   // disturb) for the binary-search membership probe below.
@@ -120,36 +143,21 @@ void EngineContext::SubtractPass(std::span<const SetId> chosen,
   SetId* const sorted = scratch.Allocate<SetId>(chosen.size());
   std::copy(chosen.begin(), chosen.end(), sorted);
   std::sort(sorted, sorted + chosen.size());
-  const PassScope scope(*this, "subtract");
+  const PassScope scope(*this, name);
   BeginCountedPass();
-  const Count before = uncovered.CountSet();
+  // Two popcounts of U cost less than a CountAnd per chosen set.
+  const Count before = uncovered != nullptr ? uncovered->CountSet() : 0;
   stream_.BeginPass();
   StreamItem item;
-  while (stream_.Next(&item) && !uncovered.None()) {
+  while (stream_.Next(&item) &&
+         (uncovered == nullptr || !uncovered->None())) {
     if (std::binary_search(sorted, sorted + chosen.size(), item.id)) {
-      item.set.AndNotInto(uncovered);
+      fold(item.set);
     }
   }
-  counters_.Add(engine_counters::ElementsCovered(),
-                before - uncovered.CountSet());
-}
-
-void EngineContext::UnionPass(std::span<const SetId> chosen,
-                              DynamicBitset& covered) {
-  if (chosen.empty()) return;
-  MonotonicArena& scratch = ThreadScratchArena();
-  const ArenaCheckpoint checkpoint(scratch);
-  SetId* const sorted = scratch.Allocate<SetId>(chosen.size());
-  std::copy(chosen.begin(), chosen.end(), sorted);
-  std::sort(sorted, sorted + chosen.size());
-  const PassScope scope(*this, "union");
-  BeginCountedPass();
-  stream_.BeginPass();
-  StreamItem item;
-  while (stream_.Next(&item)) {
-    if (std::binary_search(sorted, sorted + chosen.size(), item.id)) {
-      item.set.OrInto(covered);
-    }
+  if (uncovered != nullptr) {
+    counters_.Add(engine_counters::ElementsCovered(),
+                  before - uncovered->CountSet());
   }
 }
 

@@ -15,6 +15,7 @@
 #include "util/bitset.h"
 #include "util/common.h"
 #include "util/function_ref.h"
+#include "util/space_meter.h"
 
 /// \file engine_context.h
 /// EngineContext: the shared plumbing between a streaming solver and the
@@ -26,6 +27,13 @@
 /// that decision once, exposes the pass shapes every solver in core/ is
 /// built from, and counts the work it drives so runs can be compared
 /// across thread counts and stream sources.
+///
+/// It is also the run's only ledger: the engine.* counters, the run's
+/// SpaceMeter (meter()) and the StreamRunStats built from both (Stats()).
+/// Every pass a solver makes goes through one of the primitives below,
+/// each of which counts itself, so Stats().passes — read from the
+/// engine.passes counter — is the number of passes the run made over the
+/// stream.
 ///
 /// Determinism contract (inherited from parallel_pass_engine.h and
 /// preserved by every primitive here): for a fixed stream order, results
@@ -131,6 +139,17 @@ class EngineContext {
   /// algorithm-specific counters next to the engine's.
   CounterSet& counters() { return counters_; }
   const CounterSet& counters() const { return counters_; }
+
+  /// The run's logical space meter: solvers Charge/Release what they
+  /// retain between stream items (the paper's space measure).
+  SpaceMeter& meter() { return meter_; }
+
+  /// The run's statistics so far: passes from the engine.passes counter,
+  /// the meter's peak and a snapshot of every counter.
+  StreamRunStats Stats() const {
+    return StreamRunStats{counters_.value(engine_counters::Passes()),
+                          meter_.peak(), counters_};
+  }
 
   /// Records one committed take of \p gain newly covered elements.
   /// The threshold/cleanup passes call this themselves; solvers call it
@@ -307,8 +326,9 @@ class EngineContext {
     std::uint64_t covered0_;
   };
 
-  // Counts one logical pass (stats only; the stream's own pass counter
-  // advances via BeginPass/DrainPassInto inside the primitives).
+  // Counts one pass. Every primitive calls it once per BeginPass (direct
+  // or through DrainPassInto) it makes, so engine.passes — the run's
+  // reported pass count — moves with the stream's own passes().
   void BeginCountedPass() {
     counters_.Add(engine_counters::Passes(), 1);
     counters_.Add(engine_counters::ItemsScanned(), stream_.num_sets());
@@ -320,11 +340,21 @@ class EngineContext {
       const char* name, DynamicBitset& uncovered,
       FunctionRef<void(const StreamItem&, Count, bool)> visit);
 
+  // The one membership pass under SubtractPass and UnionPass: hands every
+  // streamed set whose id is in \p chosen to \p fold, in stream order.
+  // With a non-null \p uncovered (the set \p fold subtracts from) it stops
+  // once that is empty and counts the elements it lost as covered. No
+  // pass at all when \p chosen is empty.
+  void ChosenSetsPass(const char* name, std::span<const SetId> chosen,
+                      DynamicBitset* uncovered,
+                      FunctionRef<void(SetView)> fold);
+
   SetStream& stream_;
   ParallelPassEngine* engine_;
   MonotonicArena* arena_;
   TraceRecorder* trace_;
   CounterSet counters_;
+  SpaceMeter meter_;
   // Reused pass item buffer: run-arena-backed when an arena is bound, so
   // repeat runs bump inside retained chunks instead of reallocating.
   ArenaVector<StreamItem> items_;

@@ -7,11 +7,10 @@
 
 namespace streamsc {
 
-ParallelPassEngine::ParallelPassEngine(std::size_t num_threads) {
-  if (num_threads == 0) {
-    num_threads = std::max(1u, std::thread::hardware_concurrency());
-  }
-  num_threads_ = num_threads;
+ParallelPassEngine::ParallelPassEngine(std::size_t num_threads)
+    : num_threads_(num_threads) {
+  STREAMSC_CHECK(num_threads >= 1,
+                 "ParallelPassEngine: a pool needs at least one thread");
   workers_.reserve(num_threads - 1);
   // Steady state keeps one live job plus at most one stale reference per
   // worker, so the pool never outgrows this reservation.

@@ -48,8 +48,9 @@ class TraceRecorder;
 class ParallelPassEngine {
  public:
   /// Creates a pool of \p num_threads workers (the calling thread counts
-  /// as one of them). 0 means std::thread::hardware_concurrency().
-  explicit ParallelPassEngine(std::size_t num_threads = 0);
+  /// as one of them). CHECK-fails on 0, before any thread starts: callers
+  /// resolve "all cores" themselves (see MakeEngine).
+  explicit ParallelPassEngine(std::size_t num_threads);
   ~ParallelPassEngine();
 
   ParallelPassEngine(const ParallelPassEngine&) = delete;
@@ -141,37 +142,6 @@ void GainFilteredScan(std::span<const StreamItem> items,
                       DynamicBitset& uncovered, ParallelPassEngine* engine,
                       FunctionRef<void(const StreamItem&, Count, bool)> visit,
                       TraceRecorder* trace = nullptr);
-
-/// The threshold-take visit for GainFilteredScan — the one copy of the
-/// eligibility rule: a below-threshold bound is a proof of ineligibility
-/// (gains only shrink); survivors re-evaluate against the live `uncovered`
-/// and, when still eligible, are taken (on_take receives the exact
-/// committed gain) and subtracted. Used by EngineContext::ThresholdPass.
-/// Non-owning: \p uncovered and the callable behind \p on_take must
-/// outlive the visitor.
-class ThresholdTakeVisitor {
- public:
-  ThresholdTakeVisitor(double threshold, DynamicBitset& uncovered,
-                       FunctionRef<void(SetId, Count)> on_take)
-      : threshold_(threshold), uncovered_(&uncovered), on_take_(on_take) {}
-
-  void operator()(const StreamItem& item, Count bound,
-                  bool bound_is_exact) const {
-    // A below-threshold bound is a proof of ineligibility; survivors are
-    // re-evaluated against the current state, in order.
-    if (static_cast<double>(bound) < threshold_) return;
-    const Count gain = bound_is_exact ? bound : item.set.CountAnd(*uncovered_);
-    if (gain > 0 && static_cast<double>(gain) >= threshold_) {
-      on_take_(item.id, gain);
-      item.set.AndNotInto(*uncovered_);
-    }
-  }
-
- private:
-  double threshold_;
-  DynamicBitset* uncovered_;
-  FunctionRef<void(SetId, Count)> on_take_;
-};
 
 }  // namespace streamsc
 

@@ -1,6 +1,7 @@
 #ifndef STREAMSC_STREAM_STREAM_ALGORITHM_H_
 #define STREAMSC_STREAM_STREAM_ALGORITHM_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 
@@ -58,12 +59,15 @@ struct RunContext {
 };
 
 /// Per-run resource statistics: the paper's two measures plus the
-/// engine's work counts. Everything is deterministic: for a fixed stream
-/// order the values are bit-identical across thread counts and stream
-/// sources (the conformance matrix in tests/testing/solver_matrix.h pins
-/// this down for every solver).
+/// engine's work counts. A run's EngineContext is its only ledger and
+/// builds these with Stats(): passes is its engine.passes counter (every
+/// pass primitive counts itself), peak space is its SpaceMeter's peak.
+/// Everything is deterministic: for a fixed stream order the values are
+/// bit-identical across thread counts and stream sources (the conformance
+/// matrix in tests/testing/solver_matrix.h pins this down for every
+/// solver, and checks passes against the stream's own pass count).
 struct StreamRunStats {
-  std::uint64_t passes = 0;       ///< Passes over the stream.
+  std::uint64_t passes = 0;       ///< Passes over the stream (engine.passes).
   Bytes peak_space_bytes = 0;     ///< Peak logical space (SpaceMeter).
 
   /// Full interned-counter snapshot (obs/counters.h): every engine.*
@@ -71,6 +75,14 @@ struct StreamRunStats {
   /// in stream/engine_context.h), merged across guess iterations. Items
   /// scanned, sets taken and elements covered are read from here.
   CounterSet counters;
+
+  /// Folds in the stats of a run made after this one (one guess of a
+  /// guess loop): passes and counters add up, peak space is the maximum.
+  void MergeFrom(const StreamRunStats& other) {
+    passes += other.passes;
+    peak_space_bytes = std::max(peak_space_bytes, other.peak_space_bytes);
+    counters.MergeFrom(other.counters);
+  }
 };
 
 /// Outcome of a streaming set cover run.

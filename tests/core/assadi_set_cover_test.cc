@@ -67,8 +67,8 @@ TEST(AssadiSetCoverTest, SingleGuessPassBudget) {
   Rng run_rng(5);
   const GuessResult result = algorithm.RunWithGuess(stream, 3, run_rng);
   // 1 pruning + per-iteration (store + subtract) + optional cleanup.
-  EXPECT_LE(result.passes, 2 * 3 + 1 + 1);
-  EXPECT_GE(result.passes, 1u);
+  EXPECT_LE(result.stats.passes, 2 * 3 + 1 + 1);
+  EXPECT_GE(result.stats.passes, 1u);
 }
 
 TEST(AssadiSetCoverTest, GuessBelowOptFailsCleanly) {
@@ -148,9 +148,9 @@ TEST(AssadiSetCoverTest, SpaceShrinksWithAlpha) {
     Rng run_rng(10);
     const GuessResult result = algorithm.RunWithGuess(stream, 4, run_rng);
     if (!first) {
-      EXPECT_LT(result.peak_space_bytes, previous);
+      EXPECT_LT(result.stats.peak_space_bytes, previous);
     }
-    previous = result.peak_space_bytes;
+    previous = result.stats.peak_space_bytes;
     first = false;
   }
 }
@@ -167,7 +167,7 @@ TEST(AssadiSetCoverTest, SpaceBelowDenseInputSize) {
   Rng run_rng(12);
   const GuessResult result = algorithm.RunWithGuess(stream, 4, run_rng);
   const Bytes dense_input = static_cast<Bytes>(m) * n / 8;
-  EXPECT_LT(result.peak_space_bytes, dense_input / 2);
+  EXPECT_LT(result.stats.peak_space_bytes, dense_input / 2);
 }
 
 TEST(AssadiSetCoverTest, FeasibleOnHardDistributionThetaOne) {
@@ -233,7 +233,7 @@ TEST(AssadiSetCoverTest, SamplingBoostIncreasesSpace) {
     AssadiSetCover algorithm(config);
     Rng run_rng(18);
     const GuessResult result = algorithm.RunWithGuess(stream, 4, run_rng);
-    (boost < 1.0 ? space_low : space_high) = result.peak_space_bytes;
+    (boost < 1.0 ? space_low : space_high) = result.stats.peak_space_bytes;
   }
   EXPECT_LT(space_low, space_high);
 }

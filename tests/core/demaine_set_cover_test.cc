@@ -91,7 +91,7 @@ TEST(DemaineSetCoverTest, UsesMoreSpaceThanAssadiAtEqualAlpha) {
   Rng rng_a(6);
   const GuessResult a_result = assadi.RunWithGuess(stream_a, 1, rng_a);
 
-  EXPECT_GT(d_result.peak_space_bytes, a_result.peak_space_bytes);
+  EXPECT_GT(d_result.stats.peak_space_bytes, a_result.stats.peak_space_bytes);
 }
 
 TEST(DemaineSetCoverTest, DeterministicGivenSeed) {

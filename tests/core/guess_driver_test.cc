@@ -395,12 +395,12 @@ void ExpectKnownOptRunMatchesRunWithGuess(Config config,
   VectorSetStream guess_stream(system);
   Rng rng(config.seed);
   const GuessResult guess = Solver(config).RunWithGuess(guess_stream, opt, rng);
-  EXPECT_EQ(run.stats.passes, guess.passes);
-  EXPECT_EQ(run.stats.peak_space_bytes, guess.peak_space_bytes);
+  EXPECT_EQ(run.stats.passes, guess.stats.passes);
+  EXPECT_EQ(run.stats.peak_space_bytes, guess.stats.peak_space_bytes);
   EXPECT_EQ(run.stats.counters.value(engine_counters::SetsTaken()),
-            guess.counters.value(engine_counters::SetsTaken()));
+            guess.stats.counters.value(engine_counters::SetsTaken()));
   EXPECT_EQ(run.stats.counters.value(engine_counters::ElementsCovered()),
-            guess.counters.value(engine_counters::ElementsCovered()));
+            guess.stats.counters.value(engine_counters::ElementsCovered()));
   EXPECT_EQ(run.feasible, guess.within_budget);
   if (run.feasible) {
     EXPECT_EQ(run.solution.chosen, guess.solution.chosen);
@@ -454,20 +454,21 @@ std::uint64_t ExpectRunMatchesReplay(const Config& config, double growth,
     VectorSetStream memo_stream(system);
     const GuessResult m =
         solver.RunWithGuess(memo_stream, guess, memo_rng, {}, &memo);
-    const std::uint64_t hits = m.counters.value(hits_id);
+    const std::uint64_t hits = m.stats.counters.value(hits_id);
     EXPECT_EQ(m.solution.chosen, r.solution.chosen);
     EXPECT_EQ(m.within_budget, r.within_budget);
-    EXPECT_EQ(m.peak_space_bytes, r.peak_space_bytes);
-    EXPECT_EQ(m.counters.value(engine_counters::SetsTaken()),
-              r.counters.value(engine_counters::SetsTaken()));
-    EXPECT_EQ(m.counters.value(engine_counters::ElementsCovered()),
-              r.counters.value(engine_counters::ElementsCovered()));
-    EXPECT_EQ(m.passes + hits, r.passes);
+    EXPECT_EQ(m.stats.peak_space_bytes, r.stats.peak_space_bytes);
+    EXPECT_EQ(m.stats.counters.value(engine_counters::SetsTaken()),
+              r.stats.counters.value(engine_counters::SetsTaken()));
+    EXPECT_EQ(m.stats.counters.value(engine_counters::ElementsCovered()),
+              r.stats.counters.value(engine_counters::ElementsCovered()));
+    EXPECT_EQ(m.stats.passes + hits, r.stats.passes);
     replay_hits += hits;
-    replay_passes += r.passes;
-    replay_peak = std::max(replay_peak, r.peak_space_bytes);
-    replay_taken += r.counters.value(engine_counters::SetsTaken());
-    replay_covered += r.counters.value(engine_counters::ElementsCovered());
+    replay_passes += r.stats.passes;
+    replay_peak = std::max(replay_peak, r.stats.peak_space_bytes);
+    replay_taken += r.stats.counters.value(engine_counters::SetsTaken());
+    replay_covered +=
+        r.stats.counters.value(engine_counters::ElementsCovered());
     if (r.within_budget) {
       replay_solution = std::move(r.solution);
       replay_feasible = true;

@@ -94,7 +94,8 @@ TEST(HarPeledSetCoverTest, UsesMoreSpaceThanAssadiAtEqualAlpha) {
   const GuessResult hp_result =
       har_peled.RunWithGuess(stream_h, /*opt_guess=*/1, rng_h);
 
-  EXPECT_LT(assadi_result.peak_space_bytes, hp_result.peak_space_bytes);
+  EXPECT_LT(assadi_result.stats.peak_space_bytes,
+            hp_result.stats.peak_space_bytes);
 }
 
 TEST(HarPeledSetCoverTest, FewerIterationsThanAlpha) {

@@ -100,6 +100,11 @@ TEST(WarmStartTest, UnchangedDeltaReSolvesWarmByteForByte) {
   EXPECT_EQ(warm->surviving_prefix, cold->solution.size());
   EXPECT_EQ(warm->residue_elements, 0u);
   EXPECT_EQ(warm->passes, 1u);
+  // Its space: the uncovered bitset over U plus the kept solution ids.
+  const std::size_t n = session->overlay()->universe_size();
+  EXPECT_EQ(warm->peak_space_bytes,
+            (n + 63) / 64 * sizeof(DynamicBitset::Word) +
+                warm->solution.size() * sizeof(SetId));
   EXPECT_EQ(warm->solver, cold->solver);
   EXPECT_EQ(warm->algorithm, cold->algorithm);
   EXPECT_EQ(DynCounter(*warm, "dynamic.warm_solves"), 1u);

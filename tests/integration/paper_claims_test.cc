@@ -95,7 +95,7 @@ TEST(PaperClaims, Theorem2PassesApproximationSpace) {
     const GuessResult result = algorithm.RunWithGuess(stream, opt, run_rng);
     ASSERT_TRUE(result.feasible);
     // Pass budget 2α+1 (+1 cleanup allowance).
-    EXPECT_LE(result.passes, 2 * alpha + 2);
+    EXPECT_LE(result.stats.passes, 2 * alpha + 2);
     // Approximation budget.
     EXPECT_LE(static_cast<double>(result.solution.size()),
               (static_cast<double>(alpha) + 0.5) * opt);
@@ -107,7 +107,7 @@ TEST(PaperClaims, Theorem2PassesApproximationSpace) {
             SafeLog(static_cast<double>(m)) +
         static_cast<double>(n);
     space_over_prediction.push_back(
-        static_cast<double>(result.peak_space_bytes) * 8.0 / prediction);
+        static_cast<double>(result.stats.peak_space_bytes) * 8.0 / prediction);
   }
   const double lo =
       *std::min_element(space_over_prediction.begin(),

@@ -21,7 +21,6 @@
 #include "stream/engine_context.h"
 #include "stream/parallel_pass_engine.h"
 #include "stream/set_stream.h"
-#include "stream/stream_adapters.h"
 #include "testing/scoped_temp_dir.h"
 #include "util/bitset.h"
 #include "util/random.h"
@@ -34,8 +33,6 @@ using testing::ScopedTempDir;
 enum class Kind {
   kMemory,
   kMemoryRandomEachPass,
-  kConcat,
-  kInterleave,
   kMmap,
   kMmapView,
   kOverlay,
@@ -47,10 +44,6 @@ const char* KindName(Kind kind) {
       return "Memory";
     case Kind::kMemoryRandomEachPass:
       return "MemoryRandomEachPass";
-    case Kind::kConcat:
-      return "Concat";
-    case Kind::kInterleave:
-      return "Interleave";
     case Kind::kMmap:
       return "Mmap";
     case Kind::kMmapView:
@@ -62,7 +55,7 @@ const char* KindName(Kind kind) {
 }
 
 // Dense and sparse sets mixed, so both payload representations are
-// served; the halves feed the two-stream adapters.
+// served.
 SetSystem Instance() {
   Rng rng(41);
   SetSystem system = UniformRandomInstance(300, 40, 24, rng);
@@ -72,18 +65,10 @@ SetSystem Instance() {
   return system;
 }
 
-SetSystem Slice(const SetSystem& system, SetId begin, SetId end) {
-  SetSystem slice(system.universe_size());
-  for (SetId id = begin; id < end; ++id) slice.AddSetFromView(system.set(id));
-  return slice;
-}
-
 // One stream under test plus everything it borrows. The expected system
 // holds, at index id, the set the stream must serve under that id.
 struct Built {
   std::unique_ptr<Rng> rng;
-  std::unique_ptr<SetStream> first;
-  std::unique_ptr<SetStream> second;
   std::unique_ptr<MmapSetStream> mapping;
   std::unique_ptr<SetStream> stream;
 };
@@ -92,9 +77,6 @@ class StreamShardingTest : public ::testing::TestWithParam<Kind> {
  protected:
   void SetUp() override {
     system_ = Instance();
-    const SetId mid = static_cast<SetId>(system_.num_sets() / 2);
-    left_ = Slice(system_, 0, mid);
-    right_ = Slice(system_, mid, static_cast<SetId>(system_.num_sets()));
     text_path_ = dir_.FilePath("base.ssc");
     binary_path_ = dir_.FilePath("base.sscb1");
     delta_path_ = dir_.FilePath("base.sscd1");
@@ -140,17 +122,6 @@ class StreamShardingTest : public ::testing::TestWithParam<Kind> {
         b.stream = std::make_unique<VectorSetStream>(
             system_, StreamOrder::kRandomEachPass, b.rng.get());
         break;
-      case Kind::kConcat:
-        b.first = std::make_unique<VectorSetStream>(left_);
-        b.second = std::make_unique<VectorSetStream>(right_);
-        b.stream = std::make_unique<ConcatSetStream>(*b.first, *b.second);
-        break;
-      case Kind::kInterleave:
-        b.first = std::make_unique<VectorSetStream>(left_);
-        b.second = std::make_unique<VectorSetStream>(right_);
-        b.stream =
-            std::make_unique<InterleaveSetStream>(*b.first, *b.second);
-        break;
       case Kind::kMmap: {
         auto mmap = std::make_unique<MmapSetStream>(binary_path_);
         EXPECT_TRUE(mmap->status().ok()) << mmap->status().ToString();
@@ -176,8 +147,6 @@ class StreamShardingTest : public ::testing::TestWithParam<Kind> {
 
   ScopedTempDir dir_;
   SetSystem system_{0};
-  SetSystem left_{0};
-  SetSystem right_{0};
   SetSystem expected_overlay_{0};
   std::string text_path_;
   std::string binary_path_;
@@ -239,8 +208,7 @@ TEST_P(StreamShardingTest, BufferedPassViewsStayValidAndShardIdentically) {
 INSTANTIATE_TEST_SUITE_P(
     AllStreamKinds, StreamShardingTest,
     ::testing::Values(Kind::kMemory, Kind::kMemoryRandomEachPass,
-                      Kind::kConcat, Kind::kInterleave, Kind::kMmap,
-                      Kind::kMmapView, Kind::kOverlay),
+                      Kind::kMmap, Kind::kMmapView, Kind::kOverlay),
     [](const ::testing::TestParamInfo<Kind>& info) {
       return std::string(KindName(info.param));
     });

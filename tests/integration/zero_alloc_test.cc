@@ -32,7 +32,6 @@
 #include "instance/generators.h"
 #include "obs/trace.h"
 #include "stream/parallel_pass_engine.h"
-#include "stream/stream_adapters.h"
 #include "testing/alloc_counter.h"
 #include "util/arena.h"
 #include "util/random.h"

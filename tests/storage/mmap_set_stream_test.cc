@@ -9,7 +9,6 @@
 #include "storage/binary_instance_writer.h"
 #include "stream/parallel_pass_engine.h"
 #include "stream/set_stream.h"
-#include "stream/stream_adapters.h"
 #include "testing/scoped_temp_dir.h"
 #include "util/random.h"
 
@@ -75,26 +74,6 @@ TEST(MmapSetStreamTest, ViewsSurviveAWholeBufferedPass) {
 // be spot-checked here (Assadi, threshold-greedy) is now proven for every
 // solver by the conformance matrix in tests/integration/
 // solver_matrix_test.cc; this suite keeps to the stream itself.
-
-TEST(MmapSetStreamTest, ComposesWithStreamAdapters) {
-  testing::ScopedTempDir dir;
-  Rng rng(9);
-  const SetSystem whole = PlantedCoverInstance(128, 16, 4, rng);
-  SetSystem alice(128), bob(128);
-  for (SetId id = 0; id < whole.num_sets(); ++id) {
-    (id % 2 == 0 ? alice : bob).AddSetFromView(whole.set(id));
-  }
-  const std::string path = dir.FilePath("alice.sscb1");
-  ASSERT_TRUE(BinaryInstanceWriter::WriteSystem(alice, path).ok());
-
-  MmapSetStream a(path);
-  ASSERT_TRUE(a.status().ok());
-  VectorSetStream b(bob);
-  ConcatSetStream concat(a, b);
-  ArenaVector<StreamItem> items;
-  DrainPassInto(concat, items);
-  EXPECT_EQ(items.size(), whole.num_sets());
-}
 
 }  // namespace
 }  // namespace streamsc

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <numeric>
 #include <utility>
 #include <vector>
@@ -212,6 +213,59 @@ TEST(EngineContextTest, UnionPassCollectsExactlyTheChosenSets) {
   DynamicBitset expected(300);
   for (SetId id : chosen) system.set(id).OrInto(expected);
   EXPECT_EQ(covered, expected);
+}
+
+// The ledger: Stats().passes is the engine.passes counter, and it must
+// move with the stream's own pass count across every pass primitive,
+// sequential or sharded — including SubtractPass/UnionPass with nothing
+// chosen, which make no pass. Stats() also reports the meter's peak.
+TEST(EngineContextTest, StatsPassesFollowTheStreamThroughEveryPrimitive) {
+  const SetSystem system = SmallSystem(12);
+  const std::vector<SetId> chosen = {3, 11, 29};
+  for (const std::size_t threads : {0u, 2u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    std::unique_ptr<ParallelPassEngine> engine =
+        threads == 0 ? nullptr : std::make_unique<ParallelPassEngine>(threads);
+    VectorSetStream stream(system);
+    stream.BeginPass();  // a pass made before the context is not its own
+    const std::uint64_t start = stream.passes();
+    EngineContext ctx(stream, engine.get());
+    const auto expect_in_step = [&](const char* primitive) {
+      EXPECT_EQ(ctx.Stats().passes, stream.passes() - start) << primitive;
+    };
+    DynamicBitset uncovered = DynamicBitset::Full(300);
+    DynamicBitset covered(300);
+    ctx.SubtractPass({}, uncovered);
+    ctx.UnionPass({}, covered);
+    expect_in_step("empty SubtractPass/UnionPass");
+    EXPECT_EQ(stream.passes(), start);
+    EXPECT_TRUE(uncovered.All());
+    EXPECT_TRUE(covered.None());
+    ctx.ThresholdPass(8.0, uncovered, [](SetId) {});
+    expect_in_step("ThresholdPass");
+    ctx.GainScanPass(uncovered, [](const StreamItem&, Count, bool) {});
+    expect_in_step("GainScanPass");
+    ctx.TransformPass<SetId>([](const StreamItem& item) { return item.id; },
+                             [](const StreamItem&, SetId) {});
+    expect_in_step("TransformPass");
+    ctx.IndependentScanPass(3, [](std::size_t, const StreamItem&) {});
+    expect_in_step("IndependentScanPass");
+    DynamicBitset residue = DynamicBitset::Full(300);
+    ctx.SubtractPass(chosen, residue);
+    expect_in_step("SubtractPass");
+    ctx.UnionPass(chosen, covered);
+    expect_in_step("UnionPass");
+    ctx.CoverResiduePass(residue, [](SetId) {});
+    expect_in_step("CoverResiduePass");
+    EXPECT_EQ(ctx.Stats().passes, 7u);
+    EXPECT_EQ(ctx.Stats().counters.value(engine_counters::ItemsScanned()),
+              7 * system.num_sets());
+
+    ctx.meter().Charge(64, "test.ledger");
+    ctx.meter().Release(64, "test.ledger");
+    ctx.meter().Charge(16, "test.ledger");
+    EXPECT_EQ(ctx.Stats().peak_space_bytes, 64u);
+  }
 }
 
 TEST(EngineContextTest, CoverResiduePassTakesUntilEmpty) {

@@ -14,6 +14,12 @@
 namespace streamsc {
 namespace {
 
+// One thread-count policy: a pool needs at least one thread, and "all
+// cores" is the caller's call (MakeEngine rejects 0 the same way).
+TEST(ParallelPassEngineDeathTest, ZeroThreadsIsRejected) {
+  EXPECT_DEATH({ ParallelPassEngine engine(0); }, "at least one thread");
+}
+
 TEST(ParallelPassEngineTest, ParallelForCoversEveryIndexExactlyOnce) {
   ParallelPassEngine engine(4);
   EXPECT_EQ(engine.num_threads(), 4u);

@@ -102,13 +102,18 @@ class LintStreamscTest(unittest.TestCase):
         self.assert_reported(result, "src/util/bad_rank.h", 3,
                              "raw-popcount")
         self.assertNotIn("src/util/word_kernels.cc", result.stdout)
+        # A pass driven around EngineContext in a solver layer; the
+        # stream-implementing layers are exempt.
+        self.assert_reported(result, "src/core/bad_pass.cc", 5, "raw-pass")
+        self.assert_reported(result, "src/core/bad_pass.cc", 8, "raw-pass")
+        self.assertNotIn("src/storage/pass_ok.cc", result.stdout)
 
     def test_violation_count_is_exact(self):
         """No over-reporting: exactly the planted violations, nothing
         from comments, string literals, or the clean lines around them."""
         result = run_linter("--root", str(FIXTURES / "violations"))
         reported = [l for l in result.stdout.splitlines() if "[" in l]
-        self.assertEqual(len(reported), 20, result.stdout)
+        self.assertEqual(len(reported), 22, result.stdout)
 
     def test_real_tree_is_clean(self):
         """The wall starts (and stays) at zero violations on the repo."""
@@ -123,7 +128,7 @@ class LintStreamscTest(unittest.TestCase):
         rules = result.stdout.split()
         self.assertEqual(
             rules, ["layer-dag", "raw-assert", "determinism", "engine-ptr",
-                    "arena-ptr", "chrono", "raw-popcount"])
+                    "arena-ptr", "chrono", "raw-popcount", "raw-pass"])
 
 
 class TidyGatingTest(unittest.TestCase):

@@ -14,6 +14,11 @@
 // offline.subsolve_memo_hits moved; chosen, feasible, space, taken and
 // covered kept their original values. The differential test at the end
 // of this file checks every memoized run against memo-less replays.
+//
+// CoverRunGoldenTest pins the same fingerprint for the single-run
+// set-cover solvers (threshold_greedy, one_pass, emek_rosen) and for the
+// session's warm re-solve, plus the names of every registry default, so
+// the run state and report fill those share can be refactored safely.
 
 #include <gtest/gtest.h>
 
@@ -25,17 +30,24 @@
 #include <utility>
 #include <vector>
 
+#include "api/solve_session.h"
 #include "api/solver_registry.h"
 #include "core/assadi_set_cover.h"
 #include "core/demaine_set_cover.h"
 #include "core/har_peled_set_cover.h"
+#include "dynamic/delta_log.h"
+#include "dynamic/overlay_set_stream.h"
 #include "instance/generators.h"
+#include "storage/binary_instance_writer.h"
 #include "stream/engine_context.h"
 #include "stream/set_stream.h"
+#include "testing/scoped_temp_dir.h"
 #include "util/arena.h"
 
 namespace streamsc {
 namespace {
+
+using testing::ScopedTempDir;
 
 // One line holding everything the pin covers. Counters are listed by name
 // (interning order is per process), so the string is stable across runs.
@@ -380,6 +392,226 @@ TEST(GuessDriverGoldenTest, RegistryRunsMatchThePinnedFingerprints) {
     EXPECT_EQ(RegistryFingerprint(system, c.solver, c.options, c.threads),
               c.expected);
   }
+}
+
+// The single-run set-cover solvers at their registry defaults: the same
+// fingerprint as above, so a change to how they keep U and the solution
+// (or to how the registry fills their report) must leave it unchanged.
+const std::vector<GoldenCase>& CoverRunCases() {
+  static const std::vector<GoldenCase> cases = {
+      {"threshold_greedy", {}, "planted", 1,
+       "chosen=[0,1,2,3] feasible=1 passes=3 space=112 taken=4 covered=768 "
+       "counters={engine.elements_covered:768,engine.items_scanned:192,"
+       "engine.passes:3,engine.sets_taken:4}"},
+      {"threshold_greedy", {}, "planted", 2,
+       "chosen=[0,1,2,3] feasible=1 passes=3 space=112 taken=4 covered=768 "
+       "counters={engine.elements_covered:768,engine.items_scanned:192,"
+       "engine.passes:3,engine.sets_taken:4,engine.shard_items:192,"
+       "engine.shard_jobs:3}"},
+      {"threshold_greedy", {}, "uniform", 1,
+       "chosen=[0,1,2,3,4,8,32,5,6,7,9,10,11,12,19,63,14,15,18,21,35,44,22,27,"
+       "29,30,38,58,26,31,33,34,41,13,25,39,42,53] feasible=1 passes=10 "
+       "space=216 taken=38 covered=512 counters={engine.elements_covered:512,"
+       "engine.items_scanned:640,engine.passes:10,engine.sets_taken:38}"},
+      {"threshold_greedy", {}, "uniform", 2,
+       "chosen=[0,1,2,3,4,8,32,5,6,7,9,10,11,12,19,63,14,15,18,21,35,44,22,27,"
+       "29,30,38,58,26,31,33,34,41,13,25,39,42,53] feasible=1 passes=10 "
+       "space=216 taken=38 covered=512 counters={engine.elements_covered:512,"
+       "engine.items_scanned:640,engine.passes:10,engine.sets_taken:38,"
+       "engine.shard_items:640,engine.shard_jobs:10}"},
+      {"one_pass", {}, "planted", 1,
+       "chosen=[0,1,2,3] feasible=1 passes=1 space=112 taken=4 covered=768 "
+       "counters={engine.elements_covered:768,engine.items_scanned:64,"
+       "engine.passes:1,engine.sets_taken:4}"},
+      {"one_pass", {}, "planted", 2,
+       "chosen=[0,1,2,3] feasible=1 passes=1 space=112 taken=4 covered=768 "
+       "counters={engine.elements_covered:768,engine.items_scanned:64,"
+       "engine.passes:1,engine.sets_taken:4,engine.shard_items:64,"
+       "engine.shard_jobs:1}"},
+      {"one_pass", {}, "uniform", 1,
+       "chosen=[0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,21,22,23,"
+       "24,25,26,27,28,29,30,31,32,33,34,38,39,41,42,43,47,53] feasible=1 "
+       "passes=1 space=232 taken=42 covered=512 "
+       "counters={engine.elements_covered:512,engine.items_scanned:64,"
+       "engine.passes:1,engine.sets_taken:42}"},
+      {"one_pass", {}, "uniform", 2,
+       "chosen=[0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,21,22,23,"
+       "24,25,26,27,28,29,30,31,32,33,34,38,39,41,42,43,47,53] feasible=1 "
+       "passes=1 space=232 taken=42 covered=512 "
+       "counters={engine.elements_covered:512,engine.items_scanned:64,"
+       "engine.passes:1,engine.sets_taken:42,engine.shard_items:64,"
+       "engine.shard_jobs:1}"},
+      {"emek_rosen", {}, "planted", 1,
+       "chosen=[0,1,2,3] feasible=1 passes=1 space=3184 taken=4 covered=768 "
+       "counters={engine.elements_covered:768,engine.items_scanned:64,"
+       "engine.passes:1,engine.sets_taken:4}"},
+      {"emek_rosen", {}, "planted", 2,
+       "chosen=[0,1,2,3] feasible=1 passes=1 space=3184 taken=4 covered=768 "
+       "counters={engine.elements_covered:768,engine.items_scanned:64,"
+       "engine.passes:1,engine.sets_taken:4,engine.shard_items:64,"
+       "engine.shard_jobs:1}"},
+      {"emek_rosen", {}, "uniform", 1,
+       "chosen=[0,1,2,3,4,5,6,8,10,12,19,32,7,9,11,13,14,15,16,17,18,20,21,22,"
+       "23,24,25,26,27,28,29,30,31,33,34,38,39,41,42,43,47,53] feasible=1 "
+       "passes=2 space=2280 taken=42 covered=512 "
+       "counters={engine.elements_covered:512,engine.items_scanned:128,"
+       "engine.passes:2,engine.sets_taken:42}"},
+      {"emek_rosen", {}, "uniform", 2,
+       "chosen=[0,1,2,3,4,5,6,8,10,12,19,32,7,9,11,13,14,15,16,17,18,20,21,22,"
+       "23,24,25,26,27,28,29,30,31,33,34,38,39,41,42,43,47,53] feasible=1 "
+       "passes=2 space=2280 taken=42 covered=512 "
+       "counters={engine.elements_covered:512,engine.items_scanned:128,"
+       "engine.passes:2,engine.sets_taken:42,engine.shard_items:64,"
+       "engine.shard_jobs:1}"},
+  };
+  return cases;
+}
+
+TEST(CoverRunGoldenTest, RegistryRunsMatchThePinnedFingerprints) {
+  const SetSystem planted = PlantedInstance();
+  const SetSystem uniform = UniformInstance();
+  for (const GoldenCase& c : CoverRunCases()) {
+    SCOPED_TRACE(std::string(c.solver) + " " + c.instance +
+                 " threads=" + std::to_string(c.threads));
+    const SetSystem& system =
+        std::string(c.instance) == "planted" ? planted : uniform;
+    EXPECT_EQ(RegistryFingerprint(system, c.solver, c.options, c.threads),
+              c.expected);
+  }
+}
+
+// The name, family and display name of every registry default.
+TEST(CoverRunGoldenTest, RegistryDefaultsKeepTheirNames) {
+  std::string names;
+  for (const std::string& name : SolverRegistry::Global().Names()) {
+    StatusOr<std::unique_ptr<AnySolver>> created =
+        SolverRegistry::Global().Create(name, {});
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    names += (*created)->solver() + "|" +
+             SolverKindName((*created)->kind()) + "|" +
+             (*created)->algorithm_name() + "\n";
+  }
+  EXPECT_EQ(names,
+            "assadi|set-cover|assadi(alpha=2,eps=0.500000)\n"
+            "demaine|set-cover|demaine(alpha=4)\n"
+            "element_sampling_mc|max-coverage|"
+            "element-sampling-mc(eps=0.100000)[k=3]\n"
+            "emek_rosen|set-cover|emek-rosen(sqrt n)\n"
+            "har_peled|set-cover|har-peled(alpha=2)\n"
+            "one_pass|set-cover|one-pass-greedy(frac=0.000000)\n"
+            "pair_finder|pair-finder|exact-pair-finder(p=4)\n"
+            "sieve_mc|max-coverage|sieve-mc(eps=0.100000)[k=3]\n"
+            "threshold_greedy|set-cover|threshold-greedy(beta=2.000000)\n");
+}
+
+// The warm re-solve of an overlay session: the cold assadi alpha=2 solve
+// memoizes its cover, a delta is applied, and the second solve keeps the
+// surviving prefix. Pinned with the report's solver and algorithm, and
+// its warm-start fields.
+std::string WarmFingerprint(const SolveReport& report) {
+  return Fingerprint(report.solution, report.feasible, report.passes,
+                     report.peak_space_bytes,
+                     report.counters.value(engine_counters::SetsTaken()),
+                     report.counters.value(engine_counters::ElementsCovered()),
+                     report.counters) +
+         " solver=" + report.solver + " algorithm=" + report.algorithm +
+         " warm=" + std::to_string(report.warm_start) +
+         " prefix=" + std::to_string(report.surviving_prefix) +
+         " residue=" + std::to_string(report.residue_elements);
+}
+
+// Which delta the warm re-solve sees.
+enum class WarmDelta {
+  kUnchanged,       // nothing: the whole memo survives, no residue
+  kBenign,          // two added sets and one unchosen slot removed
+  kReplaceLastPick  // the last chosen slot rewritten: a residue to re-cover
+};
+
+std::string WarmReSolveFingerprint(std::uint64_t seed, WarmDelta delta) {
+  ScopedTempDir dir;
+  Rng rng(seed);
+  const SetSystem base = PlantedCoverInstance(512, 32, 2, rng);
+  const std::string base_path = dir.FilePath("base.sscb1");
+  const std::string delta_path = dir.FilePath("delta.sscd1");
+  EXPECT_TRUE(BinaryInstanceWriter::WriteSystem(base, base_path).ok());
+  EXPECT_TRUE(
+      DeltaLogWriter(delta_path, base.universe_size(), base.num_sets())
+          .Finish()
+          .ok());
+  StatusOr<SolveSession> session =
+      SolveSession::OpenOverlay(base_path, delta_path);
+  EXPECT_TRUE(session.ok()) << session.status().ToString();
+  if (!session.ok()) return "";
+  const std::vector<std::string> args = {"alpha=2"};
+  StatusOr<SolveReport> cold = session->Solve("assadi", args);
+  EXPECT_TRUE(cold.ok() && cold->feasible);
+  if (!cold.ok()) return "";
+
+  if (delta != WarmDelta::kUnchanged) {
+    const OverlaySetStream& overlay = *session->overlay();
+    std::vector<bool> chosen_slot(overlay.num_slots(), false);
+    for (const SetId id : cold->solution.chosen) {
+      chosen_slot[overlay.live_to_slot(id)] = true;
+    }
+    DeltaLogWriter writer(delta_path);
+    EXPECT_TRUE(writer.status().ok()) << writer.status().ToString();
+    if (delta == WarmDelta::kBenign) {
+      Rng set_rng(13);
+      for (int added = 0; added < 2; ++added) {
+        DynamicBitset set(base.universe_size());
+        while (set.CountSet() < 16) {
+          set.Set(static_cast<std::size_t>(
+              set_rng.UniformInt(base.universe_size())));
+        }
+        EXPECT_TRUE(writer.AddSet(set).ok());
+      }
+      const auto victim =
+          std::find(chosen_slot.begin(), chosen_slot.end(), false);
+      EXPECT_NE(victim, chosen_slot.end());
+      EXPECT_TRUE(writer.RemoveSet(static_cast<std::uint64_t>(
+                                       victim - chosen_slot.begin()))
+                      .ok());
+    } else {
+      EXPECT_TRUE(writer
+                      .ReplaceSet(overlay.live_to_slot(
+                                      cold->solution.chosen.back()),
+                                  DynamicBitset::Full(base.universe_size()))
+                      .ok());
+    }
+    EXPECT_TRUE(writer.Finish().ok());
+    EXPECT_TRUE(session->RefreshDelta().ok());
+  }
+
+  StatusOr<SolveReport> warm = session->Solve("assadi", args);
+  EXPECT_TRUE(warm.ok()) << warm.status().ToString();
+  if (!warm.ok()) return "";
+  return WarmFingerprint(*warm);
+}
+
+TEST(CoverRunGoldenTest, WarmReSolvesMatchThePinnedFingerprints) {
+  EXPECT_EQ(WarmReSolveFingerprint(7, WarmDelta::kUnchanged),
+            "chosen=[0,1] feasible=1 passes=1 space=72 taken=0 covered=512 "
+            "counters={arena.high_water_bytes:72,arena.reserved_bytes:65536,"
+            "dynamic.surviving_prefix:2,dynamic.warm_solves:1,"
+            "engine.elements_covered:512,engine.items_scanned:32,"
+            "engine.passes:1} solver=assadi algorithm=assadi(alpha=2,"
+            "eps=0.500000) warm=1 prefix=2 residue=0");
+  EXPECT_EQ(WarmReSolveFingerprint(11, WarmDelta::kBenign),
+            "chosen=[0,1] feasible=1 passes=1 space=72 taken=0 covered=512 "
+            "counters={arena.high_water_bytes:72,arena.reserved_bytes:65536,"
+            "dynamic.delta_records:3,dynamic.surviving_prefix:2,"
+            "dynamic.warm_solves:1,engine.elements_covered:512,"
+            "engine.items_scanned:33,engine.passes:1} solver=assadi "
+            "algorithm=assadi(alpha=2,eps=0.500000) warm=1 prefix=2 residue=0");
+  EXPECT_EQ(WarmReSolveFingerprint(11, WarmDelta::kReplaceLastPick),
+            "chosen=[0,1] feasible=1 passes=2 space=72 taken=1 covered=512 "
+            "counters={arena.high_water_bytes:76,arena.reserved_bytes:65536,"
+            "dynamic.delta_records:1,dynamic.residue_elements:256,"
+            "dynamic.surviving_prefix:1,dynamic.warm_solves:1,"
+            "engine.elements_covered:512,engine.items_scanned:64,"
+            "engine.passes:2,engine.sets_taken:1} solver=assadi "
+            "algorithm=assadi(alpha=2,eps=0.500000) warm=1 prefix=1 "
+            "residue=256");
 }
 
 // A known õpt is one guess: Run must report exactly what RunWithGuess

@@ -53,6 +53,11 @@ raw-pass      No `BeginPass(` or `Next(&` outside src/stream, src/storage
               stream through EngineContext, whose engine.passes counter
               is the run's reported pass count. A pass driven around it
               would be missing from every report.
+cover-state   No `SpaceCategory` named "uncovered" or "solution" in src/
+              outside core/cover_run.cc: a set-cover run keeps U and its
+              solution through CoverRun (core/cover_run.h), which charges
+              both. A second copy of either category would meter a run's
+              U or solution outside the one place that owns them.
 
 Usage
 -----
@@ -120,6 +125,18 @@ RAW_PASS_RE = re.compile(
 # Layers that implement streams and their pass primitives; everything
 # else passes over a stream through EngineContext.
 RAW_PASS_EXEMPT_LAYERS = {"stream", "storage", "dynamic"}
+
+# A SpaceCategory declared with the name "uncovered" or "solution". Matched
+# on the raw line (the stripper blanks the literal), but only when the
+# stripped line still declares a SpaceCategory (so a comment does not).
+COVER_STATE_RE = re.compile(
+    r'(?<![_A-Za-z0-9])SpaceCategory(?![_A-Za-z0-9])[^"]*'
+    r'"(?:uncovered|solution)"')
+SPACE_CATEGORY_RE = re.compile(
+    r"(?<![_A-Za-z0-9])SpaceCategory(?![_A-Za-z0-9])")
+
+# The one file that owns a set-cover run's U and solution categories.
+COVER_STATE_HOME = "src/core/cover_run.cc"
 
 # Layers that may touch std::chrono directly: util/ owns Stopwatch, obs/
 # owns TraceRecorder's clock. Everything else must time through those.
@@ -278,6 +295,15 @@ def lint_file(path: pathlib.Path, layer: str,
                 "direct BeginPass()/Next(&) outside stream//storage//"
                 "dynamic/ — pass over the stream through an EngineContext "
                 "primitive, which counts the pass in engine.passes"))
+        if (rel.as_posix() != COVER_STATE_HOME
+                and SPACE_CATEGORY_RE.search(line)
+                and COVER_STATE_RE.search(raw[lineno - 1])):
+            violations.append(Violation(
+                rel, lineno, "cover-state",
+                'SpaceCategory "uncovered"/"solution" outside '
+                "core/cover_run.cc — keep a set-cover run's U and "
+                "solution in a CoverRun (core/cover_run.h), which meters "
+                "both"))
     return violations
 
 
@@ -311,7 +337,8 @@ def main() -> int:
 
     if args.list_rules:
         for rule in ("layer-dag", "raw-assert", "determinism", "engine-ptr",
-                     "arena-ptr", "chrono", "raw-popcount", "raw-pass"):
+                     "arena-ptr", "chrono", "raw-popcount", "raw-pass",
+                     "cover-state"):
             print(rule)
         return 0
 

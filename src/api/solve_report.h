@@ -7,6 +7,7 @@
 
 #include "instance/set_system.h"
 #include "obs/counters.h"
+#include "stream/stream_algorithm.h"
 #include "util/space_meter.h"
 
 /// \file solve_report.h
@@ -60,7 +61,7 @@ struct SolveReport {
                                    ///< surviving candidates); 0 for set
                                    ///< cover.
   double wall_seconds = 0.0;       ///< Wall-clock time of the run, timed
-                                   ///< once by the registry wrapper.
+                                   ///< once by AnySolver::RunInto.
 
   // Filled by SolveSession (empty/1/0 when a solver is run directly).
   std::string source;       ///< "memory", "mmap", or "overlay".
@@ -93,6 +94,28 @@ struct SolveReport {
   /// SolveSession::BindTrace); empty otherwise.
   std::vector<PassBreakdownRow> pass_breakdown;
 };
+
+/// What one solver run hands its report, already mapped to the uniform
+/// fields: the chosen sets, the family's success bit and extra scalar
+/// (see SolverKind), and the run's statistics.
+struct SolverRun {
+  Solution solution;
+  bool feasible = false;
+  std::uint64_t extra = 0;
+  StreamRunStats stats;
+};
+
+/// The one mapping from a run to the uniform report: overwrites every
+/// solver-filled field of \p report (names, \p run's fields and stats, the
+/// run's \p wall_seconds; no pass breakdown) and leaves the session-filled
+/// ones untouched. Every registry run and the session's warm re-solve fill
+/// through here, so a new deterministic counter cannot be wired up for one
+/// family and silently zeroed for another. String assignments into a
+/// reused report keep its capacity, so steady-state refills never
+/// allocate.
+void FillReport(const std::string& solver, SolverKind kind,
+                const std::string& algorithm, const SolverRun& run,
+                double wall_seconds, SolveReport* report);
 
 }  // namespace streamsc
 

@@ -4,12 +4,12 @@
 #include <utility>
 
 #include "api/solver_registry.h"
+#include "core/cover_run.h"
 #include "dynamic/overlay_set_stream.h"
 #include "instance/serialization.h"
 #include "obs/trace.h"
 #include "storage/mmap_set_stream.h"
 #include "stream/engine_context.h"
-#include "util/space_meter.h"
 #include "util/stopwatch.h"
 
 namespace streamsc {
@@ -39,10 +39,6 @@ CounterId DynDeltaRecords() {
   static const CounterId id = CounterId::Gauge("dynamic.delta_records");
   return id;
 }
-
-// Metering categories of a warm start: U and the re-used solution ids.
-const SpaceCategory kUncoveredCat("uncovered");
-const SpaceCategory kSolutionCat("solution");
 
 // Warm start is refused when the delta invalidated at least half of the
 // previous solution: re-covering that much residue approaches a cold
@@ -360,40 +356,26 @@ std::vector<SetId> SolveSession::SurvivingPrefix() const {
 StatusOr<SolveReport> SolveSession::RunWarmStart(
     const std::vector<SetId>& prefix, const RunContext& context) {
   Stopwatch timer;
-  EngineContext ctx(*stream_, context);
+  CoverRun run(*stream_, context);
   const TraceSpan span(trace_, TraceCategory::kPhase, "dynamic.warm_resolve");
 
-  // The surviving prefix is kept verbatim; subtracting it leaves exactly
-  // the residue the delta exposed, which one cleanup pass re-covers. With
-  // an unchanged delta the residue is empty and the previous solution is
-  // reproduced byte-for-byte.
-  DynamicBitset uncovered = DynamicBitset::Full(
-      stream_->universe_size(), ctx.alloc<DynamicBitset::Word>());
-  ctx.meter().Charge(uncovered.ByteSize(), kUncoveredCat);
-  Solution solution(context.arena);
-  solution.chosen.assign(prefix.begin(), prefix.end());
-  ctx.SubtractPass(std::span<const SetId>(prefix), uncovered);
-  const std::uint64_t residue = uncovered.CountSet();
-  if (!uncovered.None()) {
-    ctx.CoverResiduePass(uncovered,
-                         [&](SetId id) { solution.chosen.push_back(id); });
-  }
-  ctx.meter().Charge(solution.chosen.size() * sizeof(SetId), kSolutionCat);
+  // The surviving prefix is kept verbatim (no takes are recorded for it);
+  // subtracting it leaves exactly the residue the delta exposed, which one
+  // cleanup pass re-covers. With an unchanged delta the residue is empty
+  // and the previous solution is reproduced byte-for-byte.
+  run.KeepAndSubtract(prefix);
+  const std::uint64_t residue = run.uncovered().CountSet();
+  if (residue > 0) run.CoverResiduePass();
 
+  SetCoverRunResult result = run.Finish();
   SolveReport report;
-  report.solver = memo_solver_;
-  report.algorithm = memo_algorithm_;
-  report.kind = SolverKind::kSetCover;
-  report.feasible = uncovered.None();
-  const StreamRunStats stats = ctx.Stats();
-  report.passes = stats.passes;
-  report.peak_space_bytes = stats.peak_space_bytes;
-  report.solution = std::move(solution);
-  report.counters.MergeFrom(stats.counters);
+  FillReport(memo_solver_, SolverKind::kSetCover, memo_algorithm_,
+             SolverRun{std::move(result.solution), result.feasible, 0,
+                       std::move(result.stats)},
+             timer.ElapsedSeconds(), &report);
   report.warm_start = true;
   report.surviving_prefix = prefix.size();
   report.residue_elements = residue;
-  report.wall_seconds = timer.ElapsedSeconds();
   return report;
 }
 

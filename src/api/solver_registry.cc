@@ -1,6 +1,7 @@
 #include "api/solver_registry.h"
 
 #include <limits>
+#include <memory>
 #include <utility>
 
 #include "core/assadi_set_cover.h"
@@ -19,155 +20,45 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// Pre-run validation hook: stream-dependent option constraints that the
-// registry cannot check at Create() time (it has no stream yet).
-using StreamValidator = std::function<Status(const SetStream&)>;
-
-// Resets every solver-filled field of a (possibly reused) report. String
-// assignments into a warm report reuse capacity, so steady-state refills
-// never allocate.
-void FillBase(const std::string& solver, SolverKind kind,
-              const std::string& algorithm, SolveReport* report) {
-  report->solver = solver;
-  report->kind = kind;
-  report->algorithm = algorithm;
-  report->feasible = false;
-  report->extra = 0;
-  report->counters.Clear();
-  report->pass_breakdown.clear();
+// The set-cover family's run callback: `feasible` means "covered
+// everything", `extra` is 0.
+AnySolver::RunFn SetCoverRun(
+    std::shared_ptr<StreamingSetCoverAlgorithm> algorithm) {
+  return [algorithm = std::move(algorithm)](
+             SetStream& stream,
+             const RunContext& context) -> StatusOr<SolverRun> {
+    SetCoverRunResult r = algorithm->Run(stream, context);
+    return SolverRun{std::move(r.solution), r.feasible, 0,
+                     std::move(r.stats)};
+  };
 }
 
-// The one mapping from StreamRunStats to the uniform report — every
-// wrapper fills through here so a new deterministic counter cannot be
-// wired up for one family and silently zeroed for another. The wrapper's
-// own timer of the Run supplies the wall time.
-void FillFromRunStats(const StreamRunStats& stats, double wall_seconds,
-                      SolveReport* report) {
-  report->passes = stats.passes;
-  report->peak_space_bytes = stats.peak_space_bytes;
-  report->counters = stats.counters;
-  report->wall_seconds = wall_seconds;
+std::unique_ptr<AnySolver> SetCoverSolver(
+    std::string solver, std::shared_ptr<StreamingSetCoverAlgorithm> algorithm) {
+  std::string name = algorithm->name();
+  return std::make_unique<AnySolver>(std::move(solver), SolverKind::kSetCover,
+                                     std::move(name),
+                                     SetCoverRun(std::move(algorithm)));
 }
 
-/// Wraps a StreamingSetCoverAlgorithm as an AnySolver.
-class SetCoverAnySolver : public AnySolver {
- public:
-  SetCoverAnySolver(std::string solver,
-                    std::unique_ptr<StreamingSetCoverAlgorithm> algorithm,
-                    StreamValidator validate = nullptr)
-      : solver_(std::move(solver)),
-        algorithm_(std::move(algorithm)),
-        name_(algorithm_->name()),
-        validate_(std::move(validate)) {}
-
-  const std::string& solver() const override { return solver_; }
-  SolverKind kind() const override { return SolverKind::kSetCover; }
-  const std::string& algorithm_name() const override { return name_; }
-
-  Status RunInto(SetStream& stream, const RunContext& context,
-                 SolveReport* report) override {
-    if (validate_) {
-      const Status status = validate_(stream);
-      if (!status.ok()) return status;
-    }
-    const Stopwatch timer;
-    SetCoverRunResult r;
-    {
-      // The solver span brackets the run only (not the report fill), so
-      // it has retired before any post-run merge of the recorder.
-      const TraceSpan span(context.trace, TraceCategory::kSolver,
-                           solver_.c_str());
-      r = algorithm_->Run(stream, context);
-    }
-    FillBase(solver_, SolverKind::kSetCover, name_, report);
-    report->solution = r.solution;
-    report->feasible = r.feasible;
-    FillFromRunStats(r.stats, timer.ElapsedSeconds(), report);
-    return Status::Ok();
-  }
-
- private:
-  std::string solver_;
-  std::unique_ptr<StreamingSetCoverAlgorithm> algorithm_;
-  std::string name_;
-  StreamValidator validate_;
-};
-
-/// Wraps a StreamingMaxCoverageAlgorithm (with its bound k) as an
-/// AnySolver. `feasible` means "returned at least one set"; the exact
-/// coverage of the returned sets rides in `extra`.
-class MaxCoverageAnySolver : public AnySolver {
- public:
-  MaxCoverageAnySolver(std::string solver,
-                       std::unique_ptr<StreamingMaxCoverageAlgorithm> algorithm,
-                       std::size_t k)
-      : solver_(std::move(solver)),
-        algorithm_(std::move(algorithm)),
-        k_(k),
-        name_(algorithm_->name() + "[k=" + std::to_string(k_) + "]") {}
-
-  const std::string& solver() const override { return solver_; }
-  SolverKind kind() const override { return SolverKind::kMaxCoverage; }
-  const std::string& algorithm_name() const override { return name_; }
-
-  Status RunInto(SetStream& stream, const RunContext& context,
-                 SolveReport* report) override {
-    const Stopwatch timer;
-    MaxCoverageRunResult r;
-    {
-      const TraceSpan span(context.trace, TraceCategory::kSolver,
-                           solver_.c_str());
-      r = algorithm_->Run(stream, k_, context);
-    }
-    FillBase(solver_, SolverKind::kMaxCoverage, name_, report);
-    report->solution = r.solution;
-    report->feasible = !r.solution.chosen.empty();
-    report->extra = r.coverage;
-    FillFromRunStats(r.stats, timer.ElapsedSeconds(), report);
-    return Status::Ok();
-  }
-
- private:
-  std::string solver_;
-  std::unique_ptr<StreamingMaxCoverageAlgorithm> algorithm_;
-  std::size_t k_;
-  std::string name_;
-};
-
-/// Wraps the ExactPairFinder as an AnySolver. `feasible` means "a
-/// covering pair (or singleton) was found"; `extra` reports the
-/// candidate-list size after the seeding pass.
-class PairFinderAnySolver : public AnySolver {
- public:
-  PairFinderAnySolver(std::string solver, PairFinderConfig config)
-      : solver_(std::move(solver)), finder_(config), name_(finder_.name()) {}
-
-  const std::string& solver() const override { return solver_; }
-  SolverKind kind() const override { return SolverKind::kPairFinder; }
-  const std::string& algorithm_name() const override { return name_; }
-
-  Status RunInto(SetStream& stream, const RunContext& context,
-                 SolveReport* report) override {
-    const Stopwatch timer;
-    PairFinderResult r;
-    {
-      const TraceSpan span(context.trace, TraceCategory::kSolver,
-                           solver_.c_str());
-      r = finder_.Run(stream, context);
-    }
-    FillBase(solver_, SolverKind::kPairFinder, name_, report);
-    report->solution = r.solution;
-    report->feasible = r.found;
-    report->extra = r.candidates_after_first_pass;
-    FillFromRunStats(r.stats, timer.ElapsedSeconds(), report);
-    return Status::Ok();
-  }
-
- private:
-  std::string solver_;
-  ExactPairFinder finder_;
-  std::string name_;
-};
+// A max-coverage algorithm with its bound k. `feasible` means "returned at
+// least one set"; the exact coverage of the returned sets rides in `extra`.
+std::unique_ptr<AnySolver> MaxCoverageSolver(
+    std::string solver,
+    std::shared_ptr<StreamingMaxCoverageAlgorithm> algorithm,
+    std::size_t k) {
+  std::string name = algorithm->name() + "[k=" + std::to_string(k) + "]";
+  return std::make_unique<AnySolver>(
+      std::move(solver), SolverKind::kMaxCoverage, std::move(name),
+      [algorithm = std::move(algorithm), k](
+          SetStream& stream,
+          const RunContext& context) -> StatusOr<SolverRun> {
+        MaxCoverageRunResult r = algorithm->Run(stream, k, context);
+        const bool returned_sets = !r.solution.chosen.empty();
+        return SolverRun{std::move(r.solution), returned_sets, r.coverage,
+                         std::move(r.stats)};
+      });
+}
 
 // Shared descriptor snippets (the sampling solvers repeat these).
 OptionDescriptor SeedOption() {
@@ -198,6 +89,22 @@ OptionDescriptor KOption() {
 }
 
 }  // namespace
+
+Status AnySolver::RunInto(SetStream& stream, const RunContext& context,
+                          SolveReport* report) const {
+  const Stopwatch timer;
+  StatusOr<SolverRun> run = [&] {
+    // The solver span brackets the run only (not the report fill), so it
+    // has retired before any post-run merge of the recorder.
+    const TraceSpan span(context.trace, TraceCategory::kSolver,
+                         solver_.c_str());
+    return run_(stream, context);
+  }();
+  if (!run.ok()) return run.status();
+  FillReport(solver_, kind_, algorithm_name_, *run, timer.ElapsedSeconds(),
+             report);
+  return Status::Ok();
+}
 
 const SolverRegistry& SolverRegistry::Global() {
   static const SolverRegistry* const kRegistry = new SolverRegistry();
@@ -267,8 +174,7 @@ SolverRegistry::SolverRegistry() {
         c.use_exact_subsolver = o.Bool("use_exact_subsolver");
         c.ensure_feasible = o.Bool("ensure_feasible");
         c.known_opt = static_cast<std::size_t>(o.Uint("known_opt"));
-        return std::make_unique<SetCoverAnySolver>(
-            "assadi", std::make_unique<AssadiSetCover>(c));
+        return SetCoverSolver("assadi", std::make_shared<AssadiSetCover>(c));
       });
 
   // -- har_peled ----------------------------------------------------------
@@ -287,8 +193,8 @@ SolverRegistry::SolverRegistry() {
         c.seed = o.Uint("seed");
         c.exact_node_budget = o.Uint("exact_node_budget");
         c.known_opt = static_cast<std::size_t>(o.Uint("known_opt"));
-        return std::make_unique<SetCoverAnySolver>(
-            "har_peled", std::make_unique<HarPeledSetCover>(c));
+        return SetCoverSolver("har_peled",
+                              std::make_shared<HarPeledSetCover>(c));
       });
 
   // -- demaine ------------------------------------------------------------
@@ -308,8 +214,7 @@ SolverRegistry::SolverRegistry() {
         c.seed = o.Uint("seed");
         c.known_opt = static_cast<std::size_t>(o.Uint("known_opt"));
         c.ensure_feasible = o.Bool("ensure_feasible");
-        return std::make_unique<SetCoverAnySolver>(
-            "demaine", std::make_unique<DemaineSetCover>(c));
+        return SetCoverSolver("demaine", std::make_shared<DemaineSetCover>(c));
       });
 
   // -- emek_rosen ---------------------------------------------------------
@@ -326,10 +231,13 @@ SolverRegistry::SolverRegistry() {
         c.threshold = static_cast<std::size_t>(o.Uint("threshold"));
         // The threshold <= n constraint is stream-dependent: enforced
         // here as a Status before Run (the struct path CHECK-aborts).
-        const std::size_t threshold = c.threshold;
-        return std::make_unique<SetCoverAnySolver>(
-            "emek_rosen", std::make_unique<EmekRosenSetCover>(c),
-            [threshold](const SetStream& stream) -> Status {
+        const auto algorithm = std::make_shared<EmekRosenSetCover>(c);
+        std::string name = algorithm->name();
+        return std::make_unique<AnySolver>(
+            "emek_rosen", SolverKind::kSetCover, std::move(name),
+            [threshold = c.threshold, run = SetCoverRun(algorithm)](
+                SetStream& stream,
+                const RunContext& context) -> StatusOr<SolverRun> {
               if (threshold > stream.universe_size()) {
                 return Status::OutOfRange(
                     "emek_rosen: option 'threshold' = '" +
@@ -339,7 +247,7 @@ SolverRegistry::SolverRegistry() {
                     " (no set could qualify as big); legal range [0, n], "
                     "0 = sqrt(n) default");
               }
-              return Status::Ok();
+              return run(stream, context);
             });
       });
 
@@ -356,8 +264,7 @@ SolverRegistry::SolverRegistry() {
       [](const ParsedOptions& o) -> std::unique_ptr<AnySolver> {
         OnePassConfig c;
         c.min_gain_fraction = o.Double("min_gain_fraction");
-        return std::make_unique<SetCoverAnySolver>(
-            "one_pass", std::make_unique<OnePassSetCover>(c));
+        return SetCoverSolver("one_pass", std::make_shared<OnePassSetCover>(c));
       });
 
   // -- threshold_greedy ---------------------------------------------------
@@ -371,9 +278,8 @@ SolverRegistry::SolverRegistry() {
       [](const ParsedOptions& o) -> std::unique_ptr<AnySolver> {
         ThresholdGreedyConfig c;
         c.beta = o.Double("beta");
-        return std::make_unique<SetCoverAnySolver>(
-            "threshold_greedy",
-            std::make_unique<ThresholdGreedySetCover>(c));
+        return SetCoverSolver("threshold_greedy",
+                              std::make_shared<ThresholdGreedySetCover>(c));
       });
 
   // -- sieve_mc -----------------------------------------------------------
@@ -388,9 +294,9 @@ SolverRegistry::SolverRegistry() {
       [](const ParsedOptions& o) -> std::unique_ptr<AnySolver> {
         SieveMcConfig c;
         c.epsilon = o.Double("epsilon");
-        return std::make_unique<MaxCoverageAnySolver>(
-            "sieve_mc", std::make_unique<SieveMaxCoverage>(c),
-            static_cast<std::size_t>(o.Uint("k")));
+        return MaxCoverageSolver("sieve_mc",
+                                 std::make_shared<SieveMaxCoverage>(c),
+                                 static_cast<std::size_t>(o.Uint("k")));
       });
 
   // -- element_sampling_mc ------------------------------------------------
@@ -413,9 +319,9 @@ SolverRegistry::SolverRegistry() {
         c.seed = o.Uint("seed");
         c.exact_node_budget = o.Uint("exact_node_budget");
         c.exact_k_limit = static_cast<std::size_t>(o.Uint("exact_k_limit"));
-        return std::make_unique<MaxCoverageAnySolver>(
+        return MaxCoverageSolver(
             "element_sampling_mc",
-            std::make_unique<ElementSamplingMaxCoverage>(c),
+            std::make_shared<ElementSamplingMaxCoverage>(c),
             static_cast<std::size_t>(o.Uint("k")));
       });
 
@@ -433,7 +339,18 @@ SolverRegistry::SolverRegistry() {
         c.passes = static_cast<std::size_t>(o.Uint("passes"));
         c.max_candidates =
             static_cast<std::size_t>(o.Uint("max_candidates"));
-        return std::make_unique<PairFinderAnySolver>("pair_finder", c);
+        // `feasible` means "a covering pair (or singleton) was found";
+        // `extra` is the candidate-list size after the seeding pass.
+        const ExactPairFinder finder(c);
+        return std::make_unique<AnySolver>(
+            "pair_finder", SolverKind::kPairFinder, finder.name(),
+            [finder](SetStream& stream,
+                     const RunContext& context) -> StatusOr<SolverRun> {
+              PairFinderResult r = finder.Run(stream, context);
+              return SolverRun{std::move(r.solution), r.found,
+                               r.candidates_after_first_pass,
+                               std::move(r.stats)};
+            });
       });
 }
 

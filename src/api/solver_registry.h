@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/solve_report.h"
@@ -39,40 +40,60 @@ namespace streamsc {
 /// A solver created by the registry: options already bound, runnable over
 /// any SetStream with per-run execution resources (RunContext). Stateless
 /// across runs — the same AnySolver may be Run() repeatedly, also on
-/// different streams.
+/// different streams. One concrete class for every family: the family
+/// lives in the run callback the registry binds, which runs the algorithm
+/// and maps its result to the report's solution, feasible and extra
+/// fields (see SolverKind).
 class AnySolver {
  public:
-  virtual ~AnySolver() = default;
+  /// One run of the bound algorithm. Stream-dependent option misuse (an
+  /// emek_rosen threshold larger than the stream's universe) returns a
+  /// Status before anything runs.
+  using RunFn =
+      std::function<StatusOr<SolverRun>(SetStream&, const RunContext&)>;
+
+  AnySolver(std::string solver, SolverKind kind, std::string algorithm_name,
+            RunFn run)
+      : solver_(std::move(solver)),
+        kind_(kind),
+        algorithm_name_(std::move(algorithm_name)),
+        run_(std::move(run)) {}
 
   /// Registry key this solver was created under.
-  virtual const std::string& solver() const = 0;
+  const std::string& solver() const { return solver_; }
 
   /// Problem family (drives interpretation of SolveReport fields).
-  virtual SolverKind kind() const = 0;
+  SolverKind kind() const { return kind_; }
 
   /// Parametrized display name, e.g. "assadi(alpha=2,eps=0.500000)".
   /// Computed once at construction; returning it never rebuilds it.
-  virtual const std::string& algorithm_name() const = 0;
+  const std::string& algorithm_name() const { return algorithm_name_; }
 
-  /// Runs over \p stream, writing the outcome into \p report (which must
-  /// be non-null). Every solver-filled field is overwritten; the
+  /// Runs over \p stream under one solver trace span and one timer,
+  /// writing the outcome into \p report (which must be non-null) through
+  /// FillReport: every solver-filled field is overwritten, the
   /// session-filled fields (source/threads/arena_*) are left untouched.
   /// Reusing one SolveReport across runs reaches a zero-allocation steady
   /// state: its strings and solution vector keep their capacity, and with
   /// a warm RunContext arena the whole run touches no heap (the `alloc`
   /// test label pins this down for all nine solvers).
-  /// Stream-dependent option misuse (e.g. an emek_rosen threshold larger
-  /// than this stream's universe) reports a Status instead of aborting.
-  virtual Status RunInto(SetStream& stream, const RunContext& context,
-                         SolveReport* report) = 0;
+  Status RunInto(SetStream& stream, const RunContext& context,
+                 SolveReport* report) const;
 
   /// Convenience wrapper over RunInto with a fresh report.
-  StatusOr<SolveReport> Run(SetStream& stream, const RunContext& context) {
+  StatusOr<SolveReport> Run(SetStream& stream,
+                            const RunContext& context) const {
     SolveReport report;
     const Status status = RunInto(stream, context, &report);
     if (!status.ok()) return status;
     return report;
   }
+
+ private:
+  std::string solver_;
+  SolverKind kind_;
+  std::string algorithm_name_;
+  RunFn run_;
 };
 
 /// Everything a caller needs to present a registered solver: key, family,

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/cover_run.h"
 #include "obs/trace.h"
-#include "stream/engine_context.h"
 #include "util/arena.h"
 #include "util/check.h"
 #include "util/space_meter.h"
@@ -12,9 +12,7 @@
 namespace streamsc {
 namespace {
 
-// Interned metering categories (hot path: array index per Charge).
-const SpaceCategory kUncoveredCat("uncovered");
-const SpaceCategory kSolutionCat("solution");
+// Interned metering category (hot path: array index per Charge).
 const SpaceCategory kWitnessesCat("witnesses");
 
 }  // namespace
@@ -47,21 +45,16 @@ SetCoverRunResult EmekRosenSetCover::Run(SetStream& stream,
                  "sqrt(n) default");
   const std::size_t theta = ThresholdFor(n);
 
-  SetCoverRunResult result;
-  EngineContext ctx(stream, context);
-  SpaceMeter& meter = ctx.meter();
-
-  // Run-lived state (the uncovered bitset, the witness array, the
-  // solution ids) on the run arena.
-  DynamicBitset uncovered =
-      DynamicBitset::Full(n, ctx.alloc<DynamicBitset::Word>());
-  meter.Charge(uncovered.ByteSize(), kUncoveredCat);
+  // Run-lived state (U, the witness array, the solution ids) lives on the
+  // run arena.
+  CoverRun run(stream, context);
+  EngineContext& ctx = run.ctx();
+  DynamicBitset& uncovered = run.uncovered();
   // Witness id per element; kInvalidSetId = none seen yet. Elements
   // covered by a taken set keep their (now unused) witness slot — the
   // array is the Õ(n) term of the space bound either way.
   ArenaVector<SetId> witness(n, kInvalidSetId, ctx.alloc<SetId>());
-  meter.Charge(n * sizeof(SetId), kWitnessesCat);
-  Solution solution(ctx.alloc<SetId>());
+  ctx.meter().Charge(n * sizeof(SetId), kWitnessesCat);
 
   // The threshold-and-witness pass. The big-set rule is a monotone
   // threshold take (eligible for the snapshot filter); the witness writes
@@ -75,10 +68,7 @@ SetCoverRunResult EmekRosenSetCover::Run(SetStream& stream,
       const Count gain =
           bound_is_exact ? bound : item.set.CountAnd(uncovered);
       if (gain >= theta) {
-        solution.chosen.push_back(item.id);
-        meter.SetCategory(solution.size() * sizeof(SetId), kSolutionCat);
-        item.set.AndNotInto(uncovered);
-        ctx.RecordTake(gain);
+        run.Take(item, gain);
         return;
       }
       if (gain == 0) return;  // fully covered since the snapshot
@@ -110,21 +100,11 @@ SetCoverRunResult EmekRosenSetCover::Run(SetStream& stream,
     leftovers.erase(std::unique(leftovers.begin(), leftovers.end()),
                     leftovers.end());
 
-    if (!leftovers.empty()) {
-      // One more (cheap) pass to subtract the witnesses' actual contents —
-      // needed only to *verify* feasibility; the ids were already final.
-      ctx.RecordTakes(leftovers.size(), 0);
-      ctx.SubtractPass(leftovers, uncovered);
-      solution.chosen.insert(solution.chosen.end(), leftovers.begin(),
-                             leftovers.end());
-      meter.SetCategory(solution.size() * sizeof(SetId), kSolutionCat);
-    }
+    // One more (cheap) pass to subtract the witnesses' actual contents —
+    // needed only to *verify* feasibility; the ids were already final.
+    run.TakeAndSubtract(leftovers);
   }
-
-  result.solution = std::move(solution);
-  result.feasible = uncovered.None();
-  result.stats = ctx.Stats();
-  return result;
+  return run.Finish();
 }
 
 }  // namespace streamsc

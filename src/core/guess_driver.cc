@@ -13,12 +13,7 @@
 namespace streamsc {
 namespace {
 
-// Space charged for the solution id list.
-Bytes SolutionBytes(std::size_t size) { return size * sizeof(SetId); }
-
 // Interned metering categories (hot path: array index per Charge).
-const SpaceCategory kUncoveredCat("uncovered");
-const SpaceCategory kSolutionCat("solution");
 const SpaceCategory kProjectionsCat("projections");
 const SpaceCategory kSubsolveMemoCat("subsolve_memo");
 
@@ -34,12 +29,12 @@ void CountExactSubsolve(const ExactSetCoverResult& result,
   if (!result.complete) counters.Add(budget_hits, 1);
 }
 
-// Counts one "offline.greedy_fallbacks": a budget-stopped sub-solve with
-// no cover within õpt (the guess fails).
-void CountGreedyFallback(CounterSet& counters) {
-  static const CounterId fallbacks =
-      CounterId::Counter("offline.greedy_fallbacks");
-  counters.Add(fallbacks, 1);
+// Counts one "offline.exact_budget_failures": a budget-stopped sub-solve
+// with no cover within õpt (the guess fails).
+void CountExactBudgetFailure(CounterSet& counters) {
+  static const CounterId failures =
+      CounterId::Counter("offline.exact_budget_failures");
+  counters.Add(failures, 1);
 }
 
 // Counts one "offline.subsolve_memo_hits": a saturated step that reused
@@ -74,35 +69,11 @@ GuessRun::GuessRun(SetStream& stream, const RunContext& context,
     : memo_(memo),
       opt_guess_(opt_guess),
       budget_(budget_factor * static_cast<double>(opt_guess)),
-      ctx_(stream, context),
-      // Run-lived state (U, the solution ids) comes from the run arena;
-      // each Step brackets the thread's table arena for its own state.
-      uncovered_(DynamicBitset::Full(stream.universe_size(),
-                                     ctx_.alloc<DynamicBitset::Word>())),
-      solution_(ctx_.alloc<SetId>()) {
-  ctx_.meter().Charge(uncovered_.ByteSize(), kUncoveredCat);
-}
-
-void GuessRun::Take(SetId id) {
-  solution_.chosen.push_back(id);
-  ctx_.meter().SetCategory(SolutionBytes(solution_.size()), kSolutionCat);
-}
+      run_(stream, context) {}
 
 void GuessRun::Prune(double threshold) {
-  const TraceSpan phase(ctx_.trace(), TraceCategory::kPhase, "prune");
-  ctx_.ThresholdPass(threshold, uncovered_, [this](SetId id) { Take(id); });
-}
-
-void GuessRun::TakeAndSubtract(const ArenaVector<SetId>& chosen) {
-  solution_.chosen.insert(solution_.chosen.end(), chosen.begin(),
-                          chosen.end());
-  ctx_.meter().SetCategory(SolutionBytes(solution_.size()), kSolutionCat);
-  ctx_.RecordTakes(chosen.size(), 0);
-
-  // (d) One pass subtracting the chosen sets' *full* contents from U.
-  // (The paper stores only projections, so recovering the full contents
-  // of OPT' requires this extra pass.)
-  ctx_.SubtractPass(chosen, uncovered_);
+  const TraceSpan phase(trace(), TraceCategory::kPhase, "prune");
+  run_.ThresholdPass(threshold);
 }
 
 bool GuessRun::Step(double rate, Rng& rng, const char* subsolve_span,
@@ -110,15 +81,17 @@ bool GuessRun::Step(double rate, Rng& rng, const char* subsolve_span,
   // A saturated sample is U itself and draws nothing from the Rng, so
   // the sub-instance — and a guess-independent sub-solve of it — is a
   // function of U alone: replay the memo's entry if it holds this U.
+  EngineContext& ctx = run_.ctx();
+  const DynamicBitset& uncovered = run_.uncovered();
   const bool memoizable = memo_ != nullptr && rate >= 1.0;
-  if (memoizable && memo_->Matches(uncovered_)) {
-    CountSubsolveMemoHit(ctx_.counters());
+  if (memoizable && memo_->Matches(uncovered)) {
+    CountSubsolveMemoHit(ctx.counters());
     // The memo stands in for the projections the step would have
     // stored, so the guess's space is that of the memo-less step.
-    ctx_.meter().Charge(memo_->projection_bytes_, kSubsolveMemoCat);
-    ctx_.meter().Release(memo_->projection_bytes_, kSubsolveMemoCat);
+    ctx.meter().Charge(memo_->projection_bytes_, kSubsolveMemoCat);
+    ctx.meter().Release(memo_->projection_bytes_, kSubsolveMemoCat);
     if (!memo_->solved_) return false;
-    TakeAndSubtract(memo_->chosen_);
+    run_.TakeAndSubtract(memo_->chosen_);
     return true;
   }
 
@@ -131,7 +104,7 @@ bool GuessRun::Step(double rate, Rng& rng, const char* subsolve_span,
 
   // (a) Sample U_smpl from the still-uncovered universe.
   const DynamicBitset sampled =
-      SampleElements(uncovered_, rate, rng, DynamicBitset::Allocator(table));
+      SampleElements(uncovered, rate, rng, DynamicBitset::Allocator(table));
   if (sampled.None()) return true;  // nothing sampled; the step is a no-op
   const SubUniverse sub(sampled, table);
 
@@ -143,16 +116,16 @@ bool GuessRun::Step(double rate, Rng& rng, const char* subsolve_span,
   SetSystem projections(sub.size(), SetSystem::kDefaultSparsityThreshold,
                         &ThreadTableArena());
   ArenaVector<SetId> projection_ids(table);
-  projection_ids.reserve(ctx_.stream().num_sets());
-  ctx_.TransformPass<ProjectedSet>(
+  projection_ids.reserve(ctx.stream().num_sets());
+  ctx.TransformPass<ProjectedSet>(
       [&](const StreamItem& it) {
         return sub.ProjectAdaptive(it.set,
                                    ArenaAllocator<ElementId>::Scratch());
       },
       [&](const StreamItem& it, ProjectedSet proj) {
         const SetId pid = StoreProjection(projections, std::move(proj));
-        ctx_.meter().Charge(projections.SetBytes(pid) + sizeof(SetId),
-                            kProjectionsCat);
+        ctx.meter().Charge(projections.SetBytes(pid) + sizeof(SetId),
+                           kProjectionsCat);
         projection_ids.push_back(it.id);
       });
 
@@ -161,21 +134,24 @@ bool GuessRun::Step(double rate, Rng& rng, const char* subsolve_span,
   // the rest of the step.
   ArenaVector<SetId> chosen(table);
   const std::int64_t subsolve_start =
-      ctx_.trace() != nullptr ? TraceRecorder::NowNs() : 0;
+      ctx.trace() != nullptr ? TraceRecorder::NowNs() : 0;
   const bool solved = solve(projections, chosen);
-  if (ctx_.trace() != nullptr) {
-    ctx_.trace()->Emit(TraceCategory::kPhase, subsolve_span, subsolve_start,
-                       TraceRecorder::NowNs() - subsolve_start);
+  if (ctx.trace() != nullptr) {
+    ctx.trace()->Emit(TraceCategory::kPhase, subsolve_span, subsolve_start,
+                      TraceRecorder::NowNs() - subsolve_start);
   }
   for (SetId& id : chosen) id = projection_ids[id];
   // Stored projections are dropped once the sub-instance is solved.
   const Bytes projection_bytes =
-      ctx_.meter().CategoryCurrent(kProjectionsCat);
-  ctx_.meter().Release(projection_bytes, kProjectionsCat);
-  if (memoizable) memo_->Store(uncovered_, solved, chosen, projection_bytes);
+      ctx.meter().CategoryCurrent(kProjectionsCat);
+  ctx.meter().Release(projection_bytes, kProjectionsCat);
+  if (memoizable) memo_->Store(uncovered, solved, chosen, projection_bytes);
   if (!solved) return false;
 
-  TakeAndSubtract(chosen);
+  // (d) One pass subtracting the chosen sets' *full* contents from U.
+  // (The paper stores only projections, so recovering the full contents
+  // of OPT' requires this extra pass.)
+  run_.TakeAndSubtract(chosen);
   return true;
 }
 
@@ -194,13 +170,13 @@ bool GuessRun::SolveExactly(const SetSystem& projections,
       projections,
       DynamicBitset::Full(projections.universe_size(),
                           DynamicBitset::Allocator::Table()),
-      options, ctx_.alloc<SetId>());
-  CountExactSubsolve(result, ctx_.counters());
+      options, run_.ctx().alloc<SetId>());
+  CountExactSubsolve(result, run_.ctx().counters());
   if (!result.feasible) {
     // No cover within õpt: either proven (õpt < opt) or the node budget
     // ran out first. Greedy cannot rescue the latter — the search starts
     // from the greedy cover whenever it fits õpt — so both fail the guess.
-    if (!result.complete) CountGreedyFallback(ctx_.counters());
+    if (!result.complete) CountExactBudgetFailure(run_.ctx().counters());
     return false;
   }
   chosen.assign(result.solution.chosen.begin(), result.solution.chosen.end());
@@ -209,20 +185,21 @@ bool GuessRun::SolveExactly(const SetSystem& projections,
 
 GuessResult GuessRun::Finish(bool guess_ok, bool cover_residue) {
   GuessResult result;
-  result.residual_after_iterations = uncovered_.CountSet();
+  result.residual_after_iterations = run_.uncovered().CountSet();
 
   // Optional cleanup pass guaranteeing feasibility. W.h.p. U is already
   // empty (Lemma 3.11); at laptop scale a small residue can survive, and
   // the paper requires the returned solution to always be feasible.
-  if (guess_ok && cover_residue && !uncovered_.None()) {
-    ctx_.CoverResiduePass(uncovered_, [this](SetId id) { Take(id); });
+  if (guess_ok && cover_residue && !run_.uncovered().None()) {
+    run_.CoverResiduePass();
   }
 
-  result.feasible = guess_ok && uncovered_.None();
-  result.within_budget =
-      result.feasible && static_cast<double>(solution_.size()) <= budget_;
-  result.solution = std::move(solution_);
-  result.stats = ctx_.Stats();
+  SetCoverRunResult cover = run_.Finish();
+  result.feasible = guess_ok && cover.feasible;
+  result.within_budget = result.feasible &&
+                         static_cast<double>(cover.solution.size()) <= budget_;
+  result.solution = std::move(cover.solution);
+  result.stats = std::move(cover.stats);
   return result;
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 
+#include "core/cover_run.h"
 #include "instance/set_system.h"
 #include "stream/engine_context.h"
 #include "stream/stream_algorithm.h"
@@ -19,7 +20,10 @@
 /// offline, subtract the chosen sets' full contents from U. This file
 /// holds the guess loop (RunGuesses) and the per-guess state with its
 /// step (GuessRun) once; each solver keeps only its pruning, its sampling
-/// rate and its sub-solver.
+/// rate and its sub-solver. GuessRun is built on CoverRun
+/// (core/cover_run.h), which keeps the guess's U and solution and meters
+/// both; GuessRun adds the guess's budget, the projections of each step
+/// and the sub-solve memo.
 ///
 /// The paper runs the O(log n) guesses in parallel within shared passes;
 /// RunGuesses runs them sequentially from the smallest guess and stops at
@@ -77,8 +81,9 @@ class SubsolveMemo {
   ArenaVector<SetId> chosen_;
 };
 
-/// The state of one guess: its engine context (the guess's ledger of
-/// passes, space and counters), uncovered elements U and solution so far.
+/// The state of one guess: a CoverRun (the guess's ledger of passes,
+/// space and counters, its uncovered elements U and solution so far) plus
+/// the guess's budget and the run's sub-solve memo.
 class GuessRun {
  public:
   /// A guess succeeds with a feasible cover of at most
@@ -92,8 +97,8 @@ class GuessRun {
   GuessRun(const GuessRun&) = delete;
   GuessRun& operator=(const GuessRun&) = delete;
 
-  const DynamicBitset& uncovered() const { return uncovered_; }
-  TraceRecorder* trace() const { return ctx_.trace(); }
+  const DynamicBitset& uncovered() const { return run_.uncovered(); }
+  TraceRecorder* trace() const { return run_.ctx().trace(); }
 
   /// One "prune" pass taking every set that still covers at least
   /// \p threshold uncovered elements.
@@ -127,16 +132,10 @@ class GuessRun {
   GuessResult Finish(bool guess_ok, bool cover_residue);
 
  private:
-  void Take(SetId id);
-  // Takes \p chosen (global ids), records them and runs the subtract pass.
-  void TakeAndSubtract(const ArenaVector<SetId>& chosen);
-
   SubsolveMemo* memo_;
   std::size_t opt_guess_;
   double budget_;
-  EngineContext ctx_;
-  DynamicBitset uncovered_;
-  Solution solution_;
+  CoverRun run_;
 };
 
 /// Greedy on the projections: \p chosen gets its picks, which cover as

@@ -2,19 +2,11 @@
 
 #include <algorithm>
 
+#include "core/cover_run.h"
 #include "obs/trace.h"
-#include "stream/engine_context.h"
 #include "util/check.h"
-#include "util/space_meter.h"
 
 namespace streamsc {
-namespace {
-
-// Interned metering categories (hot path: array index per Charge).
-const SpaceCategory kUncoveredCat("uncovered");
-const SpaceCategory kSolutionCat("solution");
-
-}  // namespace
 
 OnePassSetCover::OnePassSetCover(OnePassConfig config) : config_(config) {
   STREAMSC_CHECK(
@@ -29,14 +21,9 @@ std::string OnePassSetCover::name() const {
 
 SetCoverRunResult OnePassSetCover::Run(SetStream& stream,
                                        const RunContext& context) {
-  const std::size_t n = stream.universe_size();
-
-  SetCoverRunResult result;
-  EngineContext ctx(stream, context);
-  DynamicBitset uncovered =
-      DynamicBitset::Full(n, ctx.alloc<DynamicBitset::Word>());
-  ctx.meter().Charge(uncovered.ByteSize(), kUncoveredCat);
-  Solution solution(ctx.alloc<SetId>());
+  CoverRun run(stream, context);
+  EngineContext& ctx = run.ctx();
+  DynamicBitset& uncovered = run.uncovered();
 
   // The acceptance bar max(1, frac·|U|) shrinks together with |U|, so
   // only the zero-gain part of the snapshot filter is sound here: a
@@ -50,18 +37,9 @@ SetCoverRunResult OnePassSetCover::Run(SetStream& stream,
     const double needed = std::max(
         1.0, config_.min_gain_fraction *
                  static_cast<double>(uncovered.CountSet()));
-    if (static_cast<double>(gain) >= needed) {
-      solution.chosen.push_back(item.id);
-      ctx.meter().SetCategory(solution.size() * sizeof(SetId), kSolutionCat);
-      item.set.AndNotInto(uncovered);
-      ctx.RecordTake(gain);
-    }
+    if (static_cast<double>(gain) >= needed) run.Take(item, gain);
   });
-
-  result.solution = std::move(solution);
-  result.feasible = uncovered.None();
-  result.stats = ctx.Stats();
-  return result;
+  return run.Finish();
 }
 
 }  // namespace streamsc

@@ -129,9 +129,6 @@ class SolveService {
   /// (valid after a successful Start()).
   const Endpoint& endpoint() const { return endpoint_; }
 
-  /// Registered instance names, sorted.
-  std::vector<std::string> InstanceNames() const { return cache_.Names(); }
-
   /// Renders current service stats as Prometheus exposition text: merged
   /// serve.* counters, queue gauges, and the request-latency summary.
   void WriteStats(std::ostream& out) const;

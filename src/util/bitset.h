@@ -196,26 +196,6 @@ class DynamicBitset {
   /// SubUniverse projection gather).
   std::size_t WordCount() const { return words_.size(); }
 
-  /// The \p w-th backing word. Precondition: w < WordCount().
-  Word GetWord(std::size_t w) const {
-    STREAMSC_DCHECK(w < words_.size());
-    return words_[w];
-  }
-
-  /// ORs \p bits into the \p w-th backing word. The caller must preserve
-  /// the tail invariant: no bits at positions >= size().
-  void OrWord(std::size_t w, Word bits) {
-    STREAMSC_DCHECK(w < words_.size());
-    words_[w] |= bits;
-  }
-
-  /// ANDs the \p w-th backing word with \p mask (clears the bits outside
-  /// \p mask). The tail invariant holds automatically: AND never sets bits.
-  void AndWord(std::size_t w, Word mask) {
-    STREAMSC_DCHECK(w < words_.size());
-    words_[w] &= mask;
-  }
-
   /// Contiguous backing words (read-only; for word-level bulk consumers
   /// like the sscb1 writer and the DenseSpan / SetView a bitset hands out).
   /// Valid while the bitset is alive and not assigned to: a copy or move

@@ -184,16 +184,16 @@ const std::vector<GoldenCase>& GoldenCases() {
        "25,41,56,20,21,31,33,39,26,28] feasible=1 passes=21 space=4416 "
        "taken=37 covered=686 counters={engine.elements_covered:686,"
        "engine.items_scanned:1344,engine.passes:21,engine.sets_taken:37,"
-       "offline.exact_budget_hits:4,offline.exact_nodes:14,"
-       "offline.greedy_fallbacks:3}"},
+       "offline.exact_budget_failures:3,offline.exact_budget_hits:4,"
+       "offline.exact_nodes:14}"},
       {"assadi", {"exact_node_budget=1"}, "uniform", 2,
        "chosen=[0,1,2,3,4,6,8,12,19,32,47,62,10,63,24,40,35,38,16,7,11,22,60,"
        "25,41,56,20,21,31,33,39,26,28] feasible=1 passes=21 space=4416 "
        "taken=37 covered=686 counters={engine.elements_covered:686,"
        "engine.items_scanned:1344,engine.passes:21,engine.sets_taken:37,"
        "engine.shard_items:1280,engine.shard_jobs:20,"
-       "offline.exact_budget_hits:4,offline.exact_nodes:14,"
-       "offline.greedy_fallbacks:3}"},
+       "offline.exact_budget_failures:3,offline.exact_budget_hits:4,"
+       "offline.exact_nodes:14}"},
       {"assadi", {"known_opt=4"}, "planted", 1,
        "chosen=[0,1,2,3] feasible=1 passes=3 space=6496 taken=4 covered=768 "
        "counters={engine.elements_covered:768,engine.items_scanned:192,"
@@ -247,16 +247,17 @@ const std::vector<GoldenCase>& GoldenCases() {
        "52,31,27,34,30,43,22,49,21,25,26,33,39,42,47,53] feasible=1 "
        "passes=13 space=4416 taken=62 covered=1190 "
        "counters={engine.elements_covered:1190,engine.items_scanned:832,"
-       "engine.passes:13,engine.sets_taken:62,offline.exact_budget_hits:2,"
-       "offline.exact_nodes:8,offline.greedy_fallbacks:1}"},
+       "engine.passes:13,engine.sets_taken:62,"
+       "offline.exact_budget_failures:1,offline.exact_budget_hits:2,"
+       "offline.exact_nodes:8}"},
       {"har_peled", {"exact_node_budget=1"}, "uniform", 2,
        "chosen=[0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,29,32,41,"
        "52,31,27,34,30,43,22,49,21,25,26,33,39,42,47,53] feasible=1 "
        "passes=13 space=4416 taken=62 covered=1190 "
        "counters={engine.elements_covered:1190,engine.items_scanned:832,"
        "engine.passes:13,engine.sets_taken:62,engine.shard_items:768,"
-       "engine.shard_jobs:12,offline.exact_budget_hits:2,"
-       "offline.exact_nodes:8,offline.greedy_fallbacks:1}"},
+       "engine.shard_jobs:12,offline.exact_budget_failures:1,"
+       "offline.exact_budget_hits:2,offline.exact_nodes:8}"},
       {"demaine", {"alpha=2"}, "planted", 1,
        "chosen=[0,1,2,3] feasible=1 passes=3 space=6496 taken=8 covered=1536 "
        "counters={engine.elements_covered:1536,engine.items_scanned:192,"

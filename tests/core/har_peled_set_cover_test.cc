@@ -38,7 +38,8 @@ TEST(HarPeledSetCoverTest, CountsExactSubsolveWork) {
   const SetSystem system = UniformRandomInstance(300, 40, 30, rng);
   const CounterId nodes = CounterId::Counter("offline.exact_nodes");
   const CounterId budget_hits = CounterId::Counter("offline.exact_budget_hits");
-  const CounterId fallbacks = CounterId::Counter("offline.greedy_fallbacks");
+  const CounterId failures =
+      CounterId::Counter("offline.exact_budget_failures");
   HarPeledConfig config;
   config.alpha = 2;
   {
@@ -48,7 +49,7 @@ TEST(HarPeledSetCoverTest, CountsExactSubsolveWork) {
     ASSERT_TRUE(result.feasible);
     EXPECT_GT(result.stats.counters.value(nodes), 0u);
     EXPECT_EQ(result.stats.counters.value(budget_hits), 0u);
-    EXPECT_EQ(result.stats.counters.value(fallbacks), 0u);
+    EXPECT_EQ(result.stats.counters.value(failures), 0u);
   }
   {
     // A one-node budget stops every non-trivial sub-solve.
@@ -57,8 +58,8 @@ TEST(HarPeledSetCoverTest, CountsExactSubsolveWork) {
     HarPeledSetCover algorithm(config);
     const SetCoverRunResult result = algorithm.Run(stream);
     EXPECT_GE(result.stats.counters.value(budget_hits), 1u);
-    EXPECT_GE(result.stats.counters.value(fallbacks), 1u);
-    EXPECT_LE(result.stats.counters.value(fallbacks),
+    EXPECT_GE(result.stats.counters.value(failures), 1u);
+    EXPECT_LE(result.stats.counters.value(failures),
               result.stats.counters.value(budget_hits));
   }
 }

@@ -107,13 +107,20 @@ class LintStreamscTest(unittest.TestCase):
         self.assert_reported(result, "src/core/bad_pass.cc", 5, "raw-pass")
         self.assert_reported(result, "src/core/bad_pass.cc", 8, "raw-pass")
         self.assertNotIn("src/storage/pass_ok.cc", result.stdout)
+        # A set-cover run's U and solution categories declared outside
+        # core/cover_run.cc; the CoverRun home itself is exempt.
+        self.assert_reported(result, "src/core/bad_cover_state.cc", 4,
+                             "cover-state")
+        self.assert_reported(result, "src/core/bad_cover_state.cc", 6,
+                             "cover-state")
+        self.assertNotIn("src/core/cover_run.cc", result.stdout)
 
     def test_violation_count_is_exact(self):
         """No over-reporting: exactly the planted violations, nothing
         from comments, string literals, or the clean lines around them."""
         result = run_linter("--root", str(FIXTURES / "violations"))
         reported = [l for l in result.stdout.splitlines() if "[" in l]
-        self.assertEqual(len(reported), 22, result.stdout)
+        self.assertEqual(len(reported), 24, result.stdout)
 
     def test_real_tree_is_clean(self):
         """The wall starts (and stays) at zero violations on the repo."""
@@ -128,7 +135,8 @@ class LintStreamscTest(unittest.TestCase):
         rules = result.stdout.split()
         self.assertEqual(
             rules, ["layer-dag", "raw-assert", "determinism", "engine-ptr",
-                    "arena-ptr", "chrono", "raw-popcount", "raw-pass"])
+                    "arena-ptr", "chrono", "raw-popcount", "raw-pass",
+                    "cover-state"])
 
 
 class TidyGatingTest(unittest.TestCase):

@@ -232,9 +232,8 @@ SolverRegistry::SolverRegistry() {
         // The threshold <= n constraint is stream-dependent: enforced
         // here as a Status before Run (the struct path CHECK-aborts).
         const auto algorithm = std::make_shared<EmekRosenSetCover>(c);
-        std::string name = algorithm->name();
         return std::make_unique<AnySolver>(
-            "emek_rosen", SolverKind::kSetCover, std::move(name),
+            "emek_rosen", SolverKind::kSetCover, algorithm->name(),
             [threshold = c.threshold, run = SetCoverRun(algorithm)](
                 SetStream& stream,
                 const RunContext& context) -> StatusOr<SolverRun> {

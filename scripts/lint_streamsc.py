@@ -47,12 +47,13 @@ raw-popcount  No `std::popcount`, `__builtin_popcount*`, popcnt or pext
               POPCNT/BMI2 once per process. Elsewhere the default build
               (no -mpopcnt) compiles a popcount to a libgcc
               `__popcountdi2` call per word.
-raw-pass      No `BeginPass(` or `Next(&` outside src/stream, src/storage
-              and src/dynamic (the layers that implement streams and
-              their pass primitives): every other layer passes over a
-              stream through EngineContext, whose engine.passes counter
-              is the run's reported pass count. A pass driven around it
-              would be missing from every report.
+raw-pass      No `BeginPass(`, `Next(&` or `ItemAt(` outside src/stream,
+              src/storage and src/dynamic (the layers that implement
+              streams and their pass primitives): every other layer
+              passes over a stream through EngineContext, whose
+              engine.passes counter is the run's reported pass count. A
+              pass driven around it would be missing from every report,
+              and reading sets by position would skip the pass entirely.
 cover-state   No `SpaceCategory` named "uncovered" or "solution" in src/
               outside core/cover_run.cc: a set-cover run keeps U and its
               solution through CoverRun (core/cover_run.h), which charges
@@ -120,7 +121,7 @@ POPCOUNT_RE = re.compile(
 POPCOUNT_HOME = "src/util/word_kernels.cc"
 
 RAW_PASS_RE = re.compile(
-    r"(?<![_A-Za-z0-9])(?:BeginPass\s*\(|Next\s*\(\s*&)")
+    r"(?<![_A-Za-z0-9])(?:BeginPass\s*\(|Next\s*\(\s*&|ItemAt\s*\()")
 
 # Layers that implement streams and their pass primitives; everything
 # else passes over a stream through EngineContext.
@@ -292,9 +293,10 @@ def lint_file(path: pathlib.Path, layer: str,
         if layer not in RAW_PASS_EXEMPT_LAYERS and RAW_PASS_RE.search(line):
             violations.append(Violation(
                 rel, lineno, "raw-pass",
-                "direct BeginPass()/Next(&) outside stream//storage//"
-                "dynamic/ — pass over the stream through an EngineContext "
-                "primitive, which counts the pass in engine.passes"))
+                "direct BeginPass()/Next(&)/ItemAt() outside stream//"
+                "storage//dynamic/ — pass over the stream through an "
+                "EngineContext primitive, which counts the pass in "
+                "engine.passes"))
         if (rel.as_posix() != COVER_STATE_HOME
                 and SPACE_CATEGORY_RE.search(line)
                 and COVER_STATE_RE.search(raw[lineno - 1])):

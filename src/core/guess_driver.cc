@@ -184,8 +184,7 @@ bool GuessRun::SolveExactly(const SetSystem& projections,
 }
 
 GuessResult GuessRun::Finish(bool guess_ok, bool cover_residue) {
-  GuessResult result;
-  result.residual_after_iterations = run_.uncovered().CountSet();
+  const std::uint64_t residual = run_.uncovered().CountSet();
 
   // Optional cleanup pass guaranteeing feasibility. W.h.p. U is already
   // empty (Lemma 3.11); at laptop scale a small residue can survive, and
@@ -194,12 +193,11 @@ GuessResult GuessRun::Finish(bool guess_ok, bool cover_residue) {
     run_.CoverResiduePass();
   }
 
-  SetCoverRunResult cover = run_.Finish();
-  result.feasible = guess_ok && cover.feasible;
-  result.within_budget = result.feasible &&
-                         static_cast<double>(cover.solution.size()) <= budget_;
-  result.solution = std::move(cover.solution);
-  result.stats = std::move(cover.stats);
+  GuessResult result{run_.Finish(), /*within_budget=*/false, residual};
+  result.feasible = guess_ok && result.feasible;
+  result.within_budget =
+      result.feasible &&
+      static_cast<double>(result.solution.size()) <= budget_;
   return result;
 }
 

@@ -42,13 +42,12 @@
 
 namespace streamsc {
 
-/// Outcome of one guess õpt (one RunWithGuess of a sampling solver).
-struct GuessResult {
-  Solution solution;
-  bool feasible = false;         ///< Covered everything.
+/// Outcome of one guess õpt (one RunWithGuess of a sampling solver): the
+/// guess's solution and stats, feasible only if the guess itself
+/// succeeded and covered everything.
+struct GuessResult : SetCoverRunResult {
   bool within_budget = false;    ///< Feasible with ≤ budget_factor·õpt sets.
   std::uint64_t residual_after_iterations = 0;  ///< |U| left before cleanup.
-  StreamRunStats stats;  ///< The guess's passes, peak space and counters.
 };
 
 /// Solves a projected sub-instance: writes the chosen local set ids into

@@ -76,13 +76,6 @@ SetView ViewOf(const ProjectedSet& projection) {
   return std::visit([](const auto& set) { return SetView(set); }, projection);
 }
 
-DynamicBitset SubUniverse::Lift(const DynamicBitset& sample_set,
-                                DynamicBitset::Allocator alloc) const {
-  DynamicBitset out(full_size_, alloc);
-  sample_set.ForEach([&](ElementId i) { out.Set(sample_to_full_[i]); });
-  return out;
-}
-
 DynamicBitset SampleElements(const DynamicBitset& universe, double rate,
                              Rng& rng, DynamicBitset::Allocator alloc) {
   // Rng::BernoulliSubsample owns the documented [0,1]/NaN clamp.

@@ -79,10 +79,6 @@ class SubUniverse {
   ProjectedSet ProjectAdaptive(SetView full_set,
                                ArenaAllocator<ElementId> alloc = {}) const;
 
-  /// Lifts a sample-indexed set back to full-universe indexing.
-  DynamicBitset Lift(const DynamicBitset& sample_set,
-                     DynamicBitset::Allocator alloc = {}) const;
-
   /// Full-universe id of sampled element \p i.
   ElementId ToFull(std::size_t i) const { return sample_to_full_[i]; }
 

@@ -105,7 +105,6 @@ void OverlaySetStream::Compose() {
     slot_live_[static_cast<std::size_t>(slot)] = true;
     live_.push_back(slot);
   }
-  cursor_ = 0;
 }
 
 SetView OverlaySetStream::BaseSet(std::uint64_t slot) const {
@@ -113,20 +112,6 @@ SetView OverlaySetStream::BaseSet(std::uint64_t slot) const {
   const SetSystem* system =
       owned_system_ ? owned_system_.get() : borrowed_system_;
   return system->set(static_cast<SetId>(slot));
-}
-
-void OverlaySetStream::BeginPass() {
-  cursor_ = 0;
-  ++passes_;
-}
-
-bool OverlaySetStream::Next(StreamItem* item) {
-  STREAMSC_DCHECK(passes_ > 0 && "BeginPass() before Next()");
-  if (cursor_ >= live_.size()) return false;
-  const SetId id = static_cast<SetId>(cursor_++);
-  item->id = id;
-  item->set = set(id);
-  return true;
 }
 
 SetView OverlaySetStream::set(SetId id) const {

@@ -27,9 +27,9 @@
 /// solving the materialized file produce byte-identical solutions.
 ///
 /// Every view points into the base mapping/system or the delta mapping,
-/// both of which live as long as the stream — so DrainPassInto /
-/// ParallelPassEngine can buffer and shard a pass over a composed instance
-/// exactly as over a plain mmap.
+/// both of which live as long as the stream, and ItemAt(i) is the i-th live
+/// set in O(1) — so a ParallelPassEngine shards a pass over a composed
+/// instance by position exactly as over a plain mmap.
 ///
 /// RefreshDelta() re-reads the delta file (the watch-mode beat): the base
 /// stays untouched, the log is re-validated and re-replayed, and the live
@@ -61,16 +61,18 @@ class OverlaySetStream : public SetStream {
   std::size_t universe_size() const override { return universe_size_; }
   /// Number of *live* sets (base + adds - tombstones).
   std::size_t num_sets() const override { return live_.size(); }
-  void BeginPass() override;
-  bool Next(StreamItem* item) override;
-  std::uint64_t passes() const override { return passes_; }
+  StreamItem ItemAt(std::size_t pos) const override {
+    const SetId id = static_cast<SetId>(pos);
+    return StreamItem{id, set(id)};
+  }
 
   /// Random access to the \p id-th live set, O(1). Precondition:
   /// status().ok() and id < num_sets().
   SetView set(SetId id) const;
 
   /// Re-reads the delta log from disk; the base is untouched. On success
-  /// the live table is rebuilt (ids renumber, old views invalidate). On
+  /// the live table is rebuilt (ids renumber, old views invalidate; call
+  /// BeginPass() before streaming again). On
   /// *any* failure — torn bytes, hostile records, or a log whose declared
   /// base stopped matching — the previous composed state is retained and
   /// status() stays Ok: a bad poll degrades to "no change yet", not a
@@ -141,8 +143,6 @@ class OverlaySetStream : public SetStream {
   // lookup per access. Sizing by num_slots is safe here — compose is
   // gated on the delta matching the actual base, whose size is real.
   std::vector<bool> slot_from_delta_;
-  std::size_t cursor_ = 0;
-  std::uint64_t passes_ = 0;
 };
 
 }  // namespace streamsc

@@ -79,20 +79,6 @@ Status MmapSetStream::Load(const std::string& path) {
   return Status::Ok();
 }
 
-void MmapSetStream::BeginPass() {
-  cursor_ = 0;
-  ++passes_;
-}
-
-bool MmapSetStream::Next(StreamItem* item) {
-  STREAMSC_DCHECK(passes_ > 0 && "BeginPass() before Next()");
-  if (cursor_ >= sets_.size()) return false;
-  const SetId id = static_cast<SetId>(cursor_++);
-  item->id = id;
-  item->set = set(id);
-  return true;
-}
-
 SetView MmapSetStream::set(SetId id) const {
   STREAMSC_CHECK(status_.ok() && id < sets_.size(),
                  "MmapSetStream::set: invalid stream or id");

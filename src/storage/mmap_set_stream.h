@@ -18,11 +18,12 @@
 /// set as a zero-copy SetView (DenseSpan / SparseSpan) directly over the
 /// read-only mapping:
 ///
-///   * a pass costs zero parsing — BeginPass() is a cursor reset, and a
-///     set's bytes are only touched when the algorithm reads them;
-///   * views stay valid for the stream's whole lifetime, so DrainPassInto
-///     / ParallelPassEngine can buffer and shard a disk-resident pass
-///     across workers;
+///   * a pass costs zero parsing — ItemAt(i) is the i-th entry of a view
+///     table built at open, and a set's bytes are only touched when the
+///     algorithm reads them;
+///   * views stay valid for the stream's whole lifetime, so a
+///     ParallelPassEngine can shard a disk-resident pass across workers
+///     by position;
 ///   * resident memory is O(m) view bookkeeping plus whatever pages the
 ///     OS keeps warm — never O(mn), preserving the streaming model's
 ///     honesty at multi-GB scale.
@@ -54,9 +55,10 @@ class MmapSetStream : public SetStream {
 
   std::size_t universe_size() const override { return universe_size_; }
   std::size_t num_sets() const override { return sets_.size(); }
-  void BeginPass() override;
-  bool Next(StreamItem* item) override;
-  std::uint64_t passes() const override { return passes_; }
+  StreamItem ItemAt(std::size_t pos) const override {
+    const SetId id = static_cast<SetId>(pos);
+    return StreamItem{id, set(id)};
+  }
 
   /// Random access to the \p id-th set (the index makes this O(1)).
   /// Precondition: status().ok() and id < num_sets().
@@ -77,23 +79,23 @@ class MmapSetStream : public SetStream {
   std::size_t universe_size_ = 0;
   std::vector<SetView> sets_;  // one view per set, over the mapping
   std::size_t sparse_sets_ = 0;
-  std::size_t cursor_ = 0;
-  std::uint64_t passes_ = 0;
 };
 
-/// An independent cursor over a shared, already-validated MmapSetStream.
+/// An independently counted stream over a shared, already-validated
+/// MmapSetStream.
 ///
-/// MmapSetStream is read-only after construction except for its pass
-/// cursor — which is exactly what stops one validated mapping from
-/// serving many concurrent readers. MmapStreamView splits the cursor out:
-/// each view carries its own cursor/pass state and reads sets through the
-/// shared stream's O(1) random access, so N views over one stream can
-/// stream passes concurrently with zero additional validation, mapping,
-/// or payload copies. This is the open-once / serve-many shape the solve
-/// daemon's instance cache hands to its worker slots.
+/// MmapSetStream is read-only after construction except for the pass
+/// cursor and counter every SetStream carries — which is exactly what
+/// stops one validated mapping from serving many concurrent readers.
+/// Each MmapStreamView has its own cursor and counter and serves ItemAt()
+/// through the shared stream's O(1) random access, so N views over one
+/// stream can stream passes concurrently with zero additional
+/// validation, mapping, or payload copies. This is the open-once /
+/// serve-many shape the solve daemon's instance cache hands to its worker
+/// slots.
 ///
 /// The underlying stream is borrowed and must outlive every view; its
-/// own BeginPass()/Next() cursor is never touched by views.
+/// own cursor and pass counter are never touched by views.
 class MmapStreamView : public SetStream {
  public:
   /// Views \p stream, which must have an Ok status() and must outlive
@@ -104,23 +106,13 @@ class MmapStreamView : public SetStream {
     return stream_.universe_size();
   }
   std::size_t num_sets() const override { return stream_.num_sets(); }
-  void BeginPass() override {
-    cursor_ = 0;
-    ++passes_;
+  StreamItem ItemAt(std::size_t pos) const override {
+    const SetId id = static_cast<SetId>(pos);
+    return StreamItem{id, stream_.set(id)};
   }
-  bool Next(StreamItem* item) override {
-    if (cursor_ >= stream_.num_sets()) return false;
-    const SetId id = static_cast<SetId>(cursor_++);
-    item->id = id;
-    item->set = stream_.set(id);
-    return true;
-  }
-  std::uint64_t passes() const override { return passes_; }
 
  private:
   const MmapSetStream& stream_;
-  std::size_t cursor_ = 0;
-  std::uint64_t passes_ = 0;
 };
 
 /// True iff \p path starts with the sscb1 magic (cheap format sniff for

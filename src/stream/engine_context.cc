@@ -63,19 +63,7 @@ void EngineContext::GainScanPassNamed(
     FunctionRef<void(const StreamItem&, Count, bool)> visit) {
   const PassScope scope(*this, name);
   BeginCountedPass();
-  if (!sharded()) {
-    stream_.BeginPass();
-    StreamItem item;
-    while (stream_.Next(&item) && !uncovered.None()) {
-      const Count gain = item.set.CountAnd(uncovered);
-      if (gain > 0) visit(item, gain, /*bound_is_exact=*/true);
-    }
-    return;
-  }
-  // One copy of the chunked snapshot-filter + in-order-commit logic lives
-  // in GainFilteredScan.
-  DrainPassInto(stream_, items_);
-  GainFilteredScan(items_, uncovered, engine_, visit, trace_);
+  GainFilteredScan(stream_, uncovered, engine_, visit, trace_);
 }
 
 void EngineContext::ThresholdPass(double threshold, DynamicBitset& uncovered,
@@ -102,19 +90,20 @@ void EngineContext::IndependentScanPass(
     FunctionRef<void(std::size_t, const StreamItem&)> visit) {
   const PassScope scope(*this, "independent_scan");
   BeginCountedPass();
+  const std::size_t m = stream_.num_sets();
   if (!sharded() || engine_->num_threads() <= 1 || num_lanes < 2) {
-    stream_.BeginPass();
-    StreamItem item;
-    while (stream_.Next(&item)) {
+    for (std::size_t pos = 0; pos < m; ++pos) {
+      const StreamItem item = stream_.ItemAt(pos);
       for (std::size_t lane = 0; lane < num_lanes; ++lane) visit(lane, item);
     }
     return;
   }
-  DrainPassInto(stream_, items_);
   engine_->ParallelFor(
       num_lanes,
       [&](std::size_t lane) {
-        for (const StreamItem& item : items_) visit(lane, item);
+        for (std::size_t pos = 0; pos < m; ++pos) {
+          visit(lane, stream_.ItemAt(pos));
+        }
       },
       trace_);
 }
@@ -147,10 +136,10 @@ void EngineContext::ChosenSetsPass(const char* name,
   BeginCountedPass();
   // Two popcounts of U cost less than a CountAnd per chosen set.
   const Count before = uncovered != nullptr ? uncovered->CountSet() : 0;
-  stream_.BeginPass();
-  StreamItem item;
-  while (stream_.Next(&item) &&
-         (uncovered == nullptr || !uncovered->None())) {
+  const std::size_t m = stream_.num_sets();
+  for (std::size_t pos = 0;
+       pos < m && (uncovered == nullptr || !uncovered->None()); ++pos) {
+    const StreamItem item = stream_.ItemAt(pos);
     if (std::binary_search(sorted, sorted + chosen.size(), item.id)) {
       fold(item.set);
     }
@@ -165,9 +154,9 @@ void EngineContext::CoverResiduePass(DynamicBitset& uncovered,
                                      FunctionRef<void(SetId)> on_take) {
   const PassScope scope(*this, "cover_residue");
   BeginCountedPass();
-  stream_.BeginPass();
-  StreamItem item;
-  while (stream_.Next(&item) && !uncovered.None()) {
+  const std::size_t m = stream_.num_sets();
+  for (std::size_t pos = 0; pos < m && !uncovered.None(); ++pos) {
+    const StreamItem item = stream_.ItemAt(pos);
     if (item.set.Intersects(uncovered)) {
       const Count gain = item.set.CountAnd(uncovered);
       on_take(item.id);

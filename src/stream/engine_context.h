@@ -19,14 +19,13 @@
 
 /// \file engine_context.h
 /// EngineContext: the shared plumbing between a streaming solver and the
-/// ParallelPassEngine. Before it existed, every solver that wanted sharded
-/// passes hand-rolled the same four lines — "do I have an engine, can this
-/// stream buffer a pass, buffer it or BeginPass/Next, sharded scan or the
-/// sequential loop" — so only the two solvers whose authors bothered
-/// (Assadi, threshold-greedy) ever ran in parallel. EngineContext owns
-/// that decision once, exposes the pass shapes every solver in core/ is
-/// built from, and counts the work it drives so runs can be compared
-/// across thread counts and stream sources.
+/// ParallelPassEngine. It decides once per pass between the sequential
+/// loop and the sharded scan, exposes the pass shapes every solver in
+/// core/ is built from, and counts the work it drives so runs can be
+/// compared across thread counts and stream sources. Every primitive
+/// begins one stream pass and reads it by position — ItemAt(0..m) in
+/// order when sequential, ItemAt(i) from the pool's workers when sharded
+/// — so no pass is ever copied.
 ///
 /// It is also the run's only ledger: the engine.* counters, the run's
 /// SpaceMeter (meter()) and the StreamRunStats built from both (Stats()).
@@ -38,17 +37,16 @@
 /// Determinism contract (inherited from parallel_pass_engine.h and
 /// preserved by every primitive here): for a fixed stream order, results
 /// are **bit-identical** whether the context runs sequentially (null
-/// engine, or a stream that cannot buffer a pass) or sharded over any
-/// number of threads — and whether or not a run arena is bound.
+/// engine) or sharded over any number of threads — and whether or not a
+/// run arena is bound.
 ///
-/// Allocation contract: a context bound to a RunContext with an arena
-/// reaches the zero-allocation steady state — the pass item buffer lives
-/// in the run arena (chunks retained across Reset), snapshot and commit
+/// Allocation contract: the pass primitives allocate nothing per pass —
+/// items are read from the stream by position, snapshot and commit
 /// staging lives in thread-local scratch arenas, and callbacks travel as
-/// FunctionRef. The run arena is touched only by the orchestrating
-/// thread; workers stage in their own scratch (rewound at job pickup) and
-/// the commit phases copy staged payloads out in stream order before the
-/// next job is posted.
+/// FunctionRef. The run arena holds only the solver's own run state and
+/// is touched only by the orchestrating thread; workers stage in their
+/// own scratch (rewound at job pickup) and the commit phases copy staged
+/// payloads out in stream order before the next job is posted.
 
 namespace streamsc {
 
@@ -80,10 +78,10 @@ CounterId ShardItems();       ///< "engine.shard_items" (width-dependent)
 std::unique_ptr<ParallelPassEngine> MakeEngine(std::size_t num_threads);
 
 /// CHECK-fails unless \p engine is non-null — i.e. unless an EngineContext
-/// over the pair would actually shard (every stream can buffer a pass, so
-/// \p stream never decides). For harnesses that measure parallel speedups:
-/// a silent sequential run would report a 1.0x "speedup" instead of the
-/// configuration error it is.
+/// over the pair would actually shard (every stream serves its items by
+/// position, so \p stream never decides). For harnesses that measure
+/// parallel speedups: a silent sequential run would report a 1.0x
+/// "speedup" instead of the configuration error it is.
 void RequireSharded(const SetStream& stream, const ParallelPassEngine* engine);
 
 /// A per-run binding of one stream, one (optional) engine, and one
@@ -95,14 +93,13 @@ class EngineContext {
  public:
   /// Binds the execution resources of \p context for one run. The engine
   /// may be null (every pass runs sequentially); a bound engine shards
-  /// every buffered pass — same results, by contract. The arena may be
-  /// null (buffers fall back to the heap).
+  /// every pass — same results, by contract. The arena may be null (run
+  /// state falls back to the heap).
   EngineContext(SetStream& stream, const RunContext& context)
       : stream_(stream),
         engine_(context.engine),
         arena_(context.arena),
-        trace_(context.trace),
-        items_(ArenaAllocator<StreamItem>(context.arena)) {}
+        trace_(context.trace) {}
 
   /// Engine-only binding (no arena) for harnesses that exercise the pass
   /// machinery directly.
@@ -126,7 +123,7 @@ class EngineContext {
     return ArenaAllocator<T>(arena_);
   }
 
-  /// True iff an engine is bound, so buffered passes shard over its pool.
+  /// True iff an engine is bound, so passes shard over its pool.
   bool sharded() const { return engine_ != nullptr; }
 
   /// The span recorder bound for this run (null = tracing off). Solvers
@@ -210,24 +207,25 @@ class EngineContext {
   void TransformPass(TransformFn&& transform, CommitFn&& commit) {
     const PassScope scope(*this, "transform");
     BeginCountedPass();
+    const std::size_t m = stream_.num_sets();
     if (!sharded()) {
-      stream_.BeginPass();
-      StreamItem item;
-      while (stream_.Next(&item)) commit(item, transform(item));
+      for (std::size_t pos = 0; pos < m; ++pos) {
+        const StreamItem item = stream_.ItemAt(pos);
+        commit(item, transform(item));
+      }
       return;
     }
-    DrainPassInto(stream_, items_);
     // The staging slots live in the orchestrator's scratch; the payloads
     // the workers move into them live in each worker's own scratch. Both
     // are transient: commit copies out, the checkpoint rewinds the slots.
     MonotonicArena& scratch = ThreadScratchArena();
     const ArenaCheckpoint checkpoint(scratch);
-    ArenaVector<T> out(items_.size(), ArenaAllocator<T>(&scratch));
+    ArenaVector<T> out(m, ArenaAllocator<T>(&scratch));
     engine_->ParallelFor(
-        items_.size(), [&](std::size_t i) { out[i] = transform(items_[i]); },
+        m, [&](std::size_t pos) { out[pos] = transform(stream_.ItemAt(pos)); },
         trace_);
-    for (std::size_t i = 0; i < items_.size(); ++i) {
-      commit(items_[i], std::move(out[i]));
+    for (std::size_t pos = 0; pos < m; ++pos) {
+      commit(stream_.ItemAt(pos), std::move(out[pos]));
     }
   }
 
@@ -261,10 +259,10 @@ class EngineContext {
                         FunctionRef<void(SetId)> on_take);
 
   /// Index-parallel helper for pure per-index work on state the solver
-  /// owns (candidate filtering, row seeding). Uses the engine whenever one
-  /// is present — this does not touch the stream, so it shards even for
-  /// streams that cannot buffer a pass. \p fn must be safe to call
-  /// concurrently for distinct indices and must not depend on order.
+  /// owns (candidate filtering, row seeding); it does not touch the
+  /// stream. Uses the engine whenever one is present. \p fn must be safe
+  /// to call concurrently for distinct indices and must not depend on
+  /// order.
   void ParallelFor(std::size_t count, FunctionRef<void(std::size_t)> fn);
 
  private:
@@ -326,10 +324,11 @@ class EngineContext {
     std::uint64_t covered0_;
   };
 
-  // Counts one pass. Every primitive calls it once per BeginPass (direct
-  // or through DrainPassInto) it makes, so engine.passes — the run's
-  // reported pass count — moves with the stream's own passes().
+  // Starts and counts one pass. Every primitive calls it once per pass
+  // and then reads the pass by position (ItemAt), so engine.passes — the
+  // run's reported pass count — moves with the stream's own passes().
   void BeginCountedPass() {
+    stream_.BeginPass();
     counters_.Add(engine_counters::Passes(), 1);
     counters_.Add(engine_counters::ItemsScanned(), stream_.num_sets());
   }
@@ -355,9 +354,6 @@ class EngineContext {
   TraceRecorder* trace_;
   CounterSet counters_;
   SpaceMeter meter_;
-  // Reused pass item buffer: run-arena-backed when an arena is bound, so
-  // repeat runs bump inside retained chunks instead of reallocating.
-  ArenaVector<StreamItem> items_;
 };
 
 }  // namespace streamsc

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "obs/trace.h"
+#include "util/arena.h"
 #include "util/check.h"
 
 namespace streamsc {
@@ -143,22 +144,16 @@ void ParallelPassEngine::ParallelFor(std::size_t count,
   }
 }
 
-void DrainPassInto(SetStream& stream, ArenaVector<StreamItem>& items) {
-  items.clear();
-  items.reserve(stream.num_sets());
-  stream.BeginPass();
-  StreamItem item;
-  while (stream.Next(&item)) items.push_back(item);
-}
-
 void GainFilteredScan(
-    std::span<const StreamItem> items, DynamicBitset& uncovered,
+    const SetStream& stream, DynamicBitset& uncovered,
     ParallelPassEngine* engine,
     FunctionRef<void(const StreamItem&, Count, bool)> visit,
     TraceRecorder* trace) {
-  if (engine == nullptr || engine->num_threads() <= 1 || items.size() < 2) {
-    for (const StreamItem& item : items) {
+  const std::size_t m = stream.num_sets();
+  if (engine == nullptr || engine->num_threads() <= 1 || m < 2) {
+    for (std::size_t pos = 0; pos < m; ++pos) {
       if (uncovered.None()) return;
+      const StreamItem item = stream.ItemAt(pos);
       const Count gain = item.set.CountAnd(uncovered);
       if (gain > 0) visit(item, gain, /*bound_is_exact=*/true);
     }
@@ -171,22 +166,22 @@ void GainFilteredScan(
   // bound is a proof of zero current gain, and survivors are handed to
   // visit in stream order against the live state.
   const std::size_t chunk =
-      std::max<std::size_t>(64, items.size() / (8 * engine->num_threads()));
+      std::max<std::size_t>(64, m / (8 * engine->num_threads()));
   MonotonicArena& scratch = ThreadScratchArena();
   const ArenaCheckpoint checkpoint(scratch);
   Count* const bounds = scratch.Allocate<Count>(chunk);
-  for (std::size_t pos = 0; pos < items.size(); pos += chunk) {
+  for (std::size_t pos = 0; pos < m; pos += chunk) {
     if (uncovered.None()) return;
-    const std::size_t width = std::min(chunk, items.size() - pos);
+    const std::size_t width = std::min(chunk, m - pos);
     engine->ParallelFor(
         width,
         [&](std::size_t k) {
-          bounds[k] = items[pos + k].set.CountAnd(uncovered);
+          bounds[k] = stream.ItemAt(pos + k).set.CountAnd(uncovered);
         },
         trace);
     for (std::size_t k = 0; k < width; ++k) {
       if (bounds[k] > 0) {
-        visit(items[pos + k], bounds[k], /*bound_is_exact=*/false);
+        visit(stream.ItemAt(pos + k), bounds[k], /*bound_is_exact=*/false);
       }
     }
   }

@@ -6,20 +6,19 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <thread>
 #include <vector>
 
 #include "stream/set_stream.h"
-#include "util/arena.h"
 #include "util/bitset.h"
 #include "util/common.h"
 #include "util/function_ref.h"
 
 /// \file parallel_pass_engine.h
 /// ParallelPassEngine: a fixed worker pool that shards one stream pass's
-/// items across threads, plus the deterministic scan primitives built on
-/// it.
+/// positions across threads — workers read their items straight from the
+/// stream (SetStream::ItemAt), nothing is buffered — plus the
+/// deterministic gain scan built on it.
 ///
 /// Determinism contract: every helper in this file produces results that
 /// are **bit-identical for any thread count** (including the engine-less
@@ -117,16 +116,10 @@ class ParallelPassEngine {
   std::vector<std::shared_ptr<Job>> job_pool_;
 };
 
-/// Starts a new pass on \p stream and buffers all its items into \p items
-/// (cleared first; capacity — and, with an arena-bound vector, the arena's
-/// chunks — is retained across passes: the zero-allocation steady state).
-/// The buffered views borrow from the stream and stay valid until its
-/// next pass.
-void DrainPassInto(SetStream& stream, ArenaVector<StreamItem>& items);
-
-/// The monotone-gain filter core under EngineContext::GainScanPass and
-/// ThresholdPass — the one copy of the chunked snapshot-filter +
-/// in-order-commit logic. Calls
+/// The monotone-gain scan under EngineContext::GainScanPass and
+/// ThresholdPass — the one copy of both the sequential gain loop and the
+/// chunked snapshot-filter + in-order-commit logic. Reads \p stream's
+/// current pass by position (the caller has begun it) and calls
 /// visit(item, gain_bound, bound_is_exact) in stream order for every item
 /// whose bound is positive; sequentially (null/1-thread engine) the bound
 /// is the exact current gain, sharded it is a chunk-snapshot upper bound
@@ -138,8 +131,8 @@ void DrainPassInto(SetStream& stream, ArenaVector<StreamItem>& items);
 /// The snapshot-bound buffer lives in the calling thread's scratch arena
 /// for the duration of the scan. A non-null \p trace flows into the
 /// chunk jobs so workers emit their kShard spans.
-void GainFilteredScan(std::span<const StreamItem> items,
-                      DynamicBitset& uncovered, ParallelPassEngine* engine,
+void GainFilteredScan(const SetStream& stream, DynamicBitset& uncovered,
+                      ParallelPassEngine* engine,
                       FunctionRef<void(const StreamItem&, Count, bool)> visit,
                       TraceRecorder* trace = nullptr);
 

@@ -1,9 +1,15 @@
 #include "stream/set_stream.h"
 
-
 #include "util/check.h"
 
 namespace streamsc {
+
+bool SetStream::Next(StreamItem* item) {
+  STREAMSC_DCHECK(passes_ > 0 && "BeginPass() before Next()");
+  if (cursor_ >= num_sets()) return false;
+  *item = ItemAt(cursor_++);
+  return true;
+}
 
 VectorSetStream::VectorSetStream(const SetSystem& system, StreamOrder order,
                                  Rng* rng)
@@ -27,20 +33,10 @@ std::size_t VectorSetStream::universe_size() const {
 std::size_t VectorSetStream::num_sets() const { return system_.num_sets(); }
 
 void VectorSetStream::BeginPass() {
-  if (order_kind_ == StreamOrder::kRandomEachPass && passes_ > 0) {
+  if (order_kind_ == StreamOrder::kRandomEachPass && passes() > 0) {
     rng_->Shuffle(order_);
   }
-  cursor_ = 0;
-  ++passes_;
-}
-
-bool VectorSetStream::Next(StreamItem* item) {
-  STREAMSC_DCHECK(passes_ > 0 && "BeginPass() before Next()");
-  if (cursor_ >= order_.size()) return false;
-  const SetId id = order_[cursor_++];
-  item->id = id;
-  item->set = system_.set(id);
-  return true;
+  SetStream::BeginPass();
 }
 
 }  // namespace streamsc

@@ -14,7 +14,10 @@
 /// several passes, and every pass is counted. The stream hands out
 /// *references* to the sets — an algorithm is only charged (by its
 /// SpaceMeter) for what it chooses to retain, matching the paper's model
-/// where reading an item is free but storing it costs space.
+/// where reading an item is free but storing it costs space. Within a pass
+/// any item can be read by its stream position (ItemAt), which is how the
+/// pass primitives of engine_context.h scan, sequentially or sharded;
+/// BeginPass() starts and counts each pass.
 
 namespace streamsc {
 
@@ -26,12 +29,20 @@ struct StreamItem {
   SetView set;
 };
 
-/// Abstract multi-pass stream of sets. Every item view handed out during a
-/// pass stays valid until the next BeginPass(), so a whole pass can be
-/// buffered (DrainPassInto) and sharded over a ParallelPassEngine.
+/// Abstract multi-pass stream of sets. A stream serves the item at any
+/// position of the current pass through ItemAt(); the pass cursor
+/// (BeginPass/Next) and the pass counter live here, once, on top of it.
+/// Every item view handed out during a pass stays valid until the next
+/// BeginPass(), and ItemAt() is const and safe to call concurrently, so a
+/// ParallelPassEngine shards a pass by position with no buffer.
 class SetStream {
  public:
+  SetStream() = default;
   virtual ~SetStream() = default;
+
+  // A copy would duplicate the pass count; streams are bound by reference.
+  SetStream(const SetStream&) = delete;
+  SetStream& operator=(const SetStream&) = delete;
 
   /// Universe size n of the streamed system.
   virtual std::size_t universe_size() const = 0;
@@ -39,16 +50,28 @@ class SetStream {
   /// Number of sets per pass (m).
   virtual std::size_t num_sets() const = 0;
 
+  /// The item at stream position \p pos < num_sets() of the current pass.
+  /// Const and safe to call concurrently; the view stays valid until the
+  /// next BeginPass().
+  virtual StreamItem ItemAt(std::size_t pos) const = 0;
+
   /// Starts a new pass. Must be called before the first Next() of each
   /// pass; increments the pass counter.
-  virtual void BeginPass() = 0;
+  virtual void BeginPass() {
+    cursor_ = 0;
+    ++passes_;
+  }
 
-  /// Produces the next item of the current pass. Returns false at
-  /// end-of-pass.
-  virtual bool Next(StreamItem* item) = 0;
+  /// Produces the next item of the current pass (ItemAt of the cursor).
+  /// Returns false at end-of-pass.
+  bool Next(StreamItem* item);
 
   /// Number of passes started so far.
-  virtual std::uint64_t passes() const = 0;
+  std::uint64_t passes() const { return passes_; }
+
+ private:
+  std::size_t cursor_ = 0;
+  std::uint64_t passes_ = 0;
 };
 
 /// How a VectorSetStream orders its items.
@@ -74,9 +97,12 @@ class VectorSetStream : public SetStream {
 
   std::size_t universe_size() const override;
   std::size_t num_sets() const override;
+  StreamItem ItemAt(std::size_t pos) const override {
+    const SetId id = order_[pos];
+    return StreamItem{id, system_.set(id)};
+  }
+  /// Reshuffles before every pass but the first under kRandomEachPass.
   void BeginPass() override;
-  bool Next(StreamItem* item) override;
-  std::uint64_t passes() const override { return passes_; }
 
   /// The permutation currently in effect (for tests).
   const std::vector<SetId>& order() const { return order_; }
@@ -86,8 +112,6 @@ class VectorSetStream : public SetStream {
   StreamOrder order_kind_;
   Rng* rng_;
   std::vector<SetId> order_;
-  std::size_t cursor_ = 0;
-  std::uint64_t passes_ = 0;
 };
 
 }  // namespace streamsc

@@ -213,8 +213,8 @@ class SetView {
   std::uint32_t count_ = 0;    // member count (kSparse only)
 };
 
-// Views sit in every buffered pass item and are returned by value on the
-// per-item path; two words keep both in registers.
+// Views sit in every stream item and are returned by value on the
+// per-item path (SetStream::ItemAt); two words keep both in registers.
 static_assert(sizeof(SetView) <= 16, "SetView must stay within 16 bytes");
 
 }  // namespace streamsc

@@ -1,13 +1,15 @@
-// The SetStream buffering contract, pinned for every stream kind: each
-// item view handed out during a pass stays valid until the next
-// BeginPass(). EngineContext relies on it — a bound engine shards every
-// buffered pass whatever the stream — so for each kind this suite checks
-// that a drained pass still reads back the right sets, and that a sharded
-// ThresholdPass takes exactly what the sequential one takes.
+// The SetStream position contract, pinned for every stream kind:
+// ItemAt(i) is the i-th item Next() hands out in the same pass, a pass's
+// ids are a permutation of [0, m), and every view stays valid until the
+// next BeginPass(). EngineContext relies on it — a bound engine shards
+// every pass by position whatever the stream — so for each kind this
+// suite reads passes both ways, and checks that a sharded ThresholdPass
+// takes exactly what the sequential one takes.
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -32,6 +34,7 @@ using testing::ScopedTempDir;
 
 enum class Kind {
   kMemory,
+  kMemoryRandomOnce,
   kMemoryRandomEachPass,
   kMmap,
   kMmapView,
@@ -42,6 +45,8 @@ const char* KindName(Kind kind) {
   switch (kind) {
     case Kind::kMemory:
       return "Memory";
+    case Kind::kMemoryRandomOnce:
+      return "MemoryRandomOnce";
     case Kind::kMemoryRandomEachPass:
       return "MemoryRandomEachPass";
     case Kind::kMmap:
@@ -71,7 +76,46 @@ struct Built {
   std::unique_ptr<Rng> rng;
   std::unique_ptr<MmapSetStream> mapping;
   std::unique_ptr<SetStream> stream;
+  OverlaySetStream* overlay = nullptr;  // the stream, for kOverlay
 };
+
+// Reads one pass of \p stream both ways: each Next() must equal ItemAt()
+// of its position, the ids must be a permutation of [0, m) serving
+// \p expected's sets, and every view must still read right once the
+// whole pass has been pulled. Returns the pass's id order.
+std::vector<SetId> CheckPass(SetStream& stream, const SetSystem& expected) {
+  const std::size_t m = expected.num_sets();
+  EXPECT_EQ(stream.num_sets(), m);
+  stream.BeginPass();
+  std::vector<StreamItem> items;
+  StreamItem item;
+  while (stream.Next(&item)) {
+    const StreamItem at = stream.ItemAt(items.size());
+    EXPECT_EQ(at.id, item.id) << "position " << items.size();
+    EXPECT_TRUE(at.set == item.set) << "position " << items.size();
+    items.push_back(item);
+  }
+  EXPECT_EQ(items.size(), m);
+  std::vector<bool> seen(m, false);
+  std::vector<SetId> order;
+  for (const StreamItem& served : items) {
+    order.push_back(served.id);
+    if (served.id >= m) {
+      ADD_FAILURE() << "id " << served.id << " out of range";
+      continue;
+    }
+    EXPECT_FALSE(seen[served.id]) << "id " << served.id << " served twice";
+    seen[served.id] = true;
+    EXPECT_TRUE(served.set == expected.set(served.id)) << "id " << served.id;
+  }
+  return order;
+}
+
+std::vector<SetId> Identity(std::size_t m) {
+  std::vector<SetId> ids(m);
+  std::iota(ids.begin(), ids.end(), SetId{0});
+  return ids;
+}
 
 class StreamShardingTest : public ::testing::TestWithParam<Kind> {
  protected:
@@ -117,6 +161,11 @@ class StreamShardingTest : public ::testing::TestWithParam<Kind> {
       case Kind::kMemory:
         b.stream = std::make_unique<VectorSetStream>(system_);
         break;
+      case Kind::kMemoryRandomOnce:
+        b.rng = std::make_unique<Rng>(7);
+        b.stream = std::make_unique<VectorSetStream>(
+            system_, StreamOrder::kRandomOnce, b.rng.get());
+        break;
       case Kind::kMemoryRandomEachPass:
         b.rng = std::make_unique<Rng>(7);
         b.stream = std::make_unique<VectorSetStream>(
@@ -138,6 +187,7 @@ class StreamShardingTest : public ::testing::TestWithParam<Kind> {
         auto overlay =
             std::make_unique<OverlaySetStream>(text_path_, delta_path_);
         EXPECT_TRUE(overlay->status().ok()) << overlay->status().ToString();
+        b.overlay = overlay.get();
         b.stream = std::move(overlay);
         break;
       }
@@ -153,31 +203,52 @@ class StreamShardingTest : public ::testing::TestWithParam<Kind> {
   std::string delta_path_;
 };
 
-TEST_P(StreamShardingTest, BufferedPassViewsStayValidAndShardIdentically) {
+TEST_P(StreamShardingTest, ItemAtMatchesNextAndPassesPermuteIds) {
   const SetSystem& expected = Expected();
-  const std::size_t m = expected.num_sets();
+  const std::vector<SetId> identity = Identity(expected.num_sets());
 
-  // Two drained passes: the second BeginPass() may reuse whatever the
-  // first pass's views pointed at, so read back only the current pass's
-  // views — after the whole pass has been pulled.
-  Built drained = Build();
-  ASSERT_EQ(drained.stream->num_sets(), m);
-  for (int pass = 0; pass < 2; ++pass) {
-    SCOPED_TRACE("pass " + std::to_string(pass));
-    ArenaVector<StreamItem> items;
-    DrainPassInto(*drained.stream, items);
-    ASSERT_EQ(items.size(), m);
-    std::vector<bool> seen(m, false);
-    for (const StreamItem& item : items) {
-      ASSERT_LT(item.id, m);
-      EXPECT_FALSE(seen[item.id]) << "id " << item.id << " served twice";
-      seen[item.id] = true;
-      EXPECT_TRUE(item.set == expected.set(item.id)) << "id " << item.id;
-    }
+  // Two passes: the second BeginPass() may reuse whatever the first
+  // pass's views pointed at (and reshuffles under kRandomEachPass).
+  Built built = Build();
+  const std::vector<SetId> first = CheckPass(*built.stream, expected);
+  const std::vector<SetId> second = CheckPass(*built.stream, expected);
+  EXPECT_EQ(built.stream->passes(), 2u);
+  switch (GetParam()) {
+    case Kind::kMemoryRandomOnce:
+      EXPECT_NE(first, identity);
+      EXPECT_EQ(second, first);
+      break;
+    case Kind::kMemoryRandomEachPass:
+      EXPECT_NE(second, first);
+      break;
+    default:
+      EXPECT_EQ(first, identity);
+      EXPECT_EQ(second, identity);
+      break;
   }
+  if (GetParam() != Kind::kOverlay) return;
 
-  // With an engine bound, every stream kind shards, and the sharded
-  // threshold pass reproduces the sequential one over a fresh twin.
+  // RefreshDelta picks up one more remove (base slot 0, live id 0): the
+  // live ids renumber, and the next pass serves the rest in order.
+  {
+    DeltaLogWriter writer(delta_path_);
+    ASSERT_TRUE(writer.RemoveSet(0).ok());
+    ASSERT_TRUE(writer.Finish().ok());
+  }
+  ASSERT_TRUE(built.overlay->RefreshDelta().ok());
+  SetSystem refreshed(expected.universe_size());
+  for (SetId id = 1; id < expected.num_sets(); ++id) {
+    refreshed.AddSetFromView(expected.set(id));
+  }
+  EXPECT_EQ(CheckPass(*built.stream, refreshed),
+            Identity(refreshed.num_sets()));
+  EXPECT_EQ(built.stream->passes(), 3u);
+}
+
+// With an engine bound, every stream kind shards, and the sharded
+// threshold pass reproduces the sequential one over a fresh twin.
+TEST_P(StreamShardingTest, ShardedThresholdPassMatchesSequential) {
+  const SetSystem& expected = Expected();
   Built sequential = Build();
   EngineContext sequential_ctx(*sequential.stream, nullptr);
   EXPECT_FALSE(sequential_ctx.sharded());
@@ -207,8 +278,9 @@ TEST_P(StreamShardingTest, BufferedPassViewsStayValidAndShardIdentically) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllStreamKinds, StreamShardingTest,
-    ::testing::Values(Kind::kMemory, Kind::kMemoryRandomEachPass,
-                      Kind::kMmap, Kind::kMmapView, Kind::kOverlay),
+    ::testing::Values(Kind::kMemory, Kind::kMemoryRandomOnce,
+                      Kind::kMemoryRandomEachPass, Kind::kMmap,
+                      Kind::kMmapView, Kind::kOverlay),
     [](const ::testing::TestParamInfo<Kind>& info) {
       return std::string(KindName(info.param));
     });

@@ -7,7 +7,6 @@
 
 #include "instance/generators.h"
 #include "storage/binary_instance_writer.h"
-#include "stream/parallel_pass_engine.h"
 #include "stream/set_stream.h"
 #include "testing/scoped_temp_dir.h"
 #include "util/random.h"
@@ -49,25 +48,6 @@ TEST(MmapSetStreamTest, MultiPassStreamingMatchesSource) {
     EXPECT_EQ(expected, system.num_sets());
   }
   EXPECT_EQ(stream.passes(), 3u);
-}
-
-TEST(MmapSetStreamTest, ViewsSurviveAWholeBufferedPass) {
-  testing::ScopedTempDir dir;
-  Rng rng(2);
-  const SetSystem system = MixedInstance(200, rng);
-  const std::string path = dir.FilePath("buffered.sscb1");
-  ASSERT_TRUE(BinaryInstanceWriter::WriteSystem(system, path).ok());
-
-  MmapSetStream stream(path);
-  ASSERT_TRUE(stream.status().ok());
-  // DrainPassInto buffers every view; comparing the buffered views
-  // afterwards proves none was invalidated by later Next() calls.
-  ArenaVector<StreamItem> items;
-  DrainPassInto(stream, items);
-  ASSERT_EQ(items.size(), system.num_sets());
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    EXPECT_TRUE(items[i].set == system.set(static_cast<SetId>(i)));
-  }
 }
 
 // The cross-source, cross-thread solution-identity contract that used to

@@ -55,24 +55,6 @@ TEST(ParallelPassEngineTest, SingleThreadEngineRunsInline) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
-TEST(ParallelPassEngineTest, DrainPassIntoBuffersWholePassInOrder) {
-  Rng rng(1);
-  const SetSystem system = PlantedCoverInstance(128, 12, 4, rng);
-  VectorSetStream stream(system);
-  ArenaVector<StreamItem> items;
-  DrainPassInto(stream, items);
-  ASSERT_EQ(items.size(), 12u);
-  EXPECT_EQ(stream.passes(), 1u);
-  for (SetId id = 0; id < 12; ++id) {
-    EXPECT_EQ(items[id].id, id);
-    EXPECT_TRUE(items[id].set == system.set(id));
-  }
-  // A second drain refills the same buffer from a new pass.
-  DrainPassInto(stream, items);
-  EXPECT_EQ(items.size(), 12u);
-  EXPECT_EQ(stream.passes(), 2u);
-}
-
 // The determinism contract for projection: a TransformPass produces
 // projections bit-identical to the sequential path for every thread count.
 // (The threshold pass's twin lives in engine_context_test.)

@@ -1,5 +1,6 @@
 #include "stream/set_stream.h"
-// A comment naming stream.BeginPass() or Next(&item) must not trip it.
+// A comment naming stream.BeginPass(), Next(&item) or ItemAt(0) must not
+// trip it.
 namespace streamsc {
 inline std::size_t CountItems(SetStream& stream) {
   stream.BeginPass();
@@ -7,5 +8,8 @@ inline std::size_t CountItems(SetStream& stream) {
   std::size_t items = 0;
   while (stream.Next(&item)) ++items;
   return items;
+}
+inline SetId FirstId(const SetStream& stream) {
+  return stream.ItemAt(0).id;
 }
 }  // namespace streamsc

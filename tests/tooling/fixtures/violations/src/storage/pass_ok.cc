@@ -11,4 +11,7 @@ inline std::size_t Drain(SetStream& stream) {
   while (stream.Next(&item)) ++items;
   return items;
 }
+inline SetId LastId(const SetStream& stream) {
+  return stream.ItemAt(stream.num_sets() - 1).id;
+}
 }  // namespace streamsc

@@ -72,11 +72,11 @@ class OverlaySetStream : public SetStream {
 
   /// Re-reads the delta log from disk; the base is untouched. On success
   /// the live table is rebuilt (ids renumber, old views invalidate; call
-  /// BeginPass() before streaming again). On
-  /// *any* failure — torn bytes, hostile records, or a log whose declared
-  /// base stopped matching — the previous composed state is retained and
-  /// status() stays Ok: a bad poll degrades to "no change yet", not a
-  /// dead stream, and a later RefreshDelta() of a repaired file recovers.
+  /// BeginPass() before streaming again). On *any* failure — torn bytes,
+  /// hostile records, or a log whose declared base stopped matching — the
+  /// previous composed state is retained and status() stays Ok: a bad
+  /// poll degrades to "no change yet", not a dead stream, and a later
+  /// RefreshDelta() of a repaired file recovers.
   Status RefreshDelta();
 
   /// Writes the live instance as a fresh sscb1 at \p out_path — the

@@ -9,11 +9,18 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+
+#include <cerrno>
 #include <cstdint>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "api/solve_session.h"
 #include "dynamic/delta_log.h"
 #include "dynamic/overlay_set_stream.h"
 #include "instance/generators.h"
@@ -283,6 +290,66 @@ TEST(OverlaySetStreamTest, RejectsBaseDeltaMismatch) {
     OverlaySetStream overlay(dir.FilePath("missing.sscb1"),
                              dir.FilePath("missing.sscd1"));
     EXPECT_FALSE(overlay.status().ok());
+  }
+}
+
+// Every opener of a base instance reports the same status code for the
+// same bad base: a plain SolveSession::Open, the overlay stream over a
+// good delta, and the overlay session. Only the base is bad here, so the
+// code is the base's own (the delta is never compared against it).
+TEST(OverlaySetStreamTest, BadBaseReportsTheSameCodeThroughEveryOpener) {
+  ScopedTempDir dir;
+  const SetSystem base = FixtureBase();
+  const std::string delta_path = dir.FilePath("good.sscd1");
+  {
+    DeltaLogWriter writer(delta_path, base.universe_size(), base.num_sets());
+    ASSERT_TRUE(writer.Finish().ok());
+  }
+
+  const std::string fifo_path = dir.FilePath("base.fifo");
+  ASSERT_EQ(::mkfifo(fifo_path.c_str(), 0600), 0) << std::strerror(errno);
+  const std::string garbage_path = dir.FilePath("garbage.ssc");
+  {
+    std::ofstream out(garbage_path, std::ios::trunc);
+    out << "not an instance at all\n";
+  }
+  const std::string duplicate_path = dir.FilePath("duplicate.ssc");
+  {
+    std::ofstream out(duplicate_path, std::ios::trunc);
+    out << "ssc1 64 2\n3 0 1 1\n1 2\n";
+  }
+  const std::string truncated_path = dir.FilePath("truncated.sscb1");
+  ASSERT_TRUE(BinaryInstanceWriter::WriteSystem(base, truncated_path).ok());
+  std::filesystem::resize_file(
+      truncated_path, std::filesystem::file_size(truncated_path) / 2);
+
+  struct BadBase {
+    const char* name;
+    std::string path;
+    StatusCode code;
+  };
+  const std::vector<BadBase> rows = {
+      {"missing", dir.FilePath("missing.sscb1"), StatusCode::kNotFound},
+      {"fifo", fifo_path, StatusCode::kInvalidArgument},
+      {"garbage ssc1", garbage_path, StatusCode::kInvalidArgument},
+      {"duplicate element", duplicate_path, StatusCode::kInvalidArgument},
+      {"truncated sscb1", truncated_path, StatusCode::kInvalidArgument},
+  };
+  for (const BadBase& row : rows) {
+    SCOPED_TRACE(row.name);
+    const StatusOr<SolveSession> session = SolveSession::Open(row.path);
+    ASSERT_FALSE(session.ok());
+    EXPECT_EQ(session.status().code(), row.code)
+        << session.status().ToString();
+    const OverlaySetStream overlay(row.path, delta_path);
+    EXPECT_EQ(overlay.status().code(), row.code)
+        << overlay.status().ToString();
+    EXPECT_EQ(overlay.num_sets(), 0u);
+    const StatusOr<SolveSession> overlay_session =
+        SolveSession::OpenOverlay(row.path, delta_path);
+    ASSERT_FALSE(overlay_session.ok());
+    EXPECT_EQ(overlay_session.status().code(), row.code)
+        << overlay_session.status().ToString();
   }
 }
 

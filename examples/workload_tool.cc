@@ -33,8 +33,7 @@
 //       ParallelPassEngine for the run (identical results for any
 //       count). Binary inputs stream through MmapSetStream, so
 //       multi-pass solves cost zero re-parsing and shard even from
-//       disk; text inputs stream one set at a time (and are loaded
-//       into memory when threads > 1).
+//       disk; text inputs are parsed into memory once at open.
 //       --trace=FILE arms a TraceRecorder for the run and writes a
 //       chrome://tracing JSON file (per-pass and per-shard spans) plus
 //       a per-pass breakdown table; --stats prints the run's counter
@@ -87,6 +86,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
@@ -204,28 +204,13 @@ int Convert(int argc, char** argv) {
 int Info(int argc, char** argv) {
   if (argc != 3) return Usage();
   const std::string path = argv[2];
-  std::optional<MmapSetStream> mmap_stream;
-  std::optional<SetSystem> system;
-  std::optional<VectorSetStream> vector_stream;
-  SetStream* stream = nullptr;
-  if (IsBinaryInstanceFile(path)) {
-    mmap_stream.emplace(path);
-    if (!mmap_stream->status().ok()) {
-      std::cerr << "load failed: " << mmap_stream->status().ToString()
-                << "\n";
-      return 1;
-    }
-    stream = &*mmap_stream;
-  } else {
-    StatusOr<SetSystem> loaded = LoadSetSystem(path);
-    if (!loaded.ok()) {
-      std::cerr << "load failed: " << loaded.status().ToString() << "\n";
-      return 1;
-    }
-    system.emplace(std::move(*loaded));
-    vector_stream.emplace(*system);
-    stream = &*vector_stream;
+  StatusOr<std::unique_ptr<SetStream>> opened = OpenInstance(path);
+  if (!opened.ok()) {
+    std::cerr << "load failed: " << opened.status().ToString() << "\n";
+    return 1;
   }
+  SetStream* stream = opened->get();
+  const auto* mmap_stream = dynamic_cast<const MmapSetStream*>(stream);
 
   // One pass over the stream computes every statistic — works identically
   // for the in-memory and the disk-resident case.
@@ -254,8 +239,8 @@ int Info(int argc, char** argv) {
   TablePrinter table({"property", "value"});
   table.BeginRow();
   table.AddCell("format");
-  table.AddCell(mmap_stream.has_value() ? "sscb1 (binary, mmap)"
-                                        : "ssc1 (text)");
+  table.AddCell(mmap_stream != nullptr ? "sscb1 (binary, mmap)"
+                                       : "ssc1 (text)");
   table.BeginRow();
   table.AddCell("universe n");
   table.AddCell(static_cast<std::uint64_t>(n));
@@ -273,7 +258,7 @@ int Info(int argc, char** argv) {
   table.AddCell("sparse sets / bytes");
   table.AddCell(std::to_string(sparse_sets) + " / " +
                 std::to_string(sparse_bytes));
-  if (mmap_stream.has_value()) {
+  if (mmap_stream != nullptr) {
     table.BeginRow();
     table.AddCell("file bytes");
     table.AddCell(mmap_stream->file_bytes());
@@ -349,23 +334,23 @@ int Delta(int argc, char** argv) {
 
   if (op == "init") {
     if (argc != 5) return Usage();
-    // Sniff the base (sscb1 or ssc1) just for its dimensions.
-    StatusOr<SolveSession> base = SolveSession::Open(base_path);
+    // Open the base (sscb1 or ssc1) just for its dimensions.
+    const StatusOr<std::unique_ptr<SetStream>> base = OpenInstance(base_path);
     if (!base.ok()) {
       std::cerr << "delta init: base open failed: "
                 << base.status().ToString() << "\n";
       return 1;
     }
-    DeltaLogWriter writer(delta_path, base->universe_size(),
-                          base->num_sets());
+    DeltaLogWriter writer(delta_path, (*base)->universe_size(),
+                          (*base)->num_sets());
     const Status finished =
         writer.status().ok() ? writer.Finish() : writer.status();
     if (!finished.ok()) {
       std::cerr << "delta init failed: " << finished.ToString() << "\n";
       return 1;
     }
-    std::cout << "wrote empty delta log (n=" << base->universe_size()
-              << ", base m=" << base->num_sets() << ") to " << delta_path
+    std::cout << "wrote empty delta log (n=" << (*base)->universe_size()
+              << ", base m=" << (*base)->num_sets() << ") to " << delta_path
               << "\n";
     return 0;
   }

@@ -59,6 +59,12 @@ cover-state   No `SpaceCategory` named "uncovered" or "solution" in src/
               solution through CoverRun (core/cover_run.h), which charges
               both. A second copy of either category would meter a run's
               U or solution outside the one place that owns them.
+instance-open No `IsBinaryInstanceFile(` or `LoadSetSystem(` in src/
+              outside storage/ and instance/: an instance file is opened
+              through OpenInstance (storage/mmap_set_stream.h), the one
+              place that decides sscb1 (mapped) versus ssc1 (loaded). A
+              second sniff elsewhere repeats that decision and can drift
+              from it.
 
 Usage
 -----
@@ -138,6 +144,13 @@ SPACE_CATEGORY_RE = re.compile(
 
 # The one file that owns a set-cover run's U and solution categories.
 COVER_STATE_HOME = "src/core/cover_run.cc"
+
+# The format sniff and the ssc1 loader, called to open an instance file.
+INSTANCE_OPEN_RE = re.compile(
+    r"(?<![_A-Za-z0-9])(?:IsBinaryInstanceFile|LoadSetSystem)\s*\(")
+
+# Layers that own the instance formats and the one opener over them.
+INSTANCE_OPEN_EXEMPT_LAYERS = {"storage", "instance"}
 
 # Layers that may touch std::chrono directly: util/ owns Stopwatch, obs/
 # owns TraceRecorder's clock. Everything else must time through those.
@@ -306,6 +319,14 @@ def lint_file(path: pathlib.Path, layer: str,
                 "core/cover_run.cc — keep a set-cover run's U and "
                 "solution in a CoverRun (core/cover_run.h), which meters "
                 "both"))
+        if (layer not in INSTANCE_OPEN_EXEMPT_LAYERS
+                and INSTANCE_OPEN_RE.search(line)):
+            violations.append(Violation(
+                rel, lineno, "instance-open",
+                "IsBinaryInstanceFile()/LoadSetSystem() outside storage//"
+                "instance/ — open an instance file through OpenInstance "
+                "(storage/mmap_set_stream.h), which decides sscb1 versus "
+                "ssc1 once"))
     return violations
 
 
@@ -340,7 +361,7 @@ def main() -> int:
     if args.list_rules:
         for rule in ("layer-dag", "raw-assert", "determinism", "engine-ptr",
                      "arena-ptr", "chrono", "raw-popcount", "raw-pass",
-                     "cover-state"):
+                     "cover-state", "instance-open"):
             print(rule)
         return 0
 

@@ -6,7 +6,6 @@
 #include "api/solver_registry.h"
 #include "core/cover_run.h"
 #include "dynamic/overlay_set_stream.h"
-#include "instance/serialization.h"
 #include "obs/trace.h"
 #include "storage/mmap_set_stream.h"
 #include "stream/engine_context.h"
@@ -133,24 +132,15 @@ Status SolveSession::Reopen(const std::string& path) {
   // place.
   source_ = Source::kNone;
   stream_.reset();
-  owned_system_.reset();
   overlay_ = nullptr;
   memo_.clear();
   memo_valid_ = false;
-  if (IsBinaryInstanceFile(path)) {
-    auto stream = std::make_unique<MmapSetStream>(path);
-    if (!stream->status().ok()) return stream->status();
-    stream_ = std::move(stream);
-    source_ = Source::kMmap;
-    return Status::Ok();
-  }
-  // ssc1 text goes through the one validating parser, once; passes then
-  // stream the loaded system.
-  StatusOr<SetSystem> loaded = LoadSetSystem(path);
-  if (!loaded.ok()) return loaded.status();
-  owned_system_ = std::make_unique<SetSystem>(std::move(*loaded));
-  stream_ = std::make_unique<VectorSetStream>(*owned_system_);
-  source_ = Source::kMemory;
+  StatusOr<std::unique_ptr<SetStream>> opened = OpenInstance(path);
+  if (!opened.ok()) return opened.status();
+  stream_ = std::move(*opened);
+  source_ = dynamic_cast<const MmapSetStream*>(stream_.get()) != nullptr
+                ? Source::kMmap
+                : Source::kMemory;
   return Status::Ok();
 }
 

@@ -20,10 +20,10 @@
 /// The session owns everything a run needs that solvers themselves no
 /// longer hold:
 ///
-///   * the **source** — Open() sniffs the file format (sscb1 magic →
-///     zero-copy MmapSetStream; otherwise ssc1 text, parsed and validated
-///     once by LoadSetSystem into an owned SetSystem that a
-///     VectorSetStream serves) and OverSystem() wraps a borrowed
+///   * the **source** — Open() takes the stream OpenInstance
+///     (storage/mmap_set_stream.h) opens: sscb1 magic → zero-copy
+///     MmapSetStream; otherwise ssc1 text, parsed and validated once into
+///     a SetSystem that the stream owns. OverSystem() wraps a borrowed
 ///     in-memory SetSystem;
 ///   * the **engine lifetime** — the session-level `threads` option
 ///     (accepted alongside solver options in Solve()'s key=value args)
@@ -61,9 +61,9 @@ class SolveSession {
     kOverlay,  ///< Base instance + sscd1 delta via OverlaySetStream.
   };
 
-  /// Opens \p path, sniffing the format from its magic bytes: sscb1 is
-  /// mapped, anything else is parsed as ssc1 text in full before Open()
-  /// returns. Returns a Status for missing/corrupt files — NotFound if
+  /// Opens \p path through OpenInstance, which sniffs the format from its
+  /// magic bytes: sscb1 is mapped (source kMmap), anything else is parsed
+  /// as ssc1 text in full before Open() returns (source kMemory). Returns a Status for missing/corrupt files — NotFound if
   /// unreadable, InvalidArgument for any malformed byte.
   static StatusOr<SolveSession> Open(const std::string& path);
 
@@ -188,7 +188,6 @@ class SolveSession {
                         SolveReport* report);
 
   Source source_ = Source::kNone;
-  std::unique_ptr<SetSystem> owned_system_;   // ssc1 sources loaded by Open()
   std::unique_ptr<SetStream> stream_;
   // The per-run arena: lazily created on first Solve(), Reset()
   // (chunk-retaining) before each run. unique_ptr because the session is

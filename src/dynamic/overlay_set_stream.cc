@@ -3,75 +3,41 @@
 #include <algorithm>
 #include <utility>
 
-#include "instance/serialization.h"
 #include "storage/binary_instance_writer.h"
+#include "storage/mmap_set_stream.h"
 #include "util/check.h"
 
 namespace streamsc {
 
 OverlaySetStream::OverlaySetStream(const std::string& base_path,
                                    const std::string& delta_path)
-    : delta_path_(delta_path) {
-  status_ = OpenBase(base_path);
-  if (status_.ok()) {
-    delta_ = DeltaLog(delta_path);
-    status_ = delta_.status();
-  }
-  if (status_.ok()) status_ = CheckCompatible(delta_);
-  if (status_.ok()) Compose();
-  if (!status_.ok()) {
-    live_.clear();
-    slot_live_.clear();
-    slot_from_delta_.clear();
-    universe_size_ = 0;
-    base_num_sets_ = 0;
-  }
-}
+    : OverlaySetStream(OpenInstance(base_path), delta_path) {}
 
-OverlaySetStream::OverlaySetStream(const SetSystem& base,
+OverlaySetStream::OverlaySetStream(std::unique_ptr<SetStream> base,
                                    const std::string& delta_path)
-    : delta_path_(delta_path), borrowed_system_(&base) {
+    : OverlaySetStream(
+          StatusOr<std::unique_ptr<SetStream>>(std::move(base)),
+          delta_path) {}
+
+OverlaySetStream::OverlaySetStream(StatusOr<std::unique_ptr<SetStream>> base,
+                                   const std::string& delta_path)
+    : status_(base.status()), delta_path_(delta_path) {
+  if (!status_.ok()) return;
+  base_ = std::move(*base);
+  STREAMSC_CHECK(base_ != nullptr, "OverlaySetStream: null base stream");
   delta_ = DeltaLog(delta_path);
   status_ = delta_.status();
   if (status_.ok()) status_ = CheckCompatible(delta_);
-  if (status_.ok()) Compose();
-  if (!status_.ok()) {
-    live_.clear();
-    slot_live_.clear();
-    slot_from_delta_.clear();
-    universe_size_ = 0;
-    base_num_sets_ = 0;
+  if (status_.ok()) {
+    Compose();
+  } else {
+    base_.reset();
   }
-}
-
-Status OverlaySetStream::OpenBase(const std::string& base_path) {
-  if (IsBinaryInstanceFile(base_path)) {
-    mmap_base_ = std::make_unique<MmapSetStream>(base_path);
-    return mmap_base_->status();
-  }
-  StatusOr<SetSystem> loaded = LoadSetSystem(base_path);
-  if (!loaded.ok()) return loaded.status();
-  owned_system_ = std::make_unique<SetSystem>(std::move(*loaded));
-  return Status::Ok();
-}
-
-void OverlaySetStream::BaseDims(std::size_t* base_n,
-                                std::uint64_t* base_m) const {
-  if (mmap_base_) {
-    *base_n = mmap_base_->universe_size();
-    *base_m = mmap_base_->num_sets();
-    return;
-  }
-  const SetSystem* system =
-      owned_system_ ? owned_system_.get() : borrowed_system_;
-  *base_n = system->universe_size();
-  *base_m = system->num_sets();
 }
 
 Status OverlaySetStream::CheckCompatible(const DeltaLog& delta) const {
-  std::size_t base_n = 0;
-  std::uint64_t base_m = 0;
-  BaseDims(&base_n, &base_m);
+  const std::size_t base_n = base_->universe_size();
+  const std::uint64_t base_m = base_->num_sets();
   if (delta.universe_size() != base_n) {
     return Status::InvalidArgument(
         "sscd1: delta universe size " + std::to_string(delta.universe_size()) +
@@ -87,11 +53,8 @@ Status OverlaySetStream::CheckCompatible(const DeltaLog& delta) const {
 }
 
 void OverlaySetStream::Compose() {
-  std::size_t base_n = 0;
-  std::uint64_t base_m = 0;
-  BaseDims(&base_n, &base_m);
-  universe_size_ = base_n;
-  base_num_sets_ = base_m;
+  universe_size_ = base_->universe_size();
+  base_num_sets_ = base_->num_sets();
 
   const std::uint64_t slots = delta_.num_slots();
   slot_live_.assign(static_cast<std::size_t>(slots), false);
@@ -107,13 +70,6 @@ void OverlaySetStream::Compose() {
   }
 }
 
-SetView OverlaySetStream::BaseSet(std::uint64_t slot) const {
-  if (mmap_base_) return mmap_base_->set(static_cast<SetId>(slot));
-  const SetSystem* system =
-      owned_system_ ? owned_system_.get() : borrowed_system_;
-  return system->set(static_cast<SetId>(slot));
-}
-
 SetView OverlaySetStream::set(SetId id) const {
   STREAMSC_CHECK(status_.ok() && id < live_.size(),
                  "OverlaySetStream::set: invalid stream or id");
@@ -121,7 +77,7 @@ SetView OverlaySetStream::set(SetId id) const {
   if (slot_from_delta_[static_cast<std::size_t>(slot)]) {
     return delta_.slot_view(slot);
   }
-  return BaseSet(slot);
+  return base_->ItemAt(static_cast<std::size_t>(slot)).set;
 }
 
 Status OverlaySetStream::RefreshDelta() {

@@ -7,8 +7,6 @@
 #include <vector>
 
 #include "dynamic/delta_log.h"
-#include "instance/set_system.h"
-#include "storage/mmap_set_stream.h"
 #include "stream/set_stream.h"
 #include "util/set_view.h"
 #include "util/status.h"
@@ -16,19 +14,21 @@
 /// \file overlay_set_stream.h
 /// OverlaySetStream: one SetStream over (base instance + sscd1 delta log).
 ///
-/// The base may be an sscb1 file (served zero-copy through an owned
-/// MmapSetStream), an ssc1 text file (loaded once into an owned
-/// SetSystem), or a borrowed in-memory SetSystem. The delta log replays on
-/// top (dynamic/delta_log.h): live sets enumerate in slot order — base
-/// order first, then append order — with tombstoned slots suppressed and
-/// replaced slots served from the log's payload. The live ids handed out
-/// are *densely renumbered*, so the stream is indistinguishable from the
-/// compacted sscb1 that Materialize() writes: solving the overlay and
-/// solving the materialized file produce byte-identical solutions.
+/// The base is any owned SetStream that serves set id i at position i:
+/// every stream OpenInstance (storage/mmap_set_stream.h) returns for an
+/// sscb1 or ssc1 file does, and so does an adversarial-order
+/// VectorSetStream. The overlay reads it by position and never starts a
+/// pass on it. The delta log replays on top (dynamic/delta_log.h): live
+/// sets enumerate in slot order — base order first, then append order —
+/// with tombstoned slots suppressed and replaced slots served from the
+/// log's payload. The live ids handed out are *densely renumbered*, so
+/// the stream is indistinguishable from the compacted sscb1 that
+/// Materialize() writes: solving the overlay and solving the materialized
+/// file produce byte-identical solutions.
 ///
-/// Every view points into the base mapping/system or the delta mapping,
-/// both of which live as long as the stream, and ItemAt(i) is the i-th live
-/// set in O(1) — so a ParallelPassEngine shards a pass over a composed
+/// Every view points into the base stream or the delta mapping, both of
+/// which live as long as the stream, and ItemAt(i) is the i-th live set
+/// in O(1) — so a ParallelPassEngine shards a pass over a composed
 /// instance by position exactly as over a plain mmap.
 ///
 /// RefreshDelta() re-reads the delta file (the watch-mode beat): the base
@@ -42,15 +42,16 @@ namespace streamsc {
 /// A SetStream over base + delta. Not copyable (owns mappings).
 class OverlaySetStream : public SetStream {
  public:
-  /// Opens \p base_path (sniffed: sscb1 via mmap, else ssc1 text) plus
-  /// the delta log at \p delta_path; check status() before streaming. An
-  /// error status leaves an empty stream (0 sets).
+  /// Opens \p base_path (OpenInstance: sscb1 mapped, else ssc1 text)
+  /// plus the delta log at \p delta_path; check status() before
+  /// streaming. An error status leaves an empty stream (0 sets).
   OverlaySetStream(const std::string& base_path,
                    const std::string& delta_path);
 
-  /// Overlays \p delta_path over a borrowed in-memory \p base, which must
-  /// outlive the stream.
-  OverlaySetStream(const SetSystem& base, const std::string& delta_path);
+  /// Overlays \p delta_path over \p base. Precondition: \p base is not
+  /// null and serves set id i at position i.
+  OverlaySetStream(std::unique_ptr<SetStream> base,
+                   const std::string& delta_path);
 
   OverlaySetStream(const OverlaySetStream&) = delete;
   OverlaySetStream& operator=(const OverlaySetStream&) = delete;
@@ -113,26 +114,20 @@ class OverlaySetStream : public SetStream {
   const std::string& delta_path() const { return delta_path_; }
 
  private:
-  // Opens the base named by base_path (sniffed) into the owned members.
-  Status OpenBase(const std::string& base_path);
-  // The base's (universe size, set count).
-  void BaseDims(std::size_t* base_n, std::uint64_t* base_m) const;
-  // Validates \p delta against the base's dimensions — the gate both the
-  // constructors and RefreshDelta() pass a log through before composing.
+  // The one compose path both public constructors share: a failed \p base
+  // or delta leaves the stream empty.
+  OverlaySetStream(StatusOr<std::unique_ptr<SetStream>> base,
+                   const std::string& delta_path);
+  // Validates \p delta against the base's dimensions — the gate the
+  // constructor and RefreshDelta() pass a log through before composing.
   Status CheckCompatible(const DeltaLog& delta) const;
   // Rebuilds live_/slot_live_ from delta_. Infallible: the delta already
   // passed CheckCompatible().
   void Compose();
-  // The base's view of base slot \p slot.
-  SetView BaseSet(std::uint64_t slot) const;
 
   Status status_;
   std::string delta_path_;
-  // Exactly one of mmap_base_ / owned_system_ / borrowed_system_ supplies
-  // the base.
-  std::unique_ptr<MmapSetStream> mmap_base_;
-  std::unique_ptr<SetSystem> owned_system_;
-  const SetSystem* borrowed_system_ = nullptr;
+  std::unique_ptr<SetStream> base_;  // serves base slot i at position i
   DeltaLog delta_;
   std::size_t universe_size_ = 0;
   std::uint64_t base_num_sets_ = 0;

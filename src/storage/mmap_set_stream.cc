@@ -2,7 +2,9 @@
 
 #include <cstring>
 #include <fstream>
+#include <utility>
 
+#include "instance/serialization.h"
 #include "storage/set_payload.h"
 #include "util/check.h"
 #include "util/file_probe.h"
@@ -17,6 +19,21 @@ using sscb1::SetIndexEntry;
 Status Malformed(const std::string& what) {
   return Status::InvalidArgument("sscb1: " + what);
 }
+
+// The SetSystem an OwningVectorSetStream streams. A base listed before
+// VectorSetStream, so the system is built before the stream binds it.
+struct OwnedSystem {
+  SetSystem system;
+};
+
+// An adversarial-order VectorSetStream over a SetSystem it owns: an ssc1
+// instance loaded by OpenInstance.
+class OwningVectorSetStream : private OwnedSystem, public VectorSetStream {
+ public:
+  explicit OwningVectorSetStream(SetSystem system)
+      : OwnedSystem{std::move(system)},
+        VectorSetStream(OwnedSystem::system) {}
+};
 
 }  // namespace
 
@@ -96,6 +113,20 @@ bool IsBinaryInstanceFile(const std::string& path) {
   in.read(reinterpret_cast<char*>(magic), sizeof(magic));
   return in.gcount() == sizeof(magic) &&
          std::memcmp(magic, sscb1::kMagic, sizeof(magic)) == 0;
+}
+
+StatusOr<std::unique_ptr<SetStream>> OpenInstance(const std::string& path) {
+  if (IsBinaryInstanceFile(path)) {
+    auto stream = std::make_unique<MmapSetStream>(path);
+    if (!stream->status().ok()) return stream->status();
+    return std::unique_ptr<SetStream>(std::move(stream));
+  }
+  // ssc1 text goes through the one validating parser, once; passes then
+  // stream the loaded system.
+  StatusOr<SetSystem> loaded = LoadSetSystem(path);
+  if (!loaded.ok()) return loaded.status();
+  return std::unique_ptr<SetStream>(
+      std::make_unique<OwningVectorSetStream>(std::move(*loaded)));
 }
 
 StatusOr<SetSystem> LoadBinarySetSystem(const std::string& path) {

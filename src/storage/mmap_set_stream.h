@@ -2,6 +2,7 @@
 #define STREAMSC_STORAGE_MMAP_SET_STREAM_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -85,9 +86,9 @@ class MmapSetStream : public SetStream {
 /// MmapSetStream.
 ///
 /// MmapSetStream is read-only after construction except for the pass
-/// cursor and counter every SetStream carries — which is exactly what
-/// stops one validated mapping from serving many concurrent readers.
-/// Each MmapStreamView has its own cursor and counter and serves ItemAt()
+/// count every SetStream carries, and a run reports the passes of the
+/// stream it was bound to — so concurrent readers each need their own
+/// count. Each MmapStreamView owns only that count and serves ItemAt()
 /// through the shared stream's O(1) random access, so N views over one
 /// stream can stream passes concurrently with zero additional
 /// validation, mapping, or payload copies. This is the open-once /
@@ -95,7 +96,7 @@ class MmapSetStream : public SetStream {
 /// slots.
 ///
 /// The underlying stream is borrowed and must outlive every view; its
-/// own cursor and pass counter are never touched by views.
+/// own pass count is never touched by views.
 class MmapStreamView : public SetStream {
  public:
   /// Views \p stream, which must have an Ok status() and must outlive
@@ -118,6 +119,15 @@ class MmapStreamView : public SetStream {
 /// True iff \p path starts with the sscb1 magic (cheap format sniff for
 /// tools that accept both text and binary instances).
 bool IsBinaryInstanceFile(const std::string& path);
+
+/// Opens the instance at \p path as a stream; the one place that decides
+/// how an instance file is stored. The format is sniffed once: sscb1 is
+/// mapped (an MmapSetStream), anything else is parsed in full as ssc1
+/// text by LoadSetSystem and served by an adversarial-order
+/// VectorSetStream that owns the loaded system. Either way the stream
+/// serves set id i at position i. NotFound for a missing path,
+/// InvalidArgument for a non-regular file or any malformed byte.
+StatusOr<std::unique_ptr<SetStream>> OpenInstance(const std::string& path);
 
 /// Reads an sscb1 file into an in-memory SetSystem (for tool paths that
 /// need the offline solvers). The inverse of BinaryInstanceWriter::

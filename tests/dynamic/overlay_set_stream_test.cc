@@ -16,6 +16,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -141,8 +142,9 @@ TEST(OverlaySetStreamTest, ComposesOverEveryBaseKind) {
     ExpectStreamsModel(overlay, expected);
   }
   {
-    SCOPED_TRACE("borrowed in-memory base");
-    OverlaySetStream overlay(base, delta_path);
+    SCOPED_TRACE("in-memory VectorSetStream base");
+    OverlaySetStream overlay(std::make_unique<VectorSetStream>(base),
+                             delta_path);
     ExpectStreamsModel(overlay, expected);
   }
 }
@@ -152,7 +154,8 @@ TEST(OverlaySetStreamTest, SlotMappingIsConsistentBothWays) {
   const SetSystem base = FixtureBase();
   const std::string delta_path = dir.FilePath("delta.sscd1");
   const auto slots = WriteFixtureDelta(base, delta_path);
-  OverlaySetStream overlay(base, delta_path);
+  OverlaySetStream overlay(std::make_unique<VectorSetStream>(base),
+                           delta_path);
   ASSERT_TRUE(overlay.status().ok()) << overlay.status().ToString();
 
   SetId live = 0;
@@ -175,7 +178,8 @@ TEST(OverlaySetStreamTest, MaterializeWritesTheLiveInstance) {
   const std::string delta_path = dir.FilePath("delta.sscd1");
   const auto slots = WriteFixtureDelta(base, delta_path);
   const std::vector<DynamicBitset> expected = LiveSets(slots);
-  OverlaySetStream overlay(base, delta_path);
+  OverlaySetStream overlay(std::make_unique<VectorSetStream>(base),
+                           delta_path);
   ASSERT_TRUE(overlay.status().ok()) << overlay.status().ToString();
 
   const std::string out_path = dir.FilePath("compacted.sscb1");
@@ -197,7 +201,8 @@ TEST(OverlaySetStreamTest, RefreshDeltaPicksUpAppendsAndRetainsOnFailure) {
     DeltaLogWriter writer(delta_path, base.universe_size(), base.num_sets());
     ASSERT_TRUE(writer.Finish().ok());
   }
-  OverlaySetStream overlay(base, delta_path);
+  OverlaySetStream overlay(std::make_unique<VectorSetStream>(base),
+                           delta_path);
   ASSERT_TRUE(overlay.status().ok()) << overlay.status().ToString();
   EXPECT_EQ(overlay.num_sets(), base.num_sets());
 
@@ -233,7 +238,8 @@ TEST(OverlaySetStreamTest, RefreshDeltaRetainsOnMismatchAndRecovers) {
     ASSERT_TRUE(writer.RemoveSet(0).ok());
     ASSERT_TRUE(writer.Finish().ok());
   }
-  OverlaySetStream overlay(base, delta_path);
+  OverlaySetStream overlay(std::make_unique<VectorSetStream>(base),
+                           delta_path);
   ASSERT_TRUE(overlay.status().ok()) << overlay.status().ToString();
   EXPECT_EQ(overlay.num_sets(), base.num_sets() - 1);
 
@@ -272,7 +278,8 @@ TEST(OverlaySetStreamTest, RejectsBaseDeltaMismatch) {
     DeltaLogWriter writer(delta_path, base.universe_size() + 1,
                           base.num_sets());
     ASSERT_TRUE(writer.Finish().ok());
-    OverlaySetStream overlay(base, delta_path);
+    OverlaySetStream overlay(std::make_unique<VectorSetStream>(base),
+                             delta_path);
     EXPECT_EQ(overlay.status().code(), StatusCode::kInvalidArgument);
     EXPECT_EQ(overlay.num_sets(), 0u);
   }
@@ -282,7 +289,8 @@ TEST(OverlaySetStreamTest, RejectsBaseDeltaMismatch) {
     DeltaLogWriter writer(delta_path, base.universe_size(),
                           base.num_sets() + 1);
     ASSERT_TRUE(writer.Finish().ok());
-    OverlaySetStream overlay(base, delta_path);
+    OverlaySetStream overlay(std::make_unique<VectorSetStream>(base),
+                             delta_path);
     EXPECT_EQ(overlay.status().code(), StatusCode::kInvalidArgument);
   }
   // Missing pieces.

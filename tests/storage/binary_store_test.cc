@@ -5,6 +5,7 @@
 #include <cerrno>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -308,6 +309,35 @@ TEST(BinaryStoreTest, FormatSniffDistinguishesTextAndBinary) {
   EXPECT_FALSE(IsBinaryInstanceFile(text_path));
   EXPECT_TRUE(IsBinaryInstanceFile(binary_path));
   EXPECT_FALSE(IsBinaryInstanceFile(dir.FilePath("missing")));
+}
+
+// OpenInstance maps sscb1 and loads ssc1; either stream serves set id i
+// at position i, the precondition an overlay base relies on.
+TEST(BinaryStoreTest, OpenInstanceServesEachFormatByPosition) {
+  testing::ScopedTempDir dir;
+  Rng rng(5);
+  const SetSystem system = PlantedCoverInstance(128, 16, 4, rng);
+  const std::string text_path = dir.FilePath("open.ssc");
+  const std::string binary_path = dir.FilePath("open.sscb1");
+  ASSERT_TRUE(SaveSetSystem(system, text_path).ok());
+  ASSERT_TRUE(BinaryInstanceWriter::WriteSystem(system, binary_path).ok());
+  for (const std::string& path : {text_path, binary_path}) {
+    SCOPED_TRACE(path);
+    const StatusOr<std::unique_ptr<SetStream>> opened = OpenInstance(path);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    const SetStream& stream = **opened;
+    EXPECT_EQ(dynamic_cast<const MmapSetStream*>(&stream) != nullptr,
+              path == binary_path);
+    EXPECT_EQ(stream.universe_size(), system.universe_size());
+    ASSERT_EQ(stream.num_sets(), system.num_sets());
+    for (SetId id = 0; id < system.num_sets(); ++id) {
+      const StreamItem item = stream.ItemAt(id);
+      EXPECT_EQ(item.id, id);
+      EXPECT_TRUE(item.set == system.set(id)) << "set " << id;
+    }
+  }
+  EXPECT_EQ(OpenInstance(dir.FilePath("missing")).status().code(),
+            StatusCode::kNotFound);
 }
 
 TEST(BinaryStoreTest, LoadBinarySetSystemMaterializes) {

@@ -115,13 +115,20 @@ class LintStreamscTest(unittest.TestCase):
         self.assert_reported(result, "src/core/bad_cover_state.cc", 6,
                              "cover-state")
         self.assertNotIn("src/core/cover_run.cc", result.stdout)
+        # The instance format sniff and the ssc1 loader called outside
+        # storage//instance/; the storage layer itself is exempt.
+        self.assert_reported(result, "src/dynamic/bad_open.cc", 7,
+                             "instance-open")
+        self.assert_reported(result, "src/dynamic/bad_open.cc", 10,
+                             "instance-open")
+        self.assertNotIn("src/storage/open_ok.cc", result.stdout)
 
     def test_violation_count_is_exact(self):
         """No over-reporting: exactly the planted violations, nothing
         from comments, string literals, or the clean lines around them."""
         result = run_linter("--root", str(FIXTURES / "violations"))
         reported = [l for l in result.stdout.splitlines() if "[" in l]
-        self.assertEqual(len(reported), 25, result.stdout)
+        self.assertEqual(len(reported), 27, result.stdout)
 
     def test_real_tree_is_clean(self):
         """The wall starts (and stays) at zero violations on the repo."""
@@ -137,7 +144,7 @@ class LintStreamscTest(unittest.TestCase):
         self.assertEqual(
             rules, ["layer-dag", "raw-assert", "determinism", "engine-ptr",
                     "arena-ptr", "chrono", "raw-popcount", "raw-pass",
-                    "cover-state"])
+                    "cover-state", "instance-open"])
 
 
 class TidyGatingTest(unittest.TestCase):

@@ -349,11 +349,11 @@ StatusOr<SolveReport> SolveSession::RunWarmStart(
   CoverRun run(*stream_, context);
   const TraceSpan span(trace_, TraceCategory::kPhase, "dynamic.warm_resolve");
 
-  // The surviving prefix is kept verbatim (no takes are recorded for it);
-  // subtracting it leaves exactly the residue the delta exposed, which one
-  // cleanup pass re-covers. With an unchanged delta the residue is empty
-  // and the previous solution is reproduced byte-for-byte.
-  run.KeepAndSubtract(prefix);
+  // The surviving prefix is taken verbatim; subtracting it leaves exactly
+  // the residue the delta exposed, which one cleanup pass re-covers. With
+  // an unchanged delta the residue is empty and the previous solution is
+  // reproduced byte-for-byte.
+  run.TakeAndSubtract(prefix);
   const std::uint64_t residue = run.uncovered().CountSet();
   if (residue > 0) run.CoverResiduePass();
 

@@ -45,11 +45,6 @@ void CoverRun::TakeAndSubtract(std::span<const SetId> ids) {
   ctx_.SubtractPass(ids, uncovered_);
 }
 
-void CoverRun::KeepAndSubtract(std::span<const SetId> ids) {
-  Append(ids);
-  ctx_.SubtractPass(ids, uncovered_);
-}
-
 SetCoverRunResult CoverRun::Finish() {
   return SetCoverRunResult{std::move(solution_), uncovered_.None(),
                            ctx_.Stats()};

@@ -51,13 +51,10 @@ class CoverRun {
   void CoverResiduePass();
 
   /// Takes the sets \p ids whose contents the run has not seen (offline
-  /// sub-solver picks, witnesses): appends them, records ids.size() takes
-  /// of no gain and subtracts their full contents from U in one pass.
+  /// sub-solver picks, witnesses, the kept prefix of a warm re-solve):
+  /// appends them, records ids.size() takes of no gain and subtracts their
+  /// full contents from U in one pass.
   void TakeAndSubtract(std::span<const SetId> ids);
-
-  /// Appends \p ids, recording no take, and subtracts their contents
-  /// from U in one pass: the kept prefix of a warm re-solve.
-  void KeepAndSubtract(std::span<const SetId> ids);
 
   /// Ends the run: the solution, whether U is empty, and the run's stats.
   SetCoverRunResult Finish();

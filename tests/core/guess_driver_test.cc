@@ -591,26 +591,27 @@ std::string WarmReSolveFingerprint(std::uint64_t seed, WarmDelta delta) {
 
 TEST(CoverRunGoldenTest, WarmReSolvesMatchThePinnedFingerprints) {
   EXPECT_EQ(WarmReSolveFingerprint(7, WarmDelta::kUnchanged),
-            "chosen=[0,1] feasible=1 passes=1 space=72 taken=0 covered=512 "
+            "chosen=[0,1] feasible=1 passes=1 space=72 taken=2 covered=512 "
             "counters={arena.high_water_bytes:72,arena.reserved_bytes:65536,"
             "dynamic.surviving_prefix:2,dynamic.warm_solves:1,"
             "engine.elements_covered:512,engine.items_scanned:32,"
-            "engine.passes:1} solver=assadi algorithm=assadi(alpha=2,"
-            "eps=0.500000) warm=1 prefix=2 residue=0");
+            "engine.passes:1,engine.sets_taken:2} solver=assadi "
+            "algorithm=assadi(alpha=2,eps=0.500000) warm=1 prefix=2 residue=0");
   EXPECT_EQ(WarmReSolveFingerprint(11, WarmDelta::kBenign),
-            "chosen=[0,1] feasible=1 passes=1 space=72 taken=0 covered=512 "
+            "chosen=[0,1] feasible=1 passes=1 space=72 taken=2 covered=512 "
             "counters={arena.high_water_bytes:72,arena.reserved_bytes:65536,"
             "dynamic.delta_records:3,dynamic.surviving_prefix:2,"
             "dynamic.warm_solves:1,engine.elements_covered:512,"
-            "engine.items_scanned:33,engine.passes:1} solver=assadi "
-            "algorithm=assadi(alpha=2,eps=0.500000) warm=1 prefix=2 residue=0");
+            "engine.items_scanned:33,engine.passes:1,engine.sets_taken:2} "
+            "solver=assadi algorithm=assadi(alpha=2,eps=0.500000) warm=1 "
+            "prefix=2 residue=0");
   EXPECT_EQ(WarmReSolveFingerprint(11, WarmDelta::kReplaceLastPick),
-            "chosen=[0,1] feasible=1 passes=2 space=72 taken=1 covered=512 "
+            "chosen=[0,1] feasible=1 passes=2 space=72 taken=2 covered=512 "
             "counters={arena.high_water_bytes:76,arena.reserved_bytes:65536,"
             "dynamic.delta_records:1,dynamic.residue_elements:256,"
             "dynamic.surviving_prefix:1,dynamic.warm_solves:1,"
             "engine.elements_covered:512,engine.items_scanned:64,"
-            "engine.passes:2,engine.sets_taken:1} solver=assadi "
+            "engine.passes:2,engine.sets_taken:2} solver=assadi "
             "algorithm=assadi(alpha=2,eps=0.500000) warm=1 prefix=1 "
             "residue=256");
 }

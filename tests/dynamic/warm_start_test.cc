@@ -18,6 +18,7 @@
 #include "instance/generators.h"
 #include "obs/counters.h"
 #include "storage/binary_instance_writer.h"
+#include "stream/engine_context.h"
 #include "testing/scoped_temp_dir.h"
 #include "util/bitset.h"
 #include "util/random.h"
@@ -108,6 +109,9 @@ TEST(WarmStartTest, UnchangedDeltaReSolvesWarmByteForByte) {
   EXPECT_EQ(warm->solver, cold->solver);
   EXPECT_EQ(warm->algorithm, cold->algorithm);
   EXPECT_EQ(DynCounter(*warm, "dynamic.warm_solves"), 1u);
+  // Every chosen set, kept or re-covered, is a take.
+  EXPECT_EQ(warm->counters.value(engine_counters::SetsTaken()),
+            warm->solution.size());
 
   // A fresh session over the same files solves cold to the same bytes.
   StatusOr<SolveSession> fresh =
@@ -163,6 +167,8 @@ TEST(WarmStartTest, BenignMutationKeepsThePrefixAndCoversTheResidue) {
   EXPECT_EQ(warm->surviving_prefix, cold->solution.size());
   EXPECT_TRUE(CoversLiveInstance(*session, *warm));
   EXPECT_EQ(DynCounter(*warm, "dynamic.warm_solves"), 1u);
+  EXPECT_EQ(warm->counters.value(engine_counters::SetsTaken()),
+            warm->solution.size());
 }
 
 TEST(WarmStartTest, GuttedPrefixFallsBackToAColdSolve) {

@@ -60,8 +60,7 @@ class AssadiSetCover : public StreamingSetCoverAlgorithm {
 
   /// Runs the full driver (guessing õpt unless config.known_opt is set).
   /// The engine in \p context (if any) shards the pruning and projection
-  /// passes whenever the stream's items stay valid within a pass; results
-  /// are bit-identical for any thread count.
+  /// passes; results are bit-identical for any thread count.
   SetCoverRunResult Run(SetStream& stream,
                         const RunContext& context) override;
 

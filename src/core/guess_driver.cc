@@ -110,24 +110,10 @@ bool GuessRun::Step(double rate, Rng& rng, const char* subsolve_span,
 
   // (b) One pass storing the projections S'_i = S_i ∩ U_smpl. This is
   // the space-dominant structure: m projections of |U_smpl| bits each
-  // dense, fewer when the hybrid store sparsifies them. Worker threads
-  // project into their own scratch; the commit re-homes each projection
-  // into the table-backed system.
-  SetSystem projections(sub.size(), SetSystem::kDefaultSparsityThreshold,
-                        &ThreadTableArena());
-  ArenaVector<SetId> projection_ids(table);
-  projection_ids.reserve(ctx.stream().num_sets());
-  ctx.TransformPass<ProjectedSet>(
-      [&](const StreamItem& it) {
-        return sub.ProjectAdaptive(it.set,
-                                   ArenaAllocator<ElementId>::Scratch());
-      },
-      [&](const StreamItem& it, ProjectedSet proj) {
-        const SetId pid = StoreProjection(projections, std::move(proj));
-        ctx.meter().Charge(projections.SetBytes(pid) + sizeof(SetId),
-                           kProjectionsCat);
-        projection_ids.push_back(it.id);
-      });
+  // dense, fewer when the hybrid store sparsifies them. They live in the
+  // table-backed system.
+  const StoredProjections projections =
+      StoreProjectionPass(ctx, sub, &ThreadTableArena(), table);
 
   // (c) The solver's offline sub-solve. Manual span: the sub-solve ends
   // mid-scope (before the subtract pass), so an RAII span would swallow
@@ -135,12 +121,12 @@ bool GuessRun::Step(double rate, Rng& rng, const char* subsolve_span,
   ArenaVector<SetId> chosen(table);
   const std::int64_t subsolve_start =
       ctx.trace() != nullptr ? TraceRecorder::NowNs() : 0;
-  const bool solved = solve(projections, chosen);
+  const bool solved = solve(projections.sets, chosen);
   if (ctx.trace() != nullptr) {
     ctx.trace()->Emit(TraceCategory::kPhase, subsolve_span, subsolve_start,
                       TraceRecorder::NowNs() - subsolve_start);
   }
-  for (SetId& id : chosen) id = projection_ids[id];
+  for (SetId& id : chosen) id = projections.ids[id];
   // Stored projections are dropped once the sub-instance is solved.
   const Bytes projection_bytes =
       ctx.meter().CategoryCurrent(kProjectionsCat);

@@ -17,7 +17,6 @@ namespace {
 
 // Interned metering categories (hot path: array index per Charge).
 const SpaceCategory kSampleUniverseCat("sample-universe");
-const SpaceCategory kProjectionsCat("projections");
 const SpaceCategory kCandidatesCat("candidates");
 
 }  // namespace
@@ -63,24 +62,10 @@ MaxCoverageRunResult ElementSamplingMaxCoverage::Run(
   SubUniverse sub(sampled, ctx.alloc<ElementId>());
   meter.Charge(CeilDiv(sub.size(), 8), kSampleUniverseCat);
 
-  // One pass: store every set's projection onto the sample. Workers
-  // project into their own scratch; the commit re-homes each projection
-  // into the run-arena-backed system.
-  SetSystem projections(sub.size(), SetSystem::kDefaultSparsityThreshold,
-                        context.arena);
-  ArenaVector<SetId> projection_ids(ctx.alloc<SetId>());
-  projection_ids.reserve(m);
-  ctx.TransformPass<ProjectedSet>(
-      [&](const StreamItem& it) {
-        return sub.ProjectAdaptive(it.set,
-                                   ArenaAllocator<ElementId>::Scratch());
-      },
-      [&](const StreamItem& it, ProjectedSet proj) {
-        const SetId pid = StoreProjection(projections, std::move(proj));
-        meter.Charge(projections.SetBytes(pid) + sizeof(SetId),
-                     kProjectionsCat);
-        projection_ids.push_back(it.id);
-      });
+  // One pass: store every set's projection onto the sample, in the
+  // run-arena-backed system.
+  const StoredProjections projections =
+      StoreProjectionPass(ctx, sub, context.arena, ctx.alloc<SetId>());
 
   // Offline solve on the sampled instance. The solve's internals bracket
   // the thread's table arena; its result lands on the run arena.
@@ -94,12 +79,12 @@ MaxCoverageRunResult ElementSamplingMaxCoverage::Run(
       ExactMaxCoverageOptions options;
       options.max_nodes = config_.exact_node_budget;
       ExactMaxCoverageResult exact = SolveExactMaxCoverage(
-          projections,
+          projections.sets,
           DynamicBitset::Full(sub.size(), DynamicBitset::Allocator(table)), k,
           options, ctx.alloc<SetId>());
       local = std::move(exact.solution);
     } else {
-      const Solution greedy = GreedyMaxCoverage(projections, k, table);
+      const Solution greedy = GreedyMaxCoverage(projections.sets, k, table);
       local.chosen.assign(greedy.chosen.begin(), greedy.chosen.end());
     }
   }
@@ -107,7 +92,7 @@ MaxCoverageRunResult ElementSamplingMaxCoverage::Run(
   Solution lifted(ctx.alloc<SetId>());
   lifted.chosen.reserve(local.chosen.size());
   for (const SetId id : local.chosen) {
-    lifted.chosen.push_back(projection_ids[id]);
+    lifted.chosen.push_back(projections.ids[id]);
   }
   result.solution = std::move(lifted);
 

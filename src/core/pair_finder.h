@@ -49,8 +49,7 @@ class ExactPairFinder {
   std::string name() const;
 
   /// The engine in \p context (if any) shards the projection-storing
-  /// pass (when the stream's items stay valid within a pass), the
-  /// candidate seeding, and the survivor filtering. Candidate order —
+  /// pass, the candidate seeding, and the survivor filtering. Candidate order —
   /// and with it the returned pair — is bit-identical for any thread
   /// count: parallel phases only precompute per-row/per-candidate facts
   /// which are then committed in the sequential order.

@@ -2,7 +2,15 @@
 
 #include <utility>
 
+#include "util/space_meter.h"
+
 namespace streamsc {
+
+namespace {
+
+const SpaceCategory kProjectionsCat("projections");
+
+}  // namespace
 
 using Word = DynamicBitset::Word;
 
@@ -80,6 +88,28 @@ DynamicBitset SampleElements(const DynamicBitset& universe, double rate,
                              Rng& rng, DynamicBitset::Allocator alloc) {
   // Rng::BernoulliSubsample owns the documented [0,1]/NaN clamp.
   return rng.BernoulliSubsample(universe, rate, alloc);
+}
+
+StoredProjections StoreProjectionPass(EngineContext& ctx,
+                                      const SubUniverse& sub,
+                                      MonotonicArena* arena,
+                                      ArenaAllocator<SetId> id_alloc) {
+  StoredProjections stored{
+      SetSystem(sub.size(), SetSystem::kDefaultSparsityThreshold, arena),
+      ArenaVector<SetId>(id_alloc)};
+  stored.ids.reserve(ctx.stream().num_sets());
+  ctx.TransformPass<ProjectedSet>(
+      [&](const StreamItem& it) {
+        return sub.ProjectAdaptive(it.set,
+                                   ArenaAllocator<ElementId>::Scratch());
+      },
+      [&](const StreamItem& it, ProjectedSet proj) {
+        const SetId pid = StoreProjection(stored.sets, std::move(proj));
+        ctx.meter().Charge(stored.sets.SetBytes(pid) + sizeof(SetId),
+                           kProjectionsCat);
+        stored.ids.push_back(it.id);
+      });
+  return stored;
 }
 
 }  // namespace streamsc

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "instance/set_system.h"
+#include "stream/engine_context.h"
 #include "util/arena.h"
 #include "util/bitset.h"
 #include "util/random.h"
@@ -96,6 +97,23 @@ class SubUniverse {
   ArenaVector<std::uint32_t> word_rank_;
   ArenaVector<GatherBlock> gather_;
 };
+
+/// The projections one sampling pass stored: set pid of \p sets is the
+/// projection of the stream set \p ids[pid].
+struct StoredProjections {
+  SetSystem sets;
+  ArenaVector<SetId> ids;
+};
+
+/// One pass storing every streamed set's projection S_i ∩ sample onto
+/// \p sub. Workers project into their own scratch; the commit re-homes
+/// each projection into a SetSystem on \p arena (null = heap), appends
+/// its stream id to a vector on \p id_alloc, and charges both to \p ctx's
+/// `projections` space category.
+StoredProjections StoreProjectionPass(EngineContext& ctx,
+                                      const SubUniverse& sub,
+                                      MonotonicArena* arena,
+                                      ArenaAllocator<SetId> id_alloc);
 
 /// Builds the Lemma 3.12 sample of \p universe: each element kept
 /// independently with probability \p rate. \p rate is clamped to [0, 1]

@@ -63,8 +63,9 @@ class SolveSession {
 
   /// Opens \p path through OpenInstance, which sniffs the format from its
   /// magic bytes: sscb1 is mapped (source kMmap), anything else is parsed
-  /// as ssc1 text in full before Open() returns (source kMemory). Returns a Status for missing/corrupt files — NotFound if
-  /// unreadable, InvalidArgument for any malformed byte.
+  /// as ssc1 text in full before Open() returns (source kMemory). Returns
+  /// a Status for missing/corrupt files — NotFound if unreadable,
+  /// InvalidArgument for any malformed byte.
   static StatusOr<SolveSession> Open(const std::string& path);
 
   /// Wraps \p system (borrowed — must outlive the session).

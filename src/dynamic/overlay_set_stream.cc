@@ -28,11 +28,7 @@ OverlaySetStream::OverlaySetStream(StatusOr<std::unique_ptr<SetStream>> base,
   delta_ = DeltaLog(delta_path);
   status_ = delta_.status();
   if (status_.ok()) status_ = CheckCompatible(delta_);
-  if (status_.ok()) {
-    Compose();
-  } else {
-    base_.reset();
-  }
+  if (status_.ok()) Compose();
 }
 
 Status OverlaySetStream::CheckCompatible(const DeltaLog& delta) const {

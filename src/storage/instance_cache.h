@@ -21,7 +21,7 @@
 /// and validates each path exactly once per (re)load, keyed by name, and
 /// hands out Snapshot handles: a shared, immutable mapping plus the
 /// generation it was loaded under. Any number of readers may share one
-/// snapshot's stream (read-only; each view counts only its own passes).
+/// snapshot's stream (read-only; each view owns only its pass state).
 ///
 /// Reload model: Refresh() upserts a name — the new file is opened and
 /// validated *outside* the lock, then swapped in under it with a fresh

@@ -86,9 +86,9 @@ class MmapSetStream : public SetStream {
 /// MmapSetStream.
 ///
 /// MmapSetStream is read-only after construction except for the pass
-/// count every SetStream carries, and a run reports the passes of the
-/// stream it was bound to — so concurrent readers each need their own
-/// count. Each MmapStreamView owns only that count and serves ItemAt()
+/// state the SetStream base class carries, and a run reports the passes
+/// of the stream it was bound to — so concurrent readers each need their
+/// own. Each MmapStreamView owns only that pass state and serves ItemAt()
 /// through the shared stream's O(1) random access, so N views over one
 /// stream can stream passes concurrently with zero additional
 /// validation, mapping, or payload copies. This is the open-once /
@@ -96,7 +96,7 @@ class MmapSetStream : public SetStream {
 /// slots.
 ///
 /// The underlying stream is borrowed and must outlive every view; its
-/// own pass count is never touched by views.
+/// own pass state is never touched by views.
 class MmapStreamView : public SetStream {
  public:
   /// Views \p stream, which must have an Ok status() and must outlive

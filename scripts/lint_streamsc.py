@@ -65,6 +65,14 @@ instance-open No `IsBinaryInstanceFile(` or `LoadSetSystem(` in src/
               place that decides sscb1 (mapped) versus ssc1 (loaded). A
               second sniff elsewhere repeats that decision and can drift
               from it.
+raw-thread    No `std::thread`, `std::jthread`, `std::condition_variable`
+              or `std::async` in src/ outside stream/parallel_pass_engine.*
+              and serve/: work is split across threads through the one
+              ParallelPassEngine pool (EngineContext::ParallelFor), and
+              the daemon owns its own acceptor and workers. A second pool
+              elsewhere would compete with the engine's threads for the
+              same cores. Static members (`std::thread::
+              hardware_concurrency()`) do not count.
 
 Usage
 -----
@@ -151,6 +159,15 @@ INSTANCE_OPEN_RE = re.compile(
 
 # Layers that own the instance formats and the one opener over them.
 INSTANCE_OPEN_EXEMPT_LAYERS = {"storage", "instance"}
+
+# Starting a thread or blocking on one, outside static member access.
+RAW_THREAD_RE = re.compile(
+    r"(?<![_A-Za-z0-9])std\s*::\s*(?:thread|jthread|condition_variable"
+    r"(?:_any)?|async)(?![_A-Za-z0-9])(?!\s*::)")
+
+# The one pool's files, and the daemon's layer, which owns its threads.
+RAW_THREAD_HOME = "src/stream/parallel_pass_engine."
+RAW_THREAD_EXEMPT_LAYERS = {"serve"}
 
 # Layers that may touch std::chrono directly: util/ owns Stopwatch, obs/
 # owns TraceRecorder's clock. Everything else must time through those.
@@ -327,6 +344,15 @@ def lint_file(path: pathlib.Path, layer: str,
                 "instance/ — open an instance file through OpenInstance "
                 "(storage/mmap_set_stream.h), which decides sscb1 versus "
                 "ssc1 once"))
+        if (layer not in RAW_THREAD_EXEMPT_LAYERS
+                and not rel.as_posix().startswith(RAW_THREAD_HOME)
+                and RAW_THREAD_RE.search(line)):
+            violations.append(Violation(
+                rel, lineno, "raw-thread",
+                "std::thread/jthread/condition_variable/async outside "
+                "stream/parallel_pass_engine.* and serve/ — split work "
+                "through the ParallelPassEngine pool "
+                "(EngineContext::ParallelFor)"))
     return violations
 
 
@@ -361,7 +387,7 @@ def main() -> int:
     if args.list_rules:
         for rule in ("layer-dag", "raw-assert", "determinism", "engine-ptr",
                      "arena-ptr", "chrono", "raw-popcount", "raw-pass",
-                     "cover-state", "instance-open"):
+                     "cover-state", "instance-open", "raw-thread"):
             print(rule)
         return 0
 

@@ -210,11 +210,6 @@ bool ParsedOptions::Bool(const std::string& name) const {
   return it->second.b;
 }
 
-bool ParsedOptions::WasSet(const std::string& name) const {
-  const auto it = explicit_.find(name);
-  return it != explicit_.end() && it->second;
-}
-
 StatusOr<ParsedOptions> ParseOptions(
     const std::string& owner, const std::vector<OptionDescriptor>& schema,
     const std::vector<std::string>& args) {

@@ -86,9 +86,6 @@ class ParsedOptions {
   double Double(const std::string& name) const;
   bool Bool(const std::string& name) const;
 
-  /// True iff the user explicitly supplied \p name (vs. the default).
-  bool WasSet(const std::string& name) const;
-
  private:
   friend StatusOr<ParsedOptions> ParseOptions(
       const std::string& owner, const std::vector<OptionDescriptor>& schema,

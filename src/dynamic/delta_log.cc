@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "util/check.h"
-#include "util/file_probe.h"
 
 namespace streamsc {
 
@@ -324,18 +323,6 @@ Status DeltaLogWriter::Finish() {
   }
   out_.close();
   return status_;
-}
-
-bool IsDeltaLogFile(const std::string& path) {
-  // Probe before the blocking open, same as the sscb1 sniff: an ifstream
-  // open of an unfed FIFO hangs forever.
-  if (!ProbeRegularFile(path).ok()) return false;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  unsigned char magic[sizeof(sscd1::kMagic)] = {};
-  in.read(reinterpret_cast<char*>(magic), sizeof(magic));
-  return in.gcount() == sizeof(magic) &&
-         std::memcmp(magic, sscd1::kMagic, sizeof(magic)) == 0;
 }
 
 }  // namespace streamsc

@@ -201,9 +201,6 @@ class DeltaLogWriter {
   bool finished_ = false;
 };
 
-/// True iff \p path starts with the sscd1 magic (cheap format sniff).
-bool IsDeltaLogFile(const std::string& path);
-
 }  // namespace streamsc
 
 #endif  // STREAMSC_DYNAMIC_DELTA_LOG_H_

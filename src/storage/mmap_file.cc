@@ -4,6 +4,8 @@
 #include <cstring>
 #include <utility>
 
+#include "util/file_probe.h"
+
 #if defined(__unix__) || defined(__APPLE__)
 #define STREAMSC_HAVE_MMAP 1
 #include <fcntl.h>
@@ -67,19 +69,10 @@ StatusOr<MmapFile> MmapFile::Open(const std::string& path) {
   }
   // Only regular files can be mapped: a directory would fail later with a
   // confusing mmap/read error, and a FIFO or device node has no stable
-  // byte range at all. Say what the path actually is.
+  // byte range at all.
   if (!S_ISREG(st.st_mode)) {
-    const char* what = S_ISDIR(st.st_mode)    ? "a directory"
-                       : S_ISFIFO(st.st_mode) ? "a FIFO"
-                       : S_ISCHR(st.st_mode)  ? "a character device"
-                       : S_ISBLK(st.st_mode)  ? "a block device"
-                       : S_ISSOCK(st.st_mode) ? "a socket"
-                                              : "not a regular file";
-    const Status status = Status::InvalidArgument(
-        "cannot map '" + path + "': it is " + what +
-        " (only regular files can be memory-mapped)");
     ::close(fd);
-    return status;
+    return NotRegularFileError(path, st.st_mode);
   }
   // Drop O_NONBLOCK now that the probe is done — mmap of a regular file
   // never blocks, but keep the descriptor's semantics conventional.

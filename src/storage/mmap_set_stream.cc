@@ -1,13 +1,11 @@
 #include "storage/mmap_set_stream.h"
 
 #include <cstring>
-#include <fstream>
 #include <utility>
 
 #include "instance/serialization.h"
 #include "storage/set_payload.h"
 #include "util/check.h"
-#include "util/file_probe.h"
 
 namespace streamsc {
 
@@ -35,10 +33,24 @@ class OwningVectorSetStream : private OwnedSystem, public VectorSetStream {
         VectorSetStream(OwnedSystem::system) {}
 };
 
+// True iff the mapped bytes start with the sscb1 magic.
+bool HasBinaryMagic(const MmapFile& file) {
+  return file.size() >= sizeof(sscb1::kMagic) &&
+         std::memcmp(file.data(), sscb1::kMagic, sizeof(sscb1::kMagic)) == 0;
+}
+
 }  // namespace
 
-MmapSetStream::MmapSetStream(const std::string& path) {
-  status_ = Load(path);
+MmapSetStream::MmapSetStream(const std::string& path)
+    : MmapSetStream(MmapFile::Open(path)) {}
+
+MmapSetStream::MmapSetStream(StatusOr<MmapFile> mapped) {
+  if (mapped.ok()) {
+    file_ = std::move(*mapped);
+    status_ = Load();
+  } else {
+    status_ = mapped.status();
+  }
   if (!status_.ok()) {
     // Leave a well-defined empty stream so accidental use without a
     // status check streams nothing instead of reading junk.
@@ -48,13 +60,9 @@ MmapSetStream::MmapSetStream(const std::string& path) {
   }
 }
 
-Status MmapSetStream::Load(const std::string& path) {
+Status MmapSetStream::Load() {
   Status endian = sscb1::CheckHostEndianness();
   if (!endian.ok()) return endian;
-
-  StatusOr<MmapFile> mapped = MmapFile::Open(path);
-  if (!mapped.ok()) return mapped.status();
-  file_ = std::move(*mapped);
 
   if (file_.size() < sizeof(FileHeader)) {
     return Malformed("file too small for an sscb1 header");
@@ -103,21 +111,19 @@ SetView MmapSetStream::set(SetId id) const {
 }
 
 bool IsBinaryInstanceFile(const std::string& path) {
-  // Probe before the blocking open: an ifstream open of an unfed FIFO
-  // hangs forever, and format sniffing runs before any hardened reader
-  // gets a look at the path.
-  if (!ProbeRegularFile(path).ok()) return false;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  unsigned char magic[sizeof(sscb1::kMagic)] = {};
-  in.read(reinterpret_cast<char*>(magic), sizeof(magic));
-  return in.gcount() == sizeof(magic) &&
-         std::memcmp(magic, sscb1::kMagic, sizeof(magic)) == 0;
+  // MmapFile::Open never blocks (a FIFO is refused, not waited on), and
+  // mapping costs O(1): only the magic's page is read.
+  const StatusOr<MmapFile> mapped = MmapFile::Open(path);
+  return mapped.ok() && HasBinaryMagic(*mapped);
 }
 
 StatusOr<std::unique_ptr<SetStream>> OpenInstance(const std::string& path) {
-  if (IsBinaryInstanceFile(path)) {
-    auto stream = std::make_unique<MmapSetStream>(path);
+  // One open: the mapping that the sniff reads is the one an sscb1 stream
+  // keeps. NotFound and the non-regular-file error come from here.
+  StatusOr<MmapFile> mapped = MmapFile::Open(path);
+  if (!mapped.ok()) return mapped.status();
+  if (HasBinaryMagic(*mapped)) {
+    auto stream = std::make_unique<MmapSetStream>(std::move(mapped));
     if (!stream->status().ok()) return stream->status();
     return std::unique_ptr<SetStream>(std::move(stream));
   }

@@ -48,6 +48,10 @@ class MmapSetStream : public SetStream {
   /// streaming. An error status leaves an empty stream (0 sets).
   explicit MmapSetStream(const std::string& path);
 
+  /// Validates an already-mapped file eagerly and takes it over. Takes an
+  /// MmapFile, or the failed MmapFile::Open whose status becomes status().
+  explicit MmapSetStream(StatusOr<MmapFile> mapped);
+
   MmapSetStream(const MmapSetStream&) = delete;
   MmapSetStream& operator=(const MmapSetStream&) = delete;
 
@@ -72,8 +76,8 @@ class MmapSetStream : public SetStream {
   std::uint64_t file_bytes() const { return file_.size(); }
 
  private:
-  // Validates everything and builds the view table.
-  Status Load(const std::string& path);
+  // Validates file_ and builds the view table over it.
+  Status Load();
 
   Status status_;
   MmapFile file_;
@@ -121,12 +125,13 @@ class MmapStreamView : public SetStream {
 bool IsBinaryInstanceFile(const std::string& path);
 
 /// Opens the instance at \p path as a stream; the one place that decides
-/// how an instance file is stored. The format is sniffed once: sscb1 is
-/// mapped (an MmapSetStream), anything else is parsed in full as ssc1
-/// text by LoadSetSystem and served by an adversarial-order
-/// VectorSetStream that owns the loaded system. Either way the stream
-/// serves set id i at position i. NotFound for a missing path,
-/// InvalidArgument for a non-regular file or any malformed byte.
+/// how an instance file is stored. The file is mapped once and its magic
+/// read from the mapping: sscb1 keeps that mapping (an MmapSetStream),
+/// anything else is parsed in full as ssc1 text by LoadSetSystem and
+/// served by an adversarial-order VectorSetStream that owns the loaded
+/// system. Either way the stream serves set id i at position i. NotFound
+/// for a missing path, InvalidArgument for a non-regular file or any
+/// malformed byte.
 StatusOr<std::unique_ptr<SetStream>> OpenInstance(const std::string& path);
 
 /// Reads an sscb1 file into an in-memory SetSystem (for tool paths that

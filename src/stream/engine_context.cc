@@ -63,7 +63,43 @@ void EngineContext::GainScanPassNamed(
     FunctionRef<void(const StreamItem&, Count, bool)> visit) {
   const PassScope scope(*this, name);
   BeginCountedPass();
-  GainFilteredScan(stream_, uncovered, engine_, visit, trace_);
+  const std::size_t m = stream_.num_sets();
+  if (!sharded() || engine_->num_threads() <= 1 || m < 2) {
+    for (std::size_t pos = 0; pos < m; ++pos) {
+      if (uncovered.None()) return;
+      const StreamItem item = stream_.ItemAt(pos);
+      const Count gain = item.set.CountAnd(uncovered);
+      if (gain > 0) visit(item, gain, /*bound_is_exact=*/true);
+    }
+    return;
+  }
+
+  // Chunked parallel filter + in-order commit. The chunk size only
+  // affects how stale the snapshot bounds are, never the outcome: bounds
+  // only shrink as earlier commits subtract from `uncovered`, so a zero
+  // bound is a proof of zero current gain, and survivors are handed to
+  // visit in stream order against the live state. The bound buffer lives
+  // in this thread's scratch arena for the duration of the scan.
+  const std::size_t chunk =
+      std::max<std::size_t>(64, m / (8 * engine_->num_threads()));
+  MonotonicArena& scratch = ThreadScratchArena();
+  const ArenaCheckpoint checkpoint(scratch);
+  Count* const bounds = scratch.Allocate<Count>(chunk);
+  for (std::size_t pos = 0; pos < m; pos += chunk) {
+    if (uncovered.None()) return;
+    const std::size_t width = std::min(chunk, m - pos);
+    engine_->ParallelFor(
+        width,
+        [&](std::size_t k) {
+          bounds[k] = stream_.ItemAt(pos + k).set.CountAnd(uncovered);
+        },
+        trace_);
+    for (std::size_t k = 0; k < width; ++k) {
+      if (bounds[k] > 0) {
+        visit(stream_.ItemAt(pos + k), bounds[k], /*bound_is_exact=*/false);
+      }
+    }
+  }
 }
 
 void EngineContext::ThresholdPass(double threshold, DynamicBitset& uncovered,

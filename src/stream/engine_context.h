@@ -34,11 +34,14 @@
 /// engine.passes counter — is the number of passes the run made over the
 /// stream.
 ///
-/// Determinism contract (inherited from parallel_pass_engine.h and
-/// preserved by every primitive here): for a fixed stream order, results
-/// are **bit-identical** whether the context runs sequentially (null
-/// engine) or sharded over any number of threads — and whether or not a
-/// run arena is bound.
+/// Determinism contract: for a fixed stream order, results are
+/// **bit-identical** whether the context runs sequentially (null engine)
+/// or sharded over any number of threads — and whether or not a run
+/// arena is bound. Parallelism is used only where item work is
+/// independent (projection, lanes) or where a parallel phase is provably
+/// equivalent to the sequential loop (GainScanPass's monotone-gain filter
+/// and in-order commit). Merges happen in stream order at pass end; no
+/// result ever depends on thread scheduling.
 ///
 /// Allocation contract: the pass primitives allocate nothing per pass —
 /// items are read from the stream by position, snapshot and commit

@@ -21,17 +21,20 @@ Status ProbeRegularFile(const std::string& path) {
                             "': " + std::strerror(errno));
   }
   if (S_ISREG(st.st_mode)) return Status::Ok();
-  // Same per-type wording as MmapFile::Open: say what the path actually
-  // is, so "why won't it load my file" is answerable from the message.
-  const char* what = S_ISDIR(st.st_mode)    ? "a directory"
-                     : S_ISFIFO(st.st_mode) ? "a FIFO"
-                     : S_ISCHR(st.st_mode)  ? "a character device"
-                     : S_ISBLK(st.st_mode)  ? "a block device"
-                     : S_ISSOCK(st.st_mode) ? "a socket"
-                                            : "not a regular file";
-  return Status::InvalidArgument("cannot read '" + path + "': it is " +
-                                 std::string(what) +
-                                 " (only regular files can be opened)");
+  return NotRegularFileError(path, st.st_mode);
+}
+
+Status NotRegularFileError(const std::string& path, std::uint32_t st_mode) {
+  // Say what the path actually is, so "why won't it load my file" is
+  // answerable from the message.
+  const char* what = S_ISDIR(st_mode)    ? "a directory"
+                     : S_ISFIFO(st_mode) ? "a FIFO"
+                     : S_ISCHR(st_mode)  ? "a character device"
+                     : S_ISBLK(st_mode)  ? "a block device"
+                     : S_ISSOCK(st_mode) ? "a socket"
+                                         : "not a regular file";
+  return Status::InvalidArgument("cannot open '" + path + "': it is " +
+                                 what + " (only regular files can be read)");
 }
 
 FileSignature ProbeSignature(const std::string& path) {
@@ -57,6 +60,12 @@ FileSignature ProbeSignature(const std::string& path) {
 Status ProbeRegularFile(const std::string& path) {
   (void)path;
   return Status::Ok();
+}
+
+Status NotRegularFileError(const std::string& path, std::uint32_t st_mode) {
+  (void)st_mode;
+  return Status::InvalidArgument("cannot open '" + path +
+                                 "': not a regular file");
 }
 
 FileSignature ProbeSignature(const std::string& path) {

@@ -28,6 +28,11 @@ namespace streamsc {
 /// caller's own open supplies the error there.
 Status ProbeRegularFile(const std::string& path);
 
+/// The InvalidArgument every opener reports for a path that exists but is
+/// not a regular file, naming what it is ("a FIFO", "a directory", ...).
+/// \p st_mode is the path's stat(2) mode.
+Status NotRegularFileError(const std::string& path, std::uint32_t st_mode);
+
 /// A point-in-time identity snapshot of a path: existence, byte size, and
 /// modification time. Two equal signatures mean "no observable change" at
 /// stat(2) granularity — the polling primitive behind watch mode, which

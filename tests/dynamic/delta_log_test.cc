@@ -14,7 +14,6 @@
 #include "dynamic/delta_format.h"
 #include "dynamic/delta_log.h"
 #include "instance/set_system.h"
-#include "storage/binary_instance_writer.h"
 #include "testing/scoped_temp_dir.h"
 #include "util/bitset.h"
 
@@ -191,20 +190,6 @@ TEST(DeltaLogTest, HugeBaseClaimDoesNotDriveAllocation) {
   EXPECT_EQ(append.num_slots(), huge);
   EXPECT_EQ(append.RemoveSet(huge - 1).code(),
             StatusCode::kInvalidArgument);  // already dead
-}
-
-TEST(DeltaLogTest, SniffsDeltaLogFiles) {
-  testing::ScopedTempDir dir;
-  const std::string log_path = dir.FilePath("log.sscd1");
-  FixtureBytes(log_path);
-  EXPECT_TRUE(IsDeltaLogFile(log_path));
-
-  SetSystem system(8);
-  system.AddSetFromIndices({0, 1});
-  const std::string binary_path = dir.FilePath("base.sscb1");
-  ASSERT_TRUE(BinaryInstanceWriter::WriteSystem(system, binary_path).ok());
-  EXPECT_FALSE(IsDeltaLogFile(binary_path));
-  EXPECT_FALSE(IsDeltaLogFile(dir.FilePath("missing.sscd1")));
 }
 
 // ---- Corruption matrix ----------------------------------------------------

@@ -14,14 +14,16 @@
 // Sequentially the run is deterministic, so the assertion is strict: the
 // second run must allocate nothing. With a worker pool, index claiming is
 // dynamic — which worker's scratch/table arena serves an item varies run
-// to run, so per-worker chunk capacities (and the engine's job pool) warm
-// toward their schedule-independent maximum over a few runs instead of
-// exactly one. Capacities only grow and are bounded, so the allocation
-// count converges to zero; the test asserts it reaches zero within a
-// small bounded number of runs.
+// to run, so per-worker chunk capacities warm toward their
+// schedule-independent maximum over a few runs instead of exactly one.
+// Capacities only grow and are bounded, so the allocation count converges
+// to zero; the test asserts it reaches zero within a small bounded number
+// of runs. The engine itself needs no warm-up: it reuses one job for
+// every ParallelFor, so it allocates nothing from its first job on.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -158,6 +160,24 @@ TEST(ZeroAllocTest, CounterSeesHeapTraffic) {
   EXPECT_GE(stats.allocations, 1u);
   EXPECT_GE(stats.deallocations, 1u);
   EXPECT_GE(stats.bytes, 1024 * sizeof(std::uint64_t));
+}
+
+TEST(ZeroAllocTest, EngineParallelForAllocatesNothingFromTheFirstJob) {
+  ParallelPassEngine engine(8);
+  std::atomic<std::uint64_t> sum{0};
+  std::uint64_t expected = 0;
+  testing::ArmAllocCounter();
+  for (std::size_t job = 0; job < 200; ++job) {
+    const std::size_t count = 1 + (job * 37) % 300;
+    engine.ParallelFor(count, [&](std::size_t i) {
+      sum.fetch_add(i, std::memory_order_relaxed);
+    });
+    expected += count * (count - 1) / 2;
+  }
+  const testing::AllocCounterStats stats = testing::DisarmAllocCounter();
+  EXPECT_EQ(sum.load(), expected);
+  EXPECT_EQ(stats.allocations, 0u)
+      << "the engine allocated " << stats.bytes << " heap bytes";
 }
 
 TEST(ZeroAllocTest, Assadi) {

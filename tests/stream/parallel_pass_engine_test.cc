@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
+#include <map>
+#include <thread>
 #include <vector>
 
 #include "core/sampling.h"
 #include "instance/generators.h"
+#include "obs/trace.h"
 #include "stream/engine_context.h"
 #include "stream/set_stream.h"
 #include "util/random.h"
@@ -53,6 +58,65 @@ TEST(ParallelPassEngineTest, SingleThreadEngineRunsInline) {
     order.push_back(static_cast<int>(i));
   });
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+// A job ends when every worker that joined it has left. Jobs of 1-3
+// indices on an 8-wide pool end while most workers are still waking up,
+// so late joiners constantly land on the next job. Every index must run
+// once per job, and on traced jobs every worker that claimed an index
+// must have emitted its one shard span before ParallelFor returned.
+TEST(ParallelPassEngineTest, LateJoinersNeverRunAnIndexTwiceOrDropASpan) {
+  constexpr std::size_t kJobs = 10000;
+  constexpr std::size_t kTraceEvery = 10;
+  ParallelPassEngine engine(8);
+  TraceRecorder recorder;
+  std::atomic<int> hits[3];
+  std::thread::id claimer[3];
+  // Per traced job id: the sorted claim counts of its claiming workers.
+  std::map<std::uint64_t, std::vector<std::uint64_t>> expected_claims;
+  std::size_t miscounted_indices = 0;
+  for (std::size_t j = 0; j < kJobs; ++j) {
+    const std::size_t count = 1 + j % 3;
+    for (std::atomic<int>& hit : hits) hit.store(0);
+    const bool traced = j % kTraceEvery == 0;
+    engine.ParallelFor(
+        count,
+        [&](std::size_t i) {
+          hits[i].fetch_add(1, std::memory_order_relaxed);
+          claimer[i] = std::this_thread::get_id();
+        },
+        traced ? &recorder : nullptr);
+    for (std::size_t i = 0; i < count; ++i) {
+      if (hits[i].load() != 1) ++miscounted_indices;
+    }
+    if (!traced) continue;
+    std::vector<std::thread::id> threads(claimer, claimer + count);
+    std::sort(threads.begin(), threads.end());
+    std::vector<std::uint64_t>& claims = expected_claims[engine.jobs_posted()];
+    for (auto it = threads.begin(); it != threads.end();) {
+      const auto run_end = std::upper_bound(it, threads.end(), *it);
+      claims.push_back(static_cast<std::uint64_t>(run_end - it));
+      it = run_end;
+    }
+    std::sort(claims.begin(), claims.end());
+  }
+  EXPECT_EQ(miscounted_indices, 0u) << "indices ran other than exactly once";
+  EXPECT_EQ(engine.jobs_posted(), kJobs);
+
+  // Every shard span names a traced job; per job, one span per claimer
+  // carrying that claimer's claim count.
+  ASSERT_EQ(recorder.events_dropped(), 0u);
+  std::map<std::uint64_t, std::vector<std::uint64_t>> span_claims;
+  recorder.ForEachEvent([&](const TraceEvent& event) {
+    ASSERT_EQ(event.category, TraceCategory::kShard);
+    ASSERT_EQ(event.num_args, 2);
+    span_claims[event.arg_values[0]].push_back(event.arg_values[1]);
+  });
+  for (auto& [job, claims] : span_claims) {
+    std::sort(claims.begin(), claims.end());
+  }
+  EXPECT_EQ(expected_claims.size(), kJobs / kTraceEvery);
+  EXPECT_EQ(span_claims, expected_claims);
 }
 
 // The determinism contract for projection: a TransformPass produces

@@ -122,13 +122,25 @@ class LintStreamscTest(unittest.TestCase):
         self.assert_reported(result, "src/dynamic/bad_open.cc", 10,
                              "instance-open")
         self.assertNotIn("src/storage/open_ok.cc", result.stdout)
+        # Threads started or waited on outside the engine's pool; the
+        # pool's own files and serve/ are exempt.
+        self.assert_reported(result, "src/core/bad_thread.cc", 9,
+                             "raw-thread")
+        self.assert_reported(result, "src/core/bad_thread.cc", 10,
+                             "raw-thread")
+        self.assert_reported(result, "src/core/bad_thread.cc", 11,
+                             "raw-thread")
+        self.assert_reported(result, "src/core/bad_thread.cc", 13,
+                             "raw-thread")
+        self.assertNotIn("src/stream/parallel_pass_engine.cc", result.stdout)
+        self.assertNotIn("src/serve/thread_ok.cc", result.stdout)
 
     def test_violation_count_is_exact(self):
         """No over-reporting: exactly the planted violations, nothing
         from comments, string literals, or the clean lines around them."""
         result = run_linter("--root", str(FIXTURES / "violations"))
         reported = [l for l in result.stdout.splitlines() if "[" in l]
-        self.assertEqual(len(reported), 27, result.stdout)
+        self.assertEqual(len(reported), 31, result.stdout)
 
     def test_real_tree_is_clean(self):
         """The wall starts (and stays) at zero violations on the repo."""
@@ -144,7 +156,7 @@ class LintStreamscTest(unittest.TestCase):
         self.assertEqual(
             rules, ["layer-dag", "raw-assert", "determinism", "engine-ptr",
                     "arena-ptr", "chrono", "raw-popcount", "raw-pass",
-                    "cover-state", "instance-open"])
+                    "cover-state", "instance-open", "raw-thread"])
 
 
 class TidyGatingTest(unittest.TestCase):

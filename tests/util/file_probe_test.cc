@@ -1,10 +1,10 @@
 // ProbeRegularFile: the non-blocking gate every blocking open in the
 // stack hides behind. The regression pinned here is the sniff-path hang:
-// format detection (IsBinaryInstanceFile) and the text readers open with
-// std::ifstream, and an ifstream open of an unfed FIFO blocks forever —
-// so a FIFO handed to `workload_tool solve` (or a daemon --instance
-// flag) wedged the process even after MmapFile::Open itself was
-// hardened. The probe must answer immediately for every file kind.
+// the text readers open with std::ifstream, and an ifstream open of an
+// unfed FIFO blocks forever — so a FIFO handed to `workload_tool solve`
+// (or a daemon --instance flag) wedged the process even after
+// MmapFile::Open itself was hardened. The probe must answer immediately
+// for every file kind.
 
 #include <gtest/gtest.h>
 

@@ -6,8 +6,8 @@
 //
 //   memory  VectorSetStream over the generated SetSystem (upper bound:
 //           what the paths below give up by leaving RAM);
-//   ssc1    the text file parsed once by LoadSetSystem — the one ssc1
-//           reader, which SolveSession::Open uses too — then streamed from
+//   ssc1    the text file mapped and parsed once by LoadSetSystem — the
+//           same parser SolveSession::Open runs — then streamed from
 //           memory ("ssc1 load + in-memory passes"; its ms include the
 //           load, which also has its own row);
 //   mmap    MmapSetStream serving zero-copy SetViews over the sscb1

@@ -19,8 +19,9 @@
 //       kind: planted (param = opt) | uniform (param = set size)
 //           | zipf (param = max size) | blog (param = hub % as integer)
 //   workload_tool convert <in.ssc> <out.sscb1>
-//       streams the text instance into the binary store one set at a
-//       time (constant memory; works for instances that don't fit RAM).
+//       parses the whole text instance into memory, then writes it to
+//       the binary store, so the instance must fit in memory once; an
+//       sscb1 input is rejected.
 //   workload_tool info <path>
 //   workload_tool solvers [--names]
 //       lists every registered solver with its options (name, type,
@@ -177,11 +178,6 @@ int Convert(int argc, char** argv) {
   if (argc != 4) return Usage();
   const std::string in_path = argv[2];
   const std::string out_path = argv[3];
-  if (IsBinaryInstanceFile(in_path)) {
-    std::cerr << "convert: '" << in_path
-              << "' is already an sscb1 binary instance\n";
-    return 1;
-  }
   const Status status =
       BinaryInstanceWriter::TranscodeText(in_path, out_path);
   if (!status.ok()) {

@@ -1,9 +1,9 @@
 // Fuzz harness for the sscb1 binary reader (storage/), the second
 // untrusted-input surface: header, offset index, and payload validation
-// in MmapSetStream / LoadBinarySetSystem. Contract under attack: any byte
-// string either validates end to end — after which every set view must be
-// in bounds — or is rejected with a non-empty Status at open; nothing may
-// abort, and the two readers must agree on acceptance.
+// in MmapSetStream. Contract under attack: any byte string either
+// validates end to end — after which every set view must be in bounds and
+// the pass must materialize into a valid SetSystem of the same size — or
+// is rejected with a non-empty Status at open; nothing may abort.
 //
 // MmapSetStream reads from a file, so each input is staged through one
 // per-process scratch file (same page-cache-hot inode every iteration).
@@ -16,6 +16,7 @@
 #include <fstream>
 #include <string>
 
+#include "instance/set_system.h"
 #include "storage/mmap_set_stream.h"
 #include "stream/set_stream.h"
 #include "util/check.h"
@@ -54,7 +55,9 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
 
   // Validated file: every view the stream serves must stay inside the
   // declared universe — walk one full pass and touch every element.
+  // The same pass also copies every view into an owning SetSystem.
   const std::size_t n = stream.universe_size();
+  streamsc::SetSystem materialized(n);
   stream.BeginPass();
   streamsc::StreamItem item;
   std::size_t sets_seen = 0;
@@ -64,17 +67,17 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       STREAMSC_CHECK(element < n,
                      "validated sscb1 payload served an out-of-range id");
     });
+    materialized.AddSetFromView(item.set);
   }
   STREAMSC_CHECK(sets_seen == stream.num_sets(),
                  "sscb1 pass length disagrees with the index");
 
-  // The SetSystem loader re-validates the same bytes; the two readers
-  // accepting different files would mean one of them under-validates.
-  const streamsc::StatusOr<streamsc::SetSystem> loaded =
-      streamsc::LoadBinarySetSystem(ScratchPath());
-  STREAMSC_CHECK(loaded.ok(),
-                 "MmapSetStream accepted a file LoadBinarySetSystem rejects");
-  STREAMSC_CHECK(loaded->num_sets() == sets_seen,
-                 "sscb1 readers disagree on the set count");
+  // The owning copy re-checks every set on its own terms; a stream that
+  // served views the SetSystem invariants reject would under-validate.
+  STREAMSC_CHECK(materialized.Validate().ok(),
+                 "MmapSetStream accepted a file that materializes invalid");
+  STREAMSC_CHECK(materialized.num_sets() == sets_seen,
+                 "sscb1 pass and its materialized system disagree on the "
+                 "set count");
   return 0;
 }

@@ -59,12 +59,19 @@ cover-state   No `SpaceCategory` named "uncovered" or "solution" in src/
               solution through CoverRun (core/cover_run.h), which charges
               both. A second copy of either category would meter a run's
               U or solution outside the one place that owns them.
-instance-open No `IsBinaryInstanceFile(` or `LoadSetSystem(` in src/
-              outside storage/ and instance/: an instance file is opened
-              through OpenInstance (storage/mmap_set_stream.h), the one
-              place that decides sscb1 (mapped) versus ssc1 (loaded). A
-              second sniff elsewhere repeats that decision and can drift
+instance-open No `LoadSetSystem(` in src/ outside storage/: an instance
+              file is opened through OpenInstance (storage/
+              mmap_set_stream.h), the one place that decides sscb1
+              (mapped) versus ssc1 (parsed from the same mapping). A
+              second reader elsewhere repeats that decision and can drift
               from it.
+blocking-read No `std::ifstream` in src/ outside storage/mmap_file.cc,
+              whose non-POSIX fallback reads the whole file with one:
+              files are read through MmapFile::Open, which opens
+              O_NONBLOCK and refuses a FIFO, directory or device without
+              waiting. An ifstream open of an unfed FIFO blocks forever,
+              so a user-supplied path would wedge the caller (a daemon
+              worker, a session open). Comments do not count.
 raw-thread    No `std::thread`, `std::jthread`, `std::condition_variable`
               or `std::async` in src/ outside stream/parallel_pass_engine.*
               and serve/: work is split across threads through the one
@@ -153,12 +160,18 @@ SPACE_CATEGORY_RE = re.compile(
 # The one file that owns a set-cover run's U and solution categories.
 COVER_STATE_HOME = "src/core/cover_run.cc"
 
-# The format sniff and the ssc1 loader, called to open an instance file.
-INSTANCE_OPEN_RE = re.compile(
-    r"(?<![_A-Za-z0-9])(?:IsBinaryInstanceFile|LoadSetSystem)\s*\(")
+# The ssc1 file loader, called to open an instance file.
+INSTANCE_OPEN_RE = re.compile(r"(?<![_A-Za-z0-9])LoadSetSystem\s*\(")
 
-# Layers that own the instance formats and the one opener over them.
-INSTANCE_OPEN_EXEMPT_LAYERS = {"storage", "instance"}
+# The layer that owns the one opener over the instance formats.
+INSTANCE_OPEN_EXEMPT_LAYERS = {"storage"}
+
+# A blocking file read stream, whose open waits forever on an unfed FIFO.
+BLOCKING_READ_RE = re.compile(
+    r"(?<![_A-Za-z0-9])std\s*::\s*(?:basic_)?ifstream(?![_A-Za-z0-9])")
+
+# The one file that may read with it: MmapFile's non-POSIX fallback.
+BLOCKING_READ_HOME = "src/storage/mmap_file.cc"
 
 # Starting a thread or blocking on one, outside static member access.
 RAW_THREAD_RE = re.compile(
@@ -340,10 +353,16 @@ def lint_file(path: pathlib.Path, layer: str,
                 and INSTANCE_OPEN_RE.search(line)):
             violations.append(Violation(
                 rel, lineno, "instance-open",
-                "IsBinaryInstanceFile()/LoadSetSystem() outside storage//"
-                "instance/ — open an instance file through OpenInstance "
-                "(storage/mmap_set_stream.h), which decides sscb1 versus "
-                "ssc1 once"))
+                "LoadSetSystem() outside storage/ — open an instance file "
+                "through OpenInstance (storage/mmap_set_stream.h), which "
+                "decides sscb1 versus ssc1 once"))
+        if (rel.as_posix() != BLOCKING_READ_HOME
+                and BLOCKING_READ_RE.search(line)):
+            violations.append(Violation(
+                rel, lineno, "blocking-read",
+                "std::ifstream in src/ — read a file through "
+                "MmapFile::Open (storage/mmap_file.h), which refuses a "
+                "FIFO instead of blocking on it"))
         if (layer not in RAW_THREAD_EXEMPT_LAYERS
                 and not rel.as_posix().startswith(RAW_THREAD_HOME)
                 and RAW_THREAD_RE.search(line)):
@@ -387,7 +406,8 @@ def main() -> int:
     if args.list_rules:
         for rule in ("layer-dag", "raw-assert", "determinism", "engine-ptr",
                      "arena-ptr", "chrono", "raw-popcount", "raw-pass",
-                     "cover-state", "instance-open", "raw-thread"):
+                     "cover-state", "instance-open", "blocking-read",
+                     "raw-thread"):
             print(rule)
         return 0
 

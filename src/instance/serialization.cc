@@ -1,11 +1,11 @@
 #include "instance/serialization.h"
 
 #include <fstream>
+#include <istream>
 #include <sstream>
+#include <streambuf>
 #include <string>
 #include <vector>
-
-#include "util/file_probe.h"
 
 namespace streamsc {
 namespace {
@@ -25,6 +25,18 @@ bool NextContentLine(std::istream& in, std::string* line,
   }
   return false;
 }
+
+// A read-only stream buffer over bytes it does not own. The get area is
+// the bytes themselves; nothing ever writes through it (the default
+// pbackfail refuses a putback that would change a byte), so it can sit
+// on a read-only mapping.
+class ByteViewBuf : public std::streambuf {
+ public:
+  explicit ByteViewBuf(std::string_view bytes) {
+    char* begin = const_cast<char*>(bytes.data());
+    setg(begin, begin, begin + bytes.size());
+  }
+};
 
 Status MalformedAt(std::size_t line_number, const std::string& what) {
   return Status::InvalidArgument("line " + std::to_string(line_number) +
@@ -50,7 +62,9 @@ std::string SetSystemToString(const SetSystem& system) {
   return out.str();
 }
 
-StatusOr<SetSystem> ReadSetSystem(std::istream& in) {
+StatusOr<SetSystem> SetSystemFromString(std::string_view text) {
+  ByteViewBuf buf(text);
+  std::istream in(&buf);
   std::string line;
   std::size_t line_number = 0;
   if (!NextContentLine(in, &line, &line_number)) {
@@ -118,11 +132,6 @@ StatusOr<SetSystem> ReadSetSystem(std::istream& in) {
   return system;
 }
 
-StatusOr<SetSystem> SetSystemFromString(const std::string& text) {
-  std::istringstream in(text);
-  return ReadSetSystem(in);
-}
-
 Status SaveSetSystem(const SetSystem& system, const std::string& path) {
   std::ofstream out(path);
   if (!out) {
@@ -134,20 +143,6 @@ Status SaveSetSystem(const SetSystem& system, const std::string& path) {
     return Status::Internal("write to '" + path + "' failed");
   }
   return Status::Ok();
-}
-
-StatusOr<SetSystem> LoadSetSystem(const std::string& path) {
-  // Probe before the blocking open: ifstream on an unfed FIFO hangs
-  // forever instead of failing.
-  const Status probe = ProbeRegularFile(path);
-  if (!probe.ok() && probe.code() == StatusCode::kInvalidArgument) {
-    return probe;
-  }
-  std::ifstream in(path);
-  if (!in) {
-    return Status::NotFound("cannot open '" + path + "' for reading");
-  }
-  return ReadSetSystem(in);
 }
 
 }  // namespace streamsc

@@ -3,6 +3,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "instance/set_system.h"
 #include "util/status.h"
@@ -29,21 +30,17 @@ void WriteSetSystem(const SetSystem& system, std::ostream& out);
 /// Serializes to a string (convenience wrapper over WriteSetSystem).
 std::string SetSystemToString(const SetSystem& system);
 
-/// Parses an "ssc1" stream. Returns InvalidArgument with a line-numbered
-/// message on malformed input (bad magic, out-of-range element, set count
-/// mismatch, trailing garbage).
-StatusOr<SetSystem> ReadSetSystem(std::istream& in);
-
-/// Parses from a string (convenience wrapper over ReadSetSystem).
-StatusOr<SetSystem> SetSystemFromString(const std::string& text);
+/// Parses "ssc1" text from \p text, read in place (the text is never
+/// copied whole). The one ssc1 parser: files reach it through LoadSetSystem and
+/// OpenInstance (storage/mmap_set_stream.h), which parse the bytes of a
+/// mapping. Returns InvalidArgument with a line-numbered message on
+/// malformed input (bad magic, out-of-range element, set count mismatch,
+/// trailing garbage).
+StatusOr<SetSystem> SetSystemFromString(std::string_view text);
 
 /// Writes \p system to \p path. Returns Internal if the file cannot be
 /// opened or written.
 Status SaveSetSystem(const SetSystem& system, const std::string& path);
-
-/// Reads a system from \p path. NotFound if unreadable, InvalidArgument
-/// if malformed.
-StatusOr<SetSystem> LoadSetSystem(const std::string& path);
 
 }  // namespace streamsc
 

@@ -2,7 +2,7 @@
 
 #include <cstring>
 
-#include "instance/serialization.h"
+#include "storage/mmap_set_stream.h"
 
 namespace streamsc {
 

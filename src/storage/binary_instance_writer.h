@@ -14,7 +14,8 @@
 /// \file binary_instance_writer.h
 /// BinaryInstanceWriter: produces sscb1 files (storage/binary_format.h),
 /// either from an in-memory SetSystem or by transcoding an ssc1 text file
-/// (loaded and validated in full by LoadSetSystem, then written).
+/// (loaded and validated in full by LoadSetSystem, then written, so the
+/// parsed system must fit in memory).
 ///
 /// Streaming protocol: construct with the final (n, m), call AddSet()
 /// exactly m times, then Finish(). The writer streams payloads, buffers
@@ -53,8 +54,9 @@ class BinaryInstanceWriter {
   /// Transcodes the ssc1 text file at \p text_path to an sscb1 file at
   /// \p binary_path. The text goes through LoadSetSystem, so it is
   /// accepted or rejected exactly as every other ssc1 reader does (NotFound
-  /// if unreadable, InvalidArgument if malformed); nothing is written on a
-  /// rejected file.
+  /// if unreadable, InvalidArgument if malformed or already sscb1); nothing
+  /// is written on a rejected file. The whole system is parsed into memory
+  /// before the first byte is written.
   static Status TranscodeText(const std::string& text_path,
                               const std::string& binary_path);
 

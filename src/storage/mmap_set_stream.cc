@@ -1,6 +1,7 @@
 #include "storage/mmap_set_stream.h"
 
 #include <cstring>
+#include <string_view>
 #include <utility>
 
 #include "instance/serialization.h"
@@ -37,6 +38,12 @@ class OwningVectorSetStream : private OwnedSystem, public VectorSetStream {
 bool HasBinaryMagic(const MmapFile& file) {
   return file.size() >= sizeof(sscb1::kMagic) &&
          std::memcmp(file.data(), sscb1::kMagic, sizeof(sscb1::kMagic)) == 0;
+}
+
+// Parses the mapped bytes as ssc1 text, in place.
+StatusOr<SetSystem> ParseText(const MmapFile& file) {
+  return SetSystemFromString(std::string_view(
+      reinterpret_cast<const char*>(file.data()), file.size()));
 }
 
 }  // namespace
@@ -110,16 +117,9 @@ SetView MmapSetStream::set(SetId id) const {
   return sets_[id];
 }
 
-bool IsBinaryInstanceFile(const std::string& path) {
-  // MmapFile::Open never blocks (a FIFO is refused, not waited on), and
-  // mapping costs O(1): only the magic's page is read.
-  const StatusOr<MmapFile> mapped = MmapFile::Open(path);
-  return mapped.ok() && HasBinaryMagic(*mapped);
-}
-
 StatusOr<std::unique_ptr<SetStream>> OpenInstance(const std::string& path) {
-  // One open: the mapping that the sniff reads is the one an sscb1 stream
-  // keeps. NotFound and the non-regular-file error come from here.
+  // One open: the sniff, the sscb1 stream and the ssc1 parse all read
+  // this mapping. NotFound and the non-regular-file error come from here.
   StatusOr<MmapFile> mapped = MmapFile::Open(path);
   if (!mapped.ok()) return mapped.status();
   if (HasBinaryMagic(*mapped)) {
@@ -127,22 +127,21 @@ StatusOr<std::unique_ptr<SetStream>> OpenInstance(const std::string& path) {
     if (!stream->status().ok()) return stream->status();
     return std::unique_ptr<SetStream>(std::move(stream));
   }
-  // ssc1 text goes through the one validating parser, once; passes then
-  // stream the loaded system.
-  StatusOr<SetSystem> loaded = LoadSetSystem(path);
-  if (!loaded.ok()) return loaded.status();
+  // ssc1 text is parsed once; passes then stream the parsed system.
+  StatusOr<SetSystem> parsed = ParseText(*mapped);
+  if (!parsed.ok()) return parsed.status();
   return std::unique_ptr<SetStream>(
-      std::make_unique<OwningVectorSetStream>(std::move(*loaded)));
+      std::make_unique<OwningVectorSetStream>(std::move(*parsed)));
 }
 
-StatusOr<SetSystem> LoadBinarySetSystem(const std::string& path) {
-  MmapSetStream stream(path);
-  if (!stream.status().ok()) return stream.status();
-  SetSystem system(stream.universe_size());
-  stream.BeginPass();
-  StreamItem item;
-  while (stream.Next(&item)) system.AddSetFromView(item.set);
-  return system;
+StatusOr<SetSystem> LoadSetSystem(const std::string& path) {
+  const StatusOr<MmapFile> mapped = MmapFile::Open(path);
+  if (!mapped.ok()) return mapped.status();
+  if (HasBinaryMagic(*mapped)) {
+    return Status::InvalidArgument(
+        "'" + path + "' is an sscb1 binary instance, not ssc1 text");
+  }
+  return ParseText(*mapped);
 }
 
 }  // namespace streamsc

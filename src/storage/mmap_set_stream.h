@@ -120,24 +120,22 @@ class MmapStreamView : public SetStream {
   const MmapSetStream& stream_;
 };
 
-/// True iff \p path starts with the sscb1 magic (cheap format sniff for
-/// tools that accept both text and binary instances).
-bool IsBinaryInstanceFile(const std::string& path);
-
 /// Opens the instance at \p path as a stream; the one place that decides
-/// how an instance file is stored. The file is mapped once and its magic
-/// read from the mapping: sscb1 keeps that mapping (an MmapSetStream),
-/// anything else is parsed in full as ssc1 text by LoadSetSystem and
-/// served by an adversarial-order VectorSetStream that owns the loaded
-/// system. Either way the stream serves set id i at position i. NotFound
-/// for a missing path, InvalidArgument for a non-regular file or any
-/// malformed byte.
+/// how an instance file is read. The file is mapped once (MmapFile::Open)
+/// and everything after reads that mapping: its magic picks the format,
+/// sscb1 keeps the mapping (an MmapSetStream), and anything else is parsed
+/// in full as ssc1 text by SetSystemFromString and served by an
+/// adversarial-order VectorSetStream that owns the parsed system. Either
+/// way the stream serves set id i at position i. NotFound for a missing
+/// path, InvalidArgument for a non-regular file or any malformed byte.
 StatusOr<std::unique_ptr<SetStream>> OpenInstance(const std::string& path);
 
-/// Reads an sscb1 file into an in-memory SetSystem (for tool paths that
-/// need the offline solvers). The inverse of BinaryInstanceWriter::
-/// WriteSystem up to representation choices.
-StatusOr<SetSystem> LoadBinarySetSystem(const std::string& path);
+/// Reads the ssc1 text file at \p path into a SetSystem (for tool paths
+/// that need the whole system, such as the sscb1 transcoder): one mapping,
+/// parsed in place by SetSystemFromString. NotFound for a missing path;
+/// InvalidArgument for a non-regular file, a malformed document, or an
+/// sscb1 file (the message names the format).
+StatusOr<SetSystem> LoadSetSystem(const std::string& path);
 
 }  // namespace streamsc
 

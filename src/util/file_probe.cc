@@ -1,8 +1,5 @@
 #include "util/file_probe.h"
 
-#include <cerrno>
-#include <cstring>
-
 #if defined(__unix__) || defined(__APPLE__)
 #define STREAMSC_HAVE_STAT 1
 #include <sys/stat.h>
@@ -13,16 +10,6 @@
 namespace streamsc {
 
 #if STREAMSC_HAVE_STAT
-
-Status ProbeRegularFile(const std::string& path) {
-  struct stat st;
-  if (::stat(path.c_str(), &st) != 0) {
-    return Status::NotFound("cannot open '" + path +
-                            "': " + std::strerror(errno));
-  }
-  if (S_ISREG(st.st_mode)) return Status::Ok();
-  return NotRegularFileError(path, st.st_mode);
-}
 
 Status NotRegularFileError(const std::string& path, std::uint32_t st_mode) {
   // Say what the path actually is, so "why won't it load my file" is
@@ -56,11 +43,6 @@ FileSignature ProbeSignature(const std::string& path) {
 }
 
 #else  // !STREAMSC_HAVE_STAT
-
-Status ProbeRegularFile(const std::string& path) {
-  (void)path;
-  return Status::Ok();
-}
 
 Status NotRegularFileError(const std::string& path, std::uint32_t st_mode) {
   (void)st_mode;

@@ -7,26 +7,16 @@
 #include "util/status.h"
 
 /// \file file_probe.h
-/// Non-blocking "is this a regular file?" probe.
+/// stat(2)-level facts about a path: the error every opener reports for a
+/// path that is not a regular file, and the signature watch mode polls
+/// without opening the path.
 ///
-/// Every reader in the stack that opens a user-supplied path with a
-/// blocking primitive (std::ifstream, O_RDONLY open) must probe first:
-/// opening a FIFO with no writer blocks the calling thread *forever*,
-/// which turns a bad --instance flag or an attacker-chosen path into a
-/// wedged daemon worker. stat(2) never blocks on FIFOs or devices, so
-/// the probe answers immediately.
+/// Nothing here gates an open. Instance files and delta logs are read only
+/// through MmapFile::Open (storage/mmap_file.h), which opens O_NONBLOCK and
+/// refuses a FIFO, directory, device or socket from fstat(2) without
+/// waiting, so no reader needs to stat a path before opening it.
 
 namespace streamsc {
-
-/// Returns Ok iff \p path names an existing regular file.
-///
-///   * missing path        -> NotFound
-///   * FIFO / directory /
-///     device / socket     -> InvalidArgument naming what the path is
-///
-/// On platforms without stat(2) the probe is a no-op returning Ok; the
-/// caller's own open supplies the error there.
-Status ProbeRegularFile(const std::string& path);
 
 /// The InvalidArgument every opener reports for a path that exists but is
 /// not a regular file, naming what it is ("a FIFO", "a directory", ...).

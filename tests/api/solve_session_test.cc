@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "instance/generators.h"
 #include "instance/serialization.h"
 #include "storage/binary_instance_writer.h"
+#include "storage/mmap_set_stream.h"
 #include "stream/engine_context.h"
 #include "testing/scoped_temp_dir.h"
 #include "util/random.h"
@@ -71,11 +73,11 @@ TEST(SolveSessionTest, OpenMissingFileReports) {
 }
 
 TEST(SolveSessionTest, OpenFifoReportsInvalidArgumentWithoutHanging) {
-  // Regression: Open() sniffs the format before any hardened reader runs,
-  // and the sniff (IsBinaryInstanceFile) plus the text fallback both used
-  // blocking std::ifstream opens — so a FIFO path hung the session-open
-  // path forever even after MmapFile::Open itself was fixed. The whole
-  // chain must come straight back with a typed error.
+  // Regression: the format sniff and the ssc1 reader once opened the path
+  // with blocking std::ifstream opens, so a FIFO path hung the session-open
+  // path forever even after MmapFile::Open itself was fixed. Open() now
+  // reads every format through that one non-blocking mapping, and must
+  // come straight back with a typed error.
   ScopedTempDir dir;
   const std::string path = dir.FilePath("pipe.fifo");
   ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0) << std::strerror(errno);
@@ -99,10 +101,11 @@ TEST(SolveSessionTest, OpenGarbageFileReports) {
   EXPECT_FALSE(session.ok());
 }
 
-// Every ssc1 reader — the session, LoadSetSystem and the sscb1 transcoder
-// — must reject the same malformed documents with the same code. The
-// middle three are the documents a second, per-pass text parser once
-// accepted while LoadSetSystem rejected them.
+// Every ssc1 reader — the session, LoadSetSystem, the sscb1 transcoder
+// and the in-memory parser they all share — must reject the same malformed
+// documents with the same code and the same message. The middle three are
+// the documents a second, per-pass text parser once accepted while
+// LoadSetSystem rejected them.
 struct MalformedDocument {
   const char* name;
   const char* text;
@@ -126,8 +129,16 @@ TEST_P(MalformedSsc1Test, EveryReaderRejectsWithInvalidArgument) {
   StatusOr<SetSystem> loaded = LoadSetSystem(path);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(BinaryInstanceWriter::TranscodeText(path, binary_path).code(),
-            StatusCode::kInvalidArgument);
+  const Status transcoded =
+      BinaryInstanceWriter::TranscodeText(path, binary_path);
+  EXPECT_EQ(transcoded.code(), StatusCode::kInvalidArgument);
+  StatusOr<SetSystem> parsed = SetSystemFromString(GetParam().text);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  // One parser behind all four: the diagnostic is the same text.
+  EXPECT_EQ(session.status().message(), parsed.status().message());
+  EXPECT_EQ(loaded.status().message(), parsed.status().message());
+  EXPECT_EQ(transcoded.message(), parsed.status().message());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -142,6 +153,58 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<MalformedDocument>& info) {
       return std::string(info.param.name);
     });
+
+// The accepting side of the same contract: a valid document with comments,
+// blank lines, CRLF endings and an empty set parses to one system through
+// every reader, and OpenInstance serves that system's set i at position i.
+TEST(SolveSessionTest, EveryReaderAcceptsAValidDocumentAsOneSystem) {
+  ScopedTempDir dir;
+  const std::string path = dir.FilePath("valid.ssc");
+  const std::string binary_path = dir.FilePath("valid.sscb1");
+  const std::string text =
+      "# a valid document\n"
+      "ssc1 6 4\r\n"
+      "3 0 2 4\n"
+      "\n"
+      "0\n"
+      "  # a comment between sets\n"
+      "6 0 1 2 3 4 5\r\n"
+      "1 5\n";
+  {
+    std::ofstream out(path, std::ios::trunc | std::ios::binary);
+    out << text;
+  }
+  StatusOr<SetSystem> parsed = SetSystemFromString(text);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_EQ(parsed->num_sets(), 4u);
+
+  StatusOr<std::unique_ptr<SetStream>> opened = OpenInstance(path);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  const SetStream& stream = **opened;
+  EXPECT_EQ(stream.universe_size(), parsed->universe_size());
+  ASSERT_EQ(stream.num_sets(), parsed->num_sets());
+  for (SetId id = 0; id < parsed->num_sets(); ++id) {
+    const StreamItem item = stream.ItemAt(id);
+    EXPECT_EQ(item.id, id);
+    EXPECT_TRUE(item.set == parsed->set(id)) << "set " << id;
+  }
+
+  StatusOr<SetSystem> loaded = LoadSetSystem(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_TRUE(
+      BinaryInstanceWriter::TranscodeText(path, binary_path).ok());
+  MmapSetStream binary(binary_path);
+  ASSERT_TRUE(binary.status().ok()) << binary.status().ToString();
+  ASSERT_EQ(loaded->num_sets(), parsed->num_sets());
+  ASSERT_EQ(binary.num_sets(), parsed->num_sets());
+  for (SetId id = 0; id < parsed->num_sets(); ++id) {
+    EXPECT_TRUE(loaded->set(id) == parsed->set(id)) << "set " << id;
+    EXPECT_TRUE(binary.set(id) == parsed->set(id)) << "set " << id;
+  }
+  StatusOr<SolveSession> session = SolveSession::Open(path);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  EXPECT_EQ(session->num_sets(), parsed->num_sets());
+}
 
 TEST(SolveSessionTest, TruncatedTextBodyReportsInsteadOfSolvingAPrefix) {
   // The ssc1 header parses, but the body declares more sets than it

@@ -10,6 +10,7 @@
 #include <string>
 
 #include "instance/generators.h"
+#include "storage/mmap_set_stream.h"
 #include "testing/scoped_temp_dir.h"
 #include "util/random.h"
 

@@ -183,7 +183,7 @@ class StreamShardingTest : public ::testing::TestWithParam<Kind> {
         b.stream = std::make_unique<MmapStreamView>(*b.mapping);
         break;
       case Kind::kOverlay: {
-        // An ssc1 base: the overlay loads it once through LoadSetSystem.
+        // An ssc1 base: the overlay parses it once through OpenInstance.
         auto overlay =
             std::make_unique<OverlaySetStream>(text_path_, delta_path_);
         EXPECT_TRUE(overlay->status().ok()) << overlay->status().ToString();

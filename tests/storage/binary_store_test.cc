@@ -298,6 +298,8 @@ TEST(BinaryStoreTest, RejectsNonInstanceFiles) {
   EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
 }
 
+// The ssc1 loader reads the magic from the same mapping it parses: an
+// sscb1 file is refused by name instead of failing as malformed text.
 TEST(BinaryStoreTest, FormatSniffDistinguishesTextAndBinary) {
   testing::ScopedTempDir dir;
   Rng rng(2);
@@ -306,9 +308,17 @@ TEST(BinaryStoreTest, FormatSniffDistinguishesTextAndBinary) {
   const std::string binary_path = dir.FilePath("w.sscb1");
   ASSERT_TRUE(SaveSetSystem(system, text_path).ok());
   ASSERT_TRUE(BinaryInstanceWriter::WriteSystem(system, binary_path).ok());
-  EXPECT_FALSE(IsBinaryInstanceFile(text_path));
-  EXPECT_TRUE(IsBinaryInstanceFile(binary_path));
-  EXPECT_FALSE(IsBinaryInstanceFile(dir.FilePath("missing")));
+  EXPECT_TRUE(LoadSetSystem(text_path).ok());
+  const Status binary = LoadSetSystem(binary_path).status();
+  EXPECT_EQ(binary.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(binary.message().find("sscb1"), std::string::npos)
+      << binary.ToString();
+  EXPECT_EQ(LoadSetSystem(dir.FilePath("missing")).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(BinaryInstanceWriter::TranscodeText(binary_path,
+                                                dir.FilePath("again.sscb1"))
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 // OpenInstance maps sscb1 and loads ssc1; either stream serves set id i
@@ -340,17 +350,24 @@ TEST(BinaryStoreTest, OpenInstanceServesEachFormatByPosition) {
             StatusCode::kNotFound);
 }
 
-TEST(BinaryStoreTest, LoadBinarySetSystemMaterializes) {
+// Materializing the stream's views into an owning SetSystem gives back
+// the written system.
+TEST(BinaryStoreTest, MmapViewsMaterializeIntoTheWrittenSystem) {
   testing::ScopedTempDir dir;
   Rng rng(3);
   const SetSystem system = PlantedCoverInstance(256, 24, 4, rng);
   const std::string path = dir.FilePath("mat.sscb1");
   ASSERT_TRUE(BinaryInstanceWriter::WriteSystem(system, path).ok());
-  const StatusOr<SetSystem> loaded = LoadBinarySetSystem(path);
-  ASSERT_TRUE(loaded.ok());
-  ASSERT_EQ(loaded->num_sets(), system.num_sets());
+  MmapSetStream stream(path);
+  ASSERT_TRUE(stream.status().ok()) << stream.status().ToString();
+  SetSystem materialized(stream.universe_size());
+  for (SetId id = 0; id < stream.num_sets(); ++id) {
+    materialized.AddSetFromView(stream.set(id));
+  }
+  EXPECT_EQ(materialized.universe_size(), system.universe_size());
+  ASSERT_EQ(materialized.num_sets(), system.num_sets());
   for (SetId id = 0; id < system.num_sets(); ++id) {
-    EXPECT_TRUE(loaded->set(id) == system.set(id));
+    EXPECT_TRUE(materialized.set(id) == system.set(id)) << "set " << id;
   }
 }
 

@@ -1,17 +1,12 @@
-// ProbeRegularFile: the non-blocking gate every blocking open in the
-// stack hides behind. The regression pinned here is the sniff-path hang:
-// the text readers open with std::ifstream, and an ifstream open of an
-// unfed FIFO blocks forever — so a FIFO handed to `workload_tool solve`
-// (or a daemon --instance flag) wedged the process even after
-// MmapFile::Open itself was hardened. The probe must answer immediately
-// for every file kind.
+// ProbeSignature: the stat(2) snapshot watch mode polls to notice that a
+// base or delta file changed. A missing path must yield the empty
+// signature (so deletion reads as a change, not an error), an untouched
+// file must keep its signature, and a write that grows the file must
+// change it. The non-regular-file cases of opening a path are pinned by
+// MmapFileTest, the one opener.
 
 #include <gtest/gtest.h>
 
-#include <sys/stat.h>
-
-#include <cerrno>
-#include <cstring>
 #include <fstream>
 #include <string>
 
@@ -23,55 +18,31 @@ namespace {
 
 using testing::ScopedTempDir;
 
-TEST(FileProbeTest, RegularFileIsOk) {
+TEST(FileProbeTest, MissingPathHasTheEmptySignature) {
+  ScopedTempDir dir;
+  EXPECT_EQ(ProbeSignature(dir.FilePath("absent")), FileSignature{});
+}
+
+TEST(FileProbeTest, UnchangedFileKeepsItsSignature) {
   ScopedTempDir dir;
   const std::string path = dir.FilePath("plain.txt");
   std::ofstream(path) << "hello";
-  EXPECT_TRUE(ProbeRegularFile(path).ok());
+  const FileSignature first = ProbeSignature(path);
+  EXPECT_TRUE(first.exists);
+  EXPECT_EQ(first.size, 5u);
+  EXPECT_EQ(ProbeSignature(path), first);
 }
 
-TEST(FileProbeTest, EmptyRegularFileIsOk) {
+TEST(FileProbeTest, AppendingChangesSizeAndSignature) {
   ScopedTempDir dir;
-  const std::string path = dir.FilePath("empty");
-  std::ofstream touch(path);
-  touch.close();
-  EXPECT_TRUE(ProbeRegularFile(path).ok());
-}
-
-TEST(FileProbeTest, MissingPathIsNotFound) {
-  ScopedTempDir dir;
-  const Status status = ProbeRegularFile(dir.FilePath("absent"));
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kNotFound);
-}
-
-TEST(FileProbeTest, FifoIsInvalidArgumentWithoutBlocking) {
-  ScopedTempDir dir;
-  const std::string path = dir.FilePath("pipe.fifo");
-  ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0) << std::strerror(errno);
-  // No writer ever attaches; a blocking probe would hang here.
-  const Status status = ProbeRegularFile(path);
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(status.message().find("FIFO"), std::string::npos)
-      << status.ToString();
-}
-
-TEST(FileProbeTest, DirectoryIsInvalidArgument) {
-  ScopedTempDir dir;
-  const Status status = ProbeRegularFile(dir.path().string());
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(status.message().find("directory"), std::string::npos)
-      << status.ToString();
-}
-
-TEST(FileProbeTest, CharacterDeviceIsInvalidArgument) {
-  const Status status = ProbeRegularFile("/dev/null");
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(status.message().find("character device"), std::string::npos)
-      << status.ToString();
+  const std::string path = dir.FilePath("grows.txt");
+  std::ofstream(path) << "hello";
+  const FileSignature before = ProbeSignature(path);
+  std::ofstream(path, std::ios::app) << " world";
+  const FileSignature after = ProbeSignature(path);
+  EXPECT_TRUE(after.exists);
+  EXPECT_EQ(after.size, 11u);
+  EXPECT_NE(after, before);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -111,6 +112,11 @@ struct MalformedDocument {
   const char* text;
 };
 
+// Names the case in test listings instead of dumping the struct's bytes.
+void PrintTo(const MalformedDocument& document, std::ostream* os) {
+  *os << document.name;
+}
+
 class MalformedSsc1Test : public ::testing::TestWithParam<MalformedDocument> {
 };
 
@@ -151,6 +157,82 @@ INSTANTIATE_TEST_SUITE_P(
                           "ssc1 4 1\n2 0 1\n1 3\n"},
         MalformedDocument{"TruncatedBody", "ssc1 8 4\n2 0 1\n2 2 3\n"}),
     [](const ::testing::TestParamInfo<MalformedDocument>& info) {
+      return std::string(info.param.name);
+    });
+
+// Every instance reader opens its path through MmapFile::Open alone, with
+// no stat(2) probe in front. A path that holds no instance must still be
+// refused at once, by each reader with the same code, naming what the path
+// is: a missing path, a FIFO no writer ever attaches to (a blocking open
+// would hang here), a directory, a character device, and an empty regular
+// file, which opens and maps but holds no ssc1 header.
+enum class PathKind { kMissing, kFifo, kDirectory, kCharacterDevice, kEmpty };
+
+struct NonInstancePath {
+  const char* name;
+  PathKind kind;
+  StatusCode code;
+  const char* fragment;  // text the diagnostic must contain
+};
+
+void PrintTo(const NonInstancePath& path, std::ostream* os) {
+  *os << path.name;
+}
+
+class NonInstancePathTest : public ::testing::TestWithParam<NonInstancePath> {
+};
+
+TEST_P(NonInstancePathTest, EveryReaderRefusesWithoutHanging) {
+  ScopedTempDir dir;
+  std::string path;
+  switch (GetParam().kind) {
+    case PathKind::kMissing:
+      path = dir.FilePath("absent.ssc");
+      break;
+    case PathKind::kFifo:
+      path = dir.FilePath("pipe.fifo");
+      ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0) << std::strerror(errno);
+      break;
+    case PathKind::kDirectory:
+      path = dir.path().string();
+      break;
+    case PathKind::kCharacterDevice:
+      path = "/dev/null";
+      break;
+    case PathKind::kEmpty:
+      path = dir.FilePath("empty.ssc");
+      { std::ofstream touch(path, std::ios::trunc); }
+      break;
+  }
+  const StatusCode code = GetParam().code;
+  const std::string fragment = GetParam().fragment;
+  const auto expect_refused = [&](const Status& status, const char* reader) {
+    EXPECT_EQ(status.code(), code) << reader << ": " << status.ToString();
+    EXPECT_NE(status.message().find(fragment), std::string::npos)
+        << reader << ": " << status.ToString();
+  };
+  expect_refused(SolveSession::Open(path).status(), "SolveSession::Open");
+  expect_refused(OpenInstance(path).status(), "OpenInstance");
+  expect_refused(LoadSetSystem(path).status(), "LoadSetSystem");
+  expect_refused(
+      BinaryInstanceWriter::TranscodeText(path, dir.FilePath("out.sscb1")),
+      "TranscodeText");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Paths, NonInstancePathTest,
+    ::testing::Values(
+        NonInstancePath{"Missing", PathKind::kMissing, StatusCode::kNotFound,
+                        "absent.ssc"},
+        NonInstancePath{"Fifo", PathKind::kFifo, StatusCode::kInvalidArgument,
+                        "FIFO"},
+        NonInstancePath{"Directory", PathKind::kDirectory,
+                        StatusCode::kInvalidArgument, "directory"},
+        NonInstancePath{"CharacterDevice", PathKind::kCharacterDevice,
+                        StatusCode::kInvalidArgument, "character device"},
+        NonInstancePath{"EmptyFile", PathKind::kEmpty,
+                        StatusCode::kInvalidArgument, "empty input"}),
+    [](const ::testing::TestParamInfo<NonInstancePath>& info) {
       return std::string(info.param.name);
     });
 

@@ -80,6 +80,13 @@ raw-thread    No `std::thread`, `std::jthread`, `std::condition_variable`
               elsewhere would compete with the engine's threads for the
               same cores. Static members (`std::thread::
               hardware_concurrency()`) do not count.
+offline-table No `std::unordered_map`, `std::unordered_set`, `std::map`
+              or `std::set` (nor their multi- forms) in src/offline/: an
+              offline sub-solve keeps its memory bounded by the instance
+              and its search depth, in arrays sized once per call. A
+              table keyed by search state grows with every node a search
+              expands, so a long search's memory would have no bound but
+              its node budget. Comments and strings do not count.
 
 Usage
 -----
@@ -181,6 +188,15 @@ RAW_THREAD_RE = re.compile(
 # The one pool's files, and the daemon's layer, which owns its threads.
 RAW_THREAD_HOME = "src/stream/parallel_pass_engine."
 RAW_THREAD_EXEMPT_LAYERS = {"serve"}
+
+# A node-based associative container, whose size grows with what is put
+# in it rather than with the instance.
+OFFLINE_TABLE_RE = re.compile(
+    r"(?<![_A-Za-z0-9])std\s*::\s*(?:unordered_)?(?:multi)?(?:map|set)"
+    r"(?![_A-Za-z0-9])")
+
+# The layer whose sub-solves must keep memory bounded by search depth.
+OFFLINE_TABLE_LAYERS = {"offline"}
 
 # Layers that may touch std::chrono directly: util/ owns Stopwatch, obs/
 # owns TraceRecorder's clock. Everything else must time through those.
@@ -372,6 +388,12 @@ def lint_file(path: pathlib.Path, layer: str,
                 "stream/parallel_pass_engine.* and serve/ — split work "
                 "through the ParallelPassEngine pool "
                 "(EngineContext::ParallelFor)"))
+        if layer in OFFLINE_TABLE_LAYERS and OFFLINE_TABLE_RE.search(line):
+            violations.append(Violation(
+                rel, lineno, "offline-table",
+                "std::map/set/unordered_map/unordered_set in offline/ — a "
+                "sub-solve's memory stays bounded by the instance and its "
+                "search depth; keep per-call state in arrays sized once"))
     return violations
 
 
@@ -407,7 +429,7 @@ def main() -> int:
         for rule in ("layer-dag", "raw-assert", "determinism", "engine-ptr",
                      "arena-ptr", "chrono", "raw-popcount", "raw-pass",
                      "cover-state", "instance-open", "blocking-read",
-                     "raw-thread"):
+                     "raw-thread", "offline-table"):
             print(rule)
         return 0
 

@@ -1,8 +1,6 @@
 #include "offline/exact_set_cover.h"
 
 #include <algorithm>
-#include <functional>
-#include <unordered_map>
 #include <utility>
 
 #include "offline/greedy.h"
@@ -12,47 +10,6 @@
 
 namespace streamsc {
 namespace {
-
-/// 128-bit content key for a bitset (two independent hash chains over its
-/// words), used by the transposition table. Collision probability over
-/// millions of entries is negligible (~2^-90).
-struct StateKey {
-  std::uint64_t h1;
-  std::uint64_t h2;
-  bool operator==(const StateKey& o) const { return h1 == o.h1 && h2 == o.h2; }
-};
-
-struct StateKeyHash {
-  std::size_t operator()(const StateKey& k) const {
-    return static_cast<std::size_t>(k.h1 ^ (k.h2 * 0x9e3779b97f4a7c15ull));
-  }
-};
-
-// splitmix64's and murmur3's 64-bit finalizers: two unrelated bijective
-// mixers, one per half of the key.
-std::uint64_t MixA(std::uint64_t x) {
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-std::uint64_t MixB(std::uint64_t x) {
-  x = (x ^ (x >> 33)) * 0xff51afd7ed558ccdull;
-  x = (x ^ (x >> 33)) * 0xc4ceb9fe1a85ec53ull;
-  return x ^ (x >> 33);
-}
-
-// One mixing step per backing word: n/64 steps per node.
-StateKey KeyOf(const DynamicBitset& bs) {
-  std::uint64_t h1 = 0x243f6a8885a308d3ull;
-  std::uint64_t h2 = 0x13198a2e03707344ull;
-  const DynamicBitset::Word* words = bs.WordData();
-  for (std::size_t w = 0; w < bs.WordCount(); ++w) {
-    h1 = MixA(h1 ^ words[w]);
-    h2 = MixB(h2 + words[w]);
-  }
-  return {h1, h2};
-}
 
 /// Shared search state for the branch-and-bound recursion. Call-scoped
 /// (outlives the interleaved LIFO rewinds of the scratch arena), so its
@@ -72,21 +29,16 @@ struct SearchState {
   bool best_feasible = false;
   std::uint64_t nodes = 0;
   bool budget_exhausted = false;
-  // Transposition table: uncovered-state -> smallest depth at which it was
-  // fully explored. Re-visiting at the same or greater depth is redundant.
-  using SeenAlloc = ArenaAllocator<std::pair<const StateKey, std::size_t>>;
-  std::unordered_map<StateKey, std::size_t, StateKeyHash,
-                     std::equal_to<StateKey>, SeenAlloc>
-      seen{SeenAlloc::Table()};
 };
 
-// Returns an uncovered element with (approximately) the fewest covering
-// sets: the first one of least degree among at most the first 64
-// uncovered elements. Min-degree is a branching heuristic, so an
-// approximate argmin is fine; degrees come from the call's incidence
-// lists, so each scanned element costs two loads.
+// Returns an uncovered element with (approximately) the fewest live
+// covering sets: the first one of least live degree among at most the
+// first 64 uncovered elements. A covering set is live while its entry in
+// the node's \p gains is nonzero; excluded sets read 0 there. Min-degree
+// is a branching heuristic, so an approximate argmin is fine; an element's
+// count walks its incidence list and stops once it cannot beat the best.
 ElementId PickBranchElement(const SearchState& state,
-                            const DynamicBitset& uncovered,
+                            const DynamicBitset& uncovered, const Count* gains,
                             std::size_t& degree_out) {
   ElementId best_e = kInvalidElementId;
   std::size_t best_degree = ~std::size_t{0};
@@ -94,7 +46,11 @@ ElementId PickBranchElement(const SearchState& state,
   for (ElementId e = uncovered.FindFirst();
        e != kInvalidElementId && scanned < 64 && best_degree > 1;
        e = uncovered.FindNext(e), ++scanned) {
-    const std::size_t degree = state.first[e + 1] - state.first[e];
+    std::size_t degree = 0;
+    for (std::uint32_t k = state.first[e];
+         k < state.first[e + 1] && degree < best_degree; ++k) {
+      degree += gains[state.covering[k]] != 0 ? 1 : 0;
+    }
     if (degree < best_degree) {
       best_degree = degree;
       best_e = e;
@@ -108,9 +64,12 @@ ElementId PickBranchElement(const SearchState& state,
 // null at the root; below it, it is the parent's gain array, whose entries
 // bound this node's gains from above: a child's uncovered region is a
 // subset of its parent's, so no set's gain ever grows on the way down. A
-// node counts a gain exactly only where the answer can change what it
-// does, so every prune decision, candidate gain and candidate order is
-// the one a full sweep of the m sets would give.
+// set that contains an uncovered element gains at least 1, so an entry of
+// 0 there marks it as excluded from this subtree: an earlier sibling's
+// subtree, here or at an ancestor, already took it. A node counts a gain
+// exactly only where the answer can change what it does, so every prune
+// decision, candidate gain and candidate order is the one a full sweep of
+// the live sets would give.
 void Search(SearchState& state, const DynamicBitset& uncovered,
             const Count* bounds) {
   if (state.budget_exhausted) return;
@@ -132,15 +91,6 @@ void Search(SearchState& state, const DynamicBitset& uncovered,
                state.best_feasible ? state.best.size() - 1 : ~std::size_t{0});
   if (depth >= budget) return;
 
-  // Transposition pruning: if this uncovered state was already explored at
-  // a depth <= ours, nothing new can be found here.
-  const StateKey key = KeyOf(uncovered);
-  auto [it, inserted] = state.seen.try_emplace(key, depth);
-  if (!inserted) {
-    if (it->second <= depth) return;
-    it->second = depth;
-  }
-
   // Per-node temporaries stage LIFO in the scratch arena: the gain and
   // candidate lists under a node checkpoint, each branch bitset under a
   // per-child checkpoint so sibling subtrees reuse the same bytes.
@@ -160,7 +110,8 @@ void Search(SearchState& state, const DynamicBitset& uncovered,
   const Count cut = CeilDiv(remaining, slack);
 
   // gains[i] is set i's exact gain against `uncovered` where it was
-  // counted, and its inherited upper bound elsewhere; the children read
+  // counted, its inherited upper bound elsewhere, and 0 while it is
+  // excluded (an excluded set never reaches `cut`); the children read
   // it as their bounds. The root counts every set. Below it, only sets
   // whose bound reaches `cut` are counted, up to the first that does: the
   // counted sets are those below scan_end whose bound reached cut.
@@ -188,24 +139,30 @@ void Search(SearchState& state, const DynamicBitset& uncovered,
   };
 
   std::size_t degree = 0;
-  const ElementId e = PickBranchElement(state, uncovered, degree);
-  if (degree == 0) return;  // e is coverable by no set: infeasible branch
+  const ElementId e =
+      PickBranchElement(state, uncovered, gains.data(), degree);
+  if (degree == 0) return;  // no live set covers e: infeasible branch
 
-  // Candidate sets containing e, largest marginal gain first, each with
-  // its exact gain. Built from e's incidence list, in increasing set id
-  // order, so the (unstable) sort sees the same sequence on every run and
-  // the search order is reproducible.
+  // Live candidate sets containing e, largest marginal gain first, each
+  // with its exact gain. An excluded set is skipped before its gain could
+  // be recounted, which would bring it back. Built from e's incidence
+  // list, in increasing set id order, so the (unstable) sort sees the same
+  // sequence on every run and the search order is reproducible.
   using Candidate = std::pair<Count, SetId>;
   ArenaVector<Candidate> candidates{ArenaAllocator<Candidate>(&scratch)};
   candidates.reserve(degree);
   for (std::uint32_t k = state.first[e]; k < state.first[e + 1]; ++k) {
     const SetId i = state.covering[k];
+    if (gains[i] == 0) continue;
     if (!counted(i)) gains[i] = state.sets[i].CountAnd(uncovered);
     candidates.emplace_back(gains[i], i);
   }
   std::sort(candidates.begin(), candidates.end(),
             [](const auto& x, const auto& y) { return x.first > y.first; });
 
+  // Every cover that takes a candidate is reached in that candidate's
+  // subtree, so a later sibling's subtree excludes it: its gain reads 0
+  // from then on, which also drops it from those subtrees' bounds.
   for (const auto& [gain, id] : candidates) {
     (void)gain;
     if (state.budget_exhausted) return;
@@ -217,6 +174,7 @@ void Search(SearchState& state, const DynamicBitset& uncovered,
       Search(state, next, gains.data());
     }
     state.current.pop_back();
+    gains[id] = 0;
   }
 }
 
@@ -236,10 +194,11 @@ ExactSetCoverResult SolveExactSetCover(const SetSystem& system,
     return result;
   }
 
-  // Bracket the call-scoped search state (incumbent vectors, transposition
-  // table) on the table arena. The checkpoint outlives the inner scope, so
-  // the containers are destroyed (deallocate is a no-op) before the bytes
-  // are reclaimed; the result was copied into result_alloc by then.
+  // Bracket the call-scoped search state (set views, incidence lists,
+  // incumbent vectors) on the table arena. The checkpoint outlives the
+  // inner scope, so the containers are destroyed (deallocate is a no-op)
+  // before the bytes are reclaimed; the result was copied into
+  // result_alloc by then.
   const ArenaCheckpoint table_checkpoint(ThreadTableArena());
   {
     SearchState state;

@@ -16,11 +16,19 @@
 /// after which it degrades gracefully to the best solution found (flagged
 /// as not proven optimal).
 ///
+/// A node branches on an uncovered element e over the sets containing it,
+/// largest gain first. Once a candidate's subtree returns, every cover
+/// that takes it has been searched, so the later siblings' subtrees
+/// exclude it: each cover is reached in one order only. An excluded set
+/// reads gain 0 below that node, which drops it from the counting bound
+/// and from the branching rule, whose degree counts only the live sets
+/// covering an element.
+///
 /// Work that never changes during a search is done once per call: the
 /// sets are resolved to SetViews, and incidence lists (n + 1 offsets and
 /// one set id per element-set incidence, two passes over the sets) give
 /// each element's covering sets in increasing id order, so the branching
-/// rule costs two loads per element it scans and a candidate list costs
+/// rule walks one list per element it scans and a candidate list costs
 /// one entry per covering set.
 ///
 /// Only the root counts all m gains. A child's uncovered region is a
@@ -28,19 +36,19 @@
 /// above, and a node counts a gain exactly only where it can matter: for
 /// the counting bound, the sets whose bound reaches the gain the bound
 /// needs, up to the first that really does; for the branch order, the
-/// sets containing the branch element. Nodes the bound cuts therefore
-/// pay for the few sets that could have kept them alive, and every prune
-/// decision, candidate gain and search order is the one a full sweep
-/// would give. A node further costs a popcount and a hash of the
-/// uncovered bitset's n/64 words (the bound and the transposition table),
-/// an m-entry copy of its parent's gains, and one word-level copy per
-/// child.
+/// live sets containing the branch element. Nodes the bound cuts
+/// therefore pay for the few sets that could have kept them alive, and
+/// every prune decision, candidate gain and search order is the one a
+/// full sweep would give. A node further costs a popcount of the
+/// uncovered bitset (the bound), an m-entry copy of its parent's gains,
+/// and one word-level copy per child.
 ///
 /// Arena discipline: per-node temporaries (gain and candidate lists,
 /// branch bitsets) stage LIFO in the calling thread's scratch arena; the
-/// call-scoped search state (set views, incidence lists, incumbent,
-/// transposition table) brackets the thread's table arena and is rewound
-/// before returning. \p result_alloc backs the returned solution and
+/// call-scoped search state (set views, incidence lists, incumbent)
+/// brackets the thread's table arena and is rewound before returning, so
+/// a call's memory is bounded by the instance and the search depth, never
+/// by its node count. \p result_alloc backs the returned solution and
 /// therefore must be neither the scratch nor the table binding — pass a
 /// pinned run arena or the heap default.
 

@@ -171,9 +171,9 @@ class MonotonicArena {
 MonotonicArena& ThreadScratchArena();
 
 /// Second thread-local arena for call-scoped tables (e.g. the exact
-/// subsolver's transposition table) that must survive interleaved LIFO
-/// rewinds of ThreadScratchArena. Callers bracket use with
-/// Position/Rewind.
+/// subsolver's set views, incidence lists and incumbent) that must survive
+/// interleaved LIFO rewinds of ThreadScratchArena. Callers bracket use
+/// with Position/Rewind.
 MonotonicArena& ThreadTableArena();
 
 /// How an ArenaAllocator resolves its backing storage.

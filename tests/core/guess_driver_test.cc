@@ -137,17 +137,17 @@ const std::vector<GoldenCase>& GoldenCases() {
        "engine.shard_jobs:8,offline.exact_nodes:4}"},
       {"assadi", {}, "uniform", 1,
        "chosen=[0,1,2,3,4,6,8,12,19,26,21,7,34,62,10,41,38,39,25,16,32,60,56,"
-       "58,31,11,33,29,20,22,35,24] feasible=1 passes=21 space=4416 taken=36 "
+       "35,22,58,31,11,24,33,29,20] feasible=1 passes=21 space=4416 taken=36 "
        "covered=686 counters={engine.elements_covered:686,"
        "engine.items_scanned:1344,engine.passes:21,engine.sets_taken:36,"
-       "offline.exact_nodes:844022}"},
+       "offline.exact_nodes:59368}"},
       {"assadi", {}, "uniform", 2,
        "chosen=[0,1,2,3,4,6,8,12,19,26,21,7,34,62,10,41,38,39,25,16,32,60,56,"
-       "58,31,11,33,29,20,22,35,24] feasible=1 passes=21 space=4416 taken=36 "
+       "35,22,58,31,11,24,33,29,20] feasible=1 passes=21 space=4416 taken=36 "
        "covered=686 counters={engine.elements_covered:686,"
        "engine.items_scanned:1344,engine.passes:21,engine.sets_taken:36,"
        "engine.shard_items:1280,engine.shard_jobs:20,"
-       "offline.exact_nodes:844022}"},
+       "offline.exact_nodes:59368}"},
       {"assadi", {"use_exact_subsolver=false"}, "planted", 1,
        "chosen=[0,1,2,3] feasible=1 passes=5 space=6496 taken=8 covered=1536 "
        "counters={engine.elements_covered:1536,engine.items_scanned:320,"
@@ -225,14 +225,14 @@ const std::vector<GoldenCase>& GoldenCases() {
        "52,26,21,39,34,53,27,60,58,31,38,33,48,43] feasible=1 passes=13 "
        "space=4416 taken=60 covered=1190 "
        "counters={engine.elements_covered:1190,engine.items_scanned:832,"
-       "engine.passes:13,engine.sets_taken:60,offline.exact_nodes:1640}"},
+       "engine.passes:13,engine.sets_taken:60,offline.exact_nodes:1006}"},
       {"har_peled", {}, "uniform", 2,
        "chosen=[0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,29,32,41,"
        "52,26,21,39,34,53,27,60,58,31,38,33,48,43] feasible=1 passes=13 "
        "space=4416 taken=60 covered=1190 "
        "counters={engine.elements_covered:1190,engine.items_scanned:832,"
        "engine.passes:13,engine.sets_taken:60,engine.shard_items:768,"
-       "engine.shard_jobs:12,offline.exact_nodes:1640}"},
+       "engine.shard_jobs:12,offline.exact_nodes:1006}"},
       {"har_peled", {"exact_node_budget=1"}, "planted", 1,
        "chosen=[0,1,2,3] feasible=1 passes=3 space=6496 taken=4 covered=768 "
        "counters={engine.elements_covered:768,engine.items_scanned:192,"

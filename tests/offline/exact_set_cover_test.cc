@@ -3,13 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "instance/generators.h"
 #include "offline/greedy.h"
+#include "util/arena.h"
 #include "util/math.h"
 #include "util/random.h"
 
@@ -161,10 +161,11 @@ TEST(ExactSetCoverTest, ReportsNodeCount) {
 // feasibility and the chosen ids in order. The 4096/128/512 rows are the
 // exact_subsolve family at the size limits assadi's õpt guesses reach;
 // most of them run out of budget, so only the node count and the greedy
-// incumbent show. The 512/48/64 rows improve on greedy before the budget
-// runs out and the 256/40/32 rows finish, so their chosen ids and node
-// counts move with any change to branching, candidate order or pruning.
-// A performance change to the solver must leave every row as it is.
+// incumbent show. The 512/48/64 rows improve on greedy (seeds 11 and 14
+// finish within the budget) and the 256/40/32 rows finish, so their
+// chosen ids and node counts move with any change to branching, candidate
+// order or pruning. A performance change to the solver must leave every
+// row as it is.
 struct GoldenSearch {
   std::size_t n, m, set_size;
   std::uint64_t seed;
@@ -185,9 +186,9 @@ const std::vector<GoldenSearch>& GoldenSearches() {
       {4096, 128, 512, 11, 18, 2000, 2001, false, false, {}},
       {4096, 128, 512, 11, 26, 2000, 2001, false, false, {}},
       {4096, 128, 512, 11, 39, 2000, 2001, false, true,
-       {10, 4,  24, 1,  33,  75,  119, 91, 113, 28, 124, 97,
-        22, 15, 108, 65, 66,  83,  17,  5,  52,  77, 7,   27,
-        105, 11, 70, 39, 73, 67, 44, 85, 104, 38, 125, 0}},
+       {10, 4, 24, 1, 33, 75, 119, 91, 113, 28, 124, 97, 22, 15, 108, 65, 66,
+        83, 17, 5, 52, 77, 7, 27, 105, 11, 70, 39, 73, 67, 44, 85, 104, 0, 38,
+        125}},
       {4096, 128, 512, 12, 8, 2000, 6, true, false, {}},
       {4096, 128, 512, 12, 12, 2000, 2001, false, false, {}},
       {4096, 128, 512, 12, 18, 2000, 2001, false, false, {}},
@@ -212,28 +213,28 @@ const std::vector<GoldenSearch>& GoldenSearches() {
        {9,  57, 76,  116, 42, 65, 5,   86,  112, 15, 111, 36,
         100, 4, 102, 119, 81, 48, 110, 126, 107, 90, 104, 28,
         113, 25, 43, 93, 121, 68, 39, 18, 44, 50, 66}},
-      {512, 48, 64, 11, kNoLimit, 20000, 20001, false, true,
-       {11, 5, 43, 13, 23, 35, 30, 47, 39, 24, 2, 40,
-        29, 19, 20, 14, 15, 9, 41, 31, 44, 0, 16, 10}},
+      {512, 48, 64, 11, kNoLimit, 20000, 9816, true, true,
+       {11, 5, 43, 13, 23, 35, 30, 47, 39, 24, 2, 40, 29, 19, 20, 14, 15, 9, 41,
+        31, 44, 0, 16, 10}},
       {512, 48, 64, 12, kNoLimit, 20000, 20001, false, true,
-       {7,  6,  15, 5,  14, 32, 25, 44, 29, 17, 13, 19, 42,
-        48, 28, 24, 45, 41, 8,  20, 38, 16, 46, 36, 21}},
+       {7, 6, 15, 5, 14, 32, 25, 44, 29, 17, 13, 42, 38, 48, 16, 28, 41, 8, 19,
+        24, 45, 46, 20, 21, 36}},
       {512, 48, 64, 13, kNoLimit, 20000, 20001, false, true,
-       {4,  39, 20, 46, 42, 41, 43, 8,  27, 48, 6,  5,  28,
-        13, 37, 24, 2,  25, 45, 15, 31, 7,  44, 14, 47}},
-      {512, 48, 64, 14, kNoLimit, 20000, 13008, true, true,
-       {29, 24, 15, 8,  45, 43, 30, 23, 48, 5,  46, 13, 32, 10,
-        26, 16, 35, 18, 9,  0,  39, 7,  11, 40, 22, 19, 1}},
-      {256, 40, 32, 11, kNoLimit, 20000, 8875, true, true,
-       {40, 0, 4, 10, 34, 36, 8, 20, 31, 22, 3, 37, 29, 1, 12, 24, 26, 6, 21,
+       {4, 39, 20, 46, 42, 41, 43, 15, 27, 48, 5, 8, 28, 37, 24, 2, 31, 6, 13,
+        25, 44, 45, 7, 14, 47}},
+      {512, 48, 64, 14, kNoLimit, 20000, 2243, true, true,
+       {29, 24, 15, 8, 45, 43, 30, 23, 48, 5, 46, 13, 32, 10, 26, 16, 35, 18, 9,
+        0, 39, 7, 11, 40, 22, 19, 1}},
+      {256, 40, 32, 11, kNoLimit, 20000, 2143, true, true,
+       {40, 0, 4, 10, 34, 36, 21, 8, 31, 1, 22, 3, 20, 12, 6, 37, 29, 24, 26,
         18}},
-      {256, 40, 32, 12, kNoLimit, 20000, 11530, true, true,
-       {18, 40, 36, 37, 12, 10, 30, 17, 35, 38, 31, 5, 15, 13, 25, 4, 20, 22,
-        34, 39}},
-      {256, 40, 32, 13, kNoLimit, 20000, 5866, true, true,
-       {14, 27, 15, 40, 32, 19, 2, 4, 24, 30, 26, 3, 5, 23, 9, 28, 21, 10, 38,
+      {256, 40, 32, 12, kNoLimit, 20000, 3203, true, true,
+       {18, 40, 36, 37, 12, 20, 10, 17, 30, 13, 5, 31, 35, 22, 38, 15, 4, 34,
+        25, 39}},
+      {256, 40, 32, 13, kNoLimit, 20000, 1392, true, true,
+       {14, 27, 15, 40, 32, 19, 2, 4, 24, 30, 26, 3, 28, 21, 10, 5, 23, 9, 38,
         0}},
-      {256, 40, 32, 14, kNoLimit, 20000, 467, true, true,
+      {256, 40, 32, 14, kNoLimit, 20000, 233, true, true,
        {4, 30, 25, 38, 32, 16, 34, 17, 31, 19, 18, 12, 7, 28, 15, 11, 37, 39,
         24, 8}},
       // Sparse rows: the sets have fewer than n/32 members, so all of them
@@ -265,14 +266,14 @@ const std::vector<GoldenSearch>& GoldenSearches() {
         172, 71, 241, 114, 222, 117, 16, 152, 209, 60, 198, 66, 234, 111, 83,
         178, 176, 175, 24, 58, 171, 40, 13, 87, 141, 91, 53, 95, 9, 237, 191,
         118, 253, 3, 98, 161, 255, 56, 211, 23, 77, 195, 213, 100, 133, 8, 217,
-        223, 86, 2, 200, 137, 63, 112, 12, 123, 231, 181}},
-      {512, 160, 15, 11, 39, 20000, 5005, true, false, {}},
+        223, 86, 2, 200, 137, 63, 112, 181, 123, 231, 12}},
+      {512, 160, 15, 11, 39, 20000, 3068, true, false, {}},
       {512, 160, 15, 12, kNoLimit, 20000, 20001, false, true,
        {106, 38, 10, 24, 36, 0, 114, 6, 5, 2, 133, 26, 61, 144, 132, 145, 57,
         52, 32, 23, 76, 13, 123, 141, 122, 17, 8, 88, 42, 102, 40, 68, 116, 20,
         59, 67, 81, 160, 138, 47, 154, 119, 48, 91, 155, 97, 75, 110, 127, 109,
-        72, 86, 39, 103, 56, 51, 3, 11, 115, 58, 99, 156, 147, 62, 4, 15, 104,
-        100, 151, 125, 31, 41}},
+        72, 86, 39, 103, 56, 51, 3, 11, 115, 58, 99, 156, 147, 62, 4, 15, 125,
+        104, 100, 151, 31, 41}},
   };
   return rows;
 }
@@ -299,16 +300,16 @@ TEST(ExactSetCoverTest, GoldenSearchOrderIsPinned) {
 }
 
 // The branch-and-bound as a full sweep: every node counts the gain of
-// every set, then applies the same counting bound, branching rule and
-// candidate order as the solver. The solver counts only the gains that
-// can change a decision, so it must expand exactly the same nodes.
+// every live set, then applies the same counting bound, branching rule and
+// candidate order as the solver. A node's candidate is excluded from its
+// later siblings' subtrees once its own subtree returns, and the branching
+// rule ranks elements by the number of live sets covering them. The solver
+// counts only the gains that can change a decision, so it must expand
+// exactly the same nodes.
 class FullSweepSearch {
  public:
   FullSweepSearch(const SetSystem& system, const ExactSetCoverOptions& options)
-      : system_(system), options_(options), degree_(system.universe_size()) {
-    for (SetId i = 0; i < system.num_sets(); ++i) {
-      system.set(i).ForEach([this](ElementId e) { ++degree_[e]; });
-    }
+      : system_(system), options_(options) {
     const Solution greedy =
         GreedySetCover(system, DynamicBitset::Full(system.universe_size()));
     if (system.IsFeasibleCover(greedy.chosen) &&
@@ -316,7 +317,8 @@ class FullSweepSearch {
       best_.assign(greedy.chosen.begin(), greedy.chosen.end());
       best_feasible_ = true;
     }
-    Search(DynamicBitset::Full(system.universe_size()));
+    Search(DynamicBitset::Full(system.universe_size()),
+           std::vector<bool>(system.num_sets(), false));
   }
 
   std::uint64_t nodes() const { return nodes_; }
@@ -325,7 +327,7 @@ class FullSweepSearch {
   const std::vector<SetId>& best() const { return best_; }
 
  private:
-  void Search(const DynamicBitset& uncovered) {
+  void Search(const DynamicBitset& uncovered, std::vector<bool> excluded) {
     if (exhausted_) return;
     if (++nodes_ > options_.max_nodes) {
       exhausted_ = true;
@@ -342,19 +344,12 @@ class FullSweepSearch {
         std::min(options_.size_limit,
                  best_feasible_ ? best_.size() - 1 : ~std::size_t{0});
     if (current_.size() >= budget) return;
-    const std::vector<std::uint64_t> key(
-        uncovered.WordData(), uncovered.WordData() + uncovered.WordCount());
-    const auto [it, inserted] = seen_.try_emplace(key, current_.size());
-    if (!inserted) {
-      if (it->second <= current_.size()) return;
-      it->second = current_.size();
-    }
 
     const std::size_t m = system_.num_sets();
     std::vector<Count> gains(m);
     Count max_gain = 0;
     for (SetId i = 0; i < m; ++i) {
-      gains[i] = system_.set(i).CountAnd(uncovered);
+      gains[i] = excluded[i] ? 0 : system_.set(i).CountAnd(uncovered);
       max_gain = std::max(max_gain, gains[i]);
     }
     if (max_gain == 0) return;
@@ -362,15 +357,19 @@ class FullSweepSearch {
       return;
     }
 
-    // The first element of least degree among the first 64 uncovered.
+    // The first element of least live degree among the first 64 uncovered.
     ElementId e = kInvalidElementId;
     std::size_t degree = ~std::size_t{0};
     std::size_t scanned = 0;
     for (ElementId x = uncovered.FindFirst();
          x != kInvalidElementId && scanned < 64 && degree > 1;
          x = uncovered.FindNext(x), ++scanned) {
-      if (degree_[x] < degree) {
-        degree = degree_[x];
+      std::size_t live = 0;
+      for (SetId i = 0; i < m; ++i) {
+        live += !excluded[i] && system_.set(i).Test(x) ? 1 : 0;
+      }
+      if (live < degree) {
+        degree = live;
         e = x;
       }
     }
@@ -378,7 +377,9 @@ class FullSweepSearch {
 
     std::vector<std::pair<Count, SetId>> candidates;
     for (SetId i = 0; i < m; ++i) {
-      if (system_.set(i).Test(e)) candidates.emplace_back(gains[i], i);
+      if (!excluded[i] && system_.set(i).Test(e)) {
+        candidates.emplace_back(gains[i], i);
+      }
     }
     std::sort(candidates.begin(), candidates.end(),
               [](const auto& x, const auto& y) { return x.first > y.first; });
@@ -387,20 +388,19 @@ class FullSweepSearch {
       current_.push_back(candidate.second);
       DynamicBitset next = uncovered;
       system_.set(candidate.second).AndNotInto(next);
-      Search(next);
+      Search(next, excluded);
       current_.pop_back();
+      excluded[candidate.second] = true;
     }
   }
 
   const SetSystem& system_;
   ExactSetCoverOptions options_;
-  std::vector<std::size_t> degree_;
   std::vector<SetId> current_;
   std::vector<SetId> best_;
   bool best_feasible_ = false;
   std::uint64_t nodes_ = 0;
   bool exhausted_ = false;
-  std::map<std::vector<std::uint64_t>, std::size_t> seen_;
 };
 
 TEST(ExactSetCoverTest, MatchesFullSweepSearch) {
@@ -454,6 +454,30 @@ TEST(ExactSetCoverTest, MatchesFullSweepSearch) {
   // Both outcomes of the budget must occur.
   EXPECT_GT(complete, 0u);
   EXPECT_LT(complete, runs);
+}
+
+// A search's memory is bounded by the instance and its depth, never by
+// how many nodes it expands, so the call's peak on the table arena is the
+// same at a node budget 100 times larger. Limit 18 on this E7-shape
+// instance is refuted within neither budget, so both searches run until
+// the budget stops them.
+TEST(ExactSetCoverTest, TableArenaPeakDoesNotGrowWithTheNodeBudget) {
+  Rng rng(11);
+  const SetSystem system = UniformRandomInstance(4096, 128, 512, rng);
+  std::size_t peaks[2] = {0, 0};
+  const std::uint64_t budgets[2] = {2'000, 200'000};
+  for (int k = 0; k < 2; ++k) {
+    ExactSetCoverOptions options;
+    options.max_nodes = budgets[k];
+    options.size_limit = 18;
+    ThreadTableArena().ResetHighWater();
+    const ExactSetCoverResult result = SolveExactSetCover(system, options);
+    peaks[k] = ThreadTableArena().high_water();
+    EXPECT_FALSE(result.complete);
+    EXPECT_EQ(result.nodes, budgets[k] + 1);
+  }
+  EXPECT_GT(peaks[0], 0u);
+  EXPECT_EQ(peaks[0], peaks[1]);
 }
 
 // Whenever the search reports no cover, greedy on the same system and

@@ -139,13 +139,25 @@ class LintStreamscTest(unittest.TestCase):
                              "raw-thread")
         self.assertNotIn("src/stream/parallel_pass_engine.cc", result.stdout)
         self.assertNotIn("src/serve/thread_ok.cc", result.stdout)
+        # Node-keyed tables in an offline sub-solve; the comment, the
+        # string literal and std::set_union do not count, and other
+        # layers may keep such tables.
+        self.assert_reported(result, "src/offline/bad_table.cc", 9,
+                             "offline-table")
+        self.assert_reported(result, "src/offline/bad_table.cc", 10,
+                             "offline-table")
+        self.assert_reported(result, "src/offline/bad_table.cc", 11,
+                             "offline-table")
+        self.assert_reported(result, "src/offline/bad_table.cc", 12,
+                             "offline-table")
+        self.assertNotIn("src/core/table_ok.cc", result.stdout)
 
     def test_violation_count_is_exact(self):
         """No over-reporting: exactly the planted violations, nothing
         from comments, string literals, or the clean lines around them."""
         result = run_linter("--root", str(FIXTURES / "violations"))
         reported = [l for l in result.stdout.splitlines() if "[" in l]
-        self.assertEqual(len(reported), 32, result.stdout)
+        self.assertEqual(len(reported), 36, result.stdout)
 
     def test_real_tree_is_clean(self):
         """The wall starts (and stays) at zero violations on the repo."""
@@ -162,7 +174,7 @@ class LintStreamscTest(unittest.TestCase):
             rules, ["layer-dag", "raw-assert", "determinism", "engine-ptr",
                     "arena-ptr", "chrono", "raw-popcount", "raw-pass",
                     "cover-state", "instance-open", "blocking-read",
-                    "raw-thread"])
+                    "raw-thread", "offline-table"])
 
 
 class TidyGatingTest(unittest.TestCase):

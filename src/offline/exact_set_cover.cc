@@ -160,9 +160,10 @@ void Search(SearchState& state, const DynamicBitset& uncovered,
   std::sort(candidates.begin(), candidates.end(),
             [](const auto& x, const auto& y) { return x.first > y.first; });
 
-  // Every cover that takes a candidate is reached in that candidate's
-  // subtree, so a later sibling's subtree excludes it: its gain reads 0
-  // from then on, which also drops it from those subtrees' bounds.
+  // A candidate's subtree searches every cover that extends `current` by
+  // that candidate, so once it returns the later siblings' subtrees
+  // exclude it: its gain reads 0 from then on, which also drops it from
+  // their bounds and their branching rule.
   for (const auto& [gain, id] : candidates) {
     (void)gain;
     if (state.budget_exhausted) return;

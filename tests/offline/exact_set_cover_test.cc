@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -553,6 +556,264 @@ TEST_P(ExactSetCoverBruteForceTest, MatchesBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, ExactSetCoverBruteForceTest,
                          ::testing::Range(0, 20));
+
+// Size of a smallest collection of the system's sets whose union contains
+// \p universe, by enumeration of all subsets; num_sets() + 1 if none does.
+std::size_t BruteForceMinimum(const SetSystem& system,
+                              const DynamicBitset& universe) {
+  const std::size_t m = system.num_sets();
+  std::size_t best = m + 1;
+  for (std::uint32_t mask = 0; mask < (1u << m); ++mask) {
+    const std::size_t size = static_cast<std::size_t>(std::popcount(mask));
+    if (size >= best) continue;
+    DynamicBitset u(system.universe_size());
+    for (std::size_t i = 0; i < m; ++i) {
+      if (mask & (1u << i)) system.set(i).OrInto(u);
+    }
+    if (universe.IsSubsetOf(u)) best = size;
+  }
+  return best;
+}
+
+// A family of tiny instances (at most 12 sets) and the universe to cover.
+struct DecisionFamily {
+  const char* name;
+  SetSystem (*make)(Rng& rng, DynamicBitset& universe);
+};
+
+void PrintTo(const DecisionFamily& family, std::ostream* os) {
+  *os << family.name;
+}
+
+// The system of \p sets in a random order, so copies and chains do not
+// sit at neighbouring ids.
+SetSystem AddShuffled(std::size_t n, std::vector<DynamicBitset> sets,
+                      Rng& rng) {
+  rng.Shuffle(sets);
+  SetSystem system(n);
+  for (DynamicBitset& set : sets) system.AddSet(std::move(set));
+  return system;
+}
+
+SetSystem MakeRandom(Rng& rng, DynamicBitset& universe) {
+  SetSystem system(10);
+  for (int i = 0; i < 9; ++i) system.AddSet(rng.BernoulliSubset(10, 0.35));
+  universe = DynamicBitset::Full(10);
+  return system;
+}
+
+// Sparse sets: many instances have no cover at all, and the element that
+// shows it may lie outside the branching rule's first choice.
+SetSystem MakeSparse(Rng& rng, DynamicBitset& universe) {
+  SetSystem system(10);
+  for (int i = 0; i < 11; ++i) system.AddSet(rng.BernoulliSubset(10, 0.22));
+  universe = DynamicBitset::Full(10);
+  return system;
+}
+
+// Four distinct sets, each present one to three times: a later copy must
+// still be a candidate after its twin's subtree has excluded the twin.
+SetSystem MakeDuplicates(Rng& rng, DynamicBitset& universe) {
+  std::vector<DynamicBitset> sets;
+  for (int i = 0; i < 4; ++i) {
+    const DynamicBitset set = rng.BernoulliSubset(10, 0.4);
+    const std::uint64_t copies = 1 + rng.UniformInt(3);
+    for (std::uint64_t c = 0; c < copies; ++c) sets.push_back(set);
+  }
+  universe = DynamicBitset::Full(10);
+  return AddShuffled(10, std::move(sets), rng);
+}
+
+// Three chains of nested sets: a subset's gain falls to zero once its
+// superset is taken, the same reading an excluded set has.
+SetSystem MakeNested(Rng& rng, DynamicBitset& universe) {
+  std::vector<DynamicBitset> sets;
+  for (int chain = 0; chain < 3; ++chain) {
+    DynamicBitset set = rng.BernoulliSubset(10, 0.55);
+    for (int link = 0; link < 3; ++link) {
+      sets.push_back(set);
+      set = rng.BernoulliSubsample(set, 0.7);
+    }
+  }
+  universe = DynamicBitset::Full(10);
+  return AddShuffled(10, std::move(sets), rng);
+}
+
+// Every element's singleton plus three larger blocks: every instance has
+// a cover, and a minimum one mixes blocks with the singletons they miss.
+SetSystem MakeSingletonsAndBlocks(Rng& rng, DynamicBitset& universe) {
+  std::vector<DynamicBitset> sets;
+  for (ElementId e = 0; e < 8; ++e) {
+    DynamicBitset singleton(8);
+    singleton.Set(e);
+    sets.push_back(std::move(singleton));
+  }
+  for (int i = 0; i < 3; ++i) {
+    sets.push_back(rng.RandomSubsetOfSize(8, 3 + rng.UniformInt(3)));
+  }
+  universe = DynamicBitset::Full(8);
+  return AddShuffled(8, std::move(sets), rng);
+}
+
+// Random sets against a random part of the universe, possibly empty.
+SetSystem MakeRestrictedUniverse(Rng& rng, DynamicBitset& universe) {
+  SetSystem system(10);
+  for (int i = 0; i < 9; ++i) system.AddSet(rng.BernoulliSubset(10, 0.3));
+  universe = rng.BernoulliSubset(10, 0.6);
+  return system;
+}
+
+class ExactSetCoverDecisionTest
+    : public ::testing::TestWithParam<DecisionFamily> {};
+
+// At every size limit the complete search answers the decision question
+// exactly: it returns a cover iff one of at most `limit` sets exists, and
+// then one of minimum size. Excluding a candidate from its later siblings'
+// subtrees must never hide a cover that no other order reaches, and the
+// branching rule must not give up on an element while a live set still
+// covers it.
+TEST_P(ExactSetCoverDecisionTest, MatchesBruteForceAtEveryLimit) {
+  std::size_t refuted = 0;  // a cover exists, but none within the limit
+  std::size_t found = 0;
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    Rng rng(seed);
+    DynamicBitset universe;
+    const SetSystem system = GetParam().make(rng, universe);
+    const std::size_t m = system.num_sets();
+    const std::size_t best = BruteForceMinimum(system, universe);
+    const bool coverable = best <= m;
+    for (std::size_t limit = 0; limit <= m + 1; ++limit) {
+      SCOPED_TRACE("seed=" + std::to_string(seed) +
+                   " limit=" + std::to_string(limit) + " minimum=" +
+                   (coverable ? std::to_string(best) : "none"));
+      ExactSetCoverOptions options;
+      options.size_limit = limit;
+      const ExactSetCoverResult result =
+          SolveExactSetCover(system, universe, options);
+      ASSERT_TRUE(result.complete);
+      ASSERT_EQ(result.feasible, coverable && best <= limit);
+      if (!result.feasible) {
+        refuted += coverable ? 1 : 0;
+        continue;
+      }
+      ++found;
+      EXPECT_TRUE(result.proven_optimal);
+      const std::vector<SetId> chosen(result.solution.chosen.begin(),
+                                      result.solution.chosen.end());
+      EXPECT_EQ(chosen.size(), best);
+      EXPECT_TRUE(universe.IsSubsetOf(system.UnionOf(chosen)));
+      std::vector<SetId> sorted = chosen;
+      std::sort(sorted.begin(), sorted.end());
+      EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()),
+                sorted.end());
+    }
+  }
+  // Both answers must occur, and "no" must also be proved for instances
+  // that do have a larger cover.
+  EXPECT_GT(found, 0u);
+  EXPECT_GT(refuted, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Families, ExactSetCoverDecisionTest,
+    ::testing::Values(DecisionFamily{"Random", &MakeRandom},
+                      DecisionFamily{"Sparse", &MakeSparse},
+                      DecisionFamily{"Duplicates", &MakeDuplicates},
+                      DecisionFamily{"Nested", &MakeNested},
+                      DecisionFamily{"SingletonsAndBlocks",
+                                     &MakeSingletonsAndBlocks},
+                      DecisionFamily{"RestrictedUniverse",
+                                     &MakeRestrictedUniverse}),
+    [](const ::testing::TestParamInfo<DecisionFamily>& info) {
+      return std::string(info.param.name);
+    });
+
+// The minimum does not depend on the order of the sets. Renumbering them
+// changes which candidate comes first at a node, and so which sets the
+// later siblings' subtrees exclude, but a complete search must still
+// reach a minimum cover. These instances are past brute force's reach.
+TEST(ExactSetCoverTest, RenumberingTheSetsKeepsTheMinimum) {
+  struct Shape {
+    std::size_t n, m, set_size;
+  };
+  const Shape shapes[] = {{60, 30, 6}, {96, 24, 16}, {200, 40, 30}};
+  for (const Shape& shape : shapes) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      SCOPED_TRACE("n=" + std::to_string(shape.n) +
+                   " m=" + std::to_string(shape.m) +
+                   " seed=" + std::to_string(seed));
+      Rng rng(seed);
+      const SetSystem system =
+          UniformRandomInstance(shape.n, shape.m, shape.set_size, rng);
+      const std::vector<std::uint32_t> order =
+          rng.RandomPermutation(system.num_sets());
+      SetSystem renumbered(system.universe_size());
+      for (const std::uint32_t i : order) {
+        DynamicBitset set(system.universe_size());
+        system.set(i).OrInto(set);
+        renumbered.AddSet(std::move(set));
+      }
+      const ExactSetCoverResult original = SolveExactSetCover(system);
+      const ExactSetCoverResult permuted = SolveExactSetCover(renumbered);
+      ASSERT_TRUE(original.complete);
+      ASSERT_TRUE(permuted.complete);
+      ASSERT_EQ(original.feasible, permuted.feasible);
+      EXPECT_EQ(original.solution.size(), permuted.solution.size());
+      if (permuted.feasible) {
+        EXPECT_TRUE(renumbered.IsFeasibleCover(permuted.solution.chosen));
+      }
+    }
+  }
+}
+
+// A larger node budget runs the same search further, so the cover it
+// returns is never larger; once the budget covers the whole search, more
+// budget changes nothing. Every returned cover is valid and takes each
+// set at most once.
+TEST(ExactSetCoverTest, LargerBudgetNeverReturnsALargerCover) {
+  std::size_t completed = 0;
+  std::size_t improved = 0;
+  for (std::uint64_t seed = 11; seed <= 13; ++seed) {
+    Rng rng(seed);
+    const SetSystem system = UniformRandomInstance(512, 48, 64, rng);
+    std::size_t previous_size = ~std::size_t{0};
+    std::vector<SetId> complete_cover;
+    bool reached_complete = false;
+    for (const std::uint64_t budget :
+         {1, 2, 5, 20, 100, 500, 2000, 10000, 40000}) {
+      SCOPED_TRACE("seed=" + std::to_string(seed) +
+                   " budget=" + std::to_string(budget));
+      ExactSetCoverOptions options;
+      options.max_nodes = budget;
+      const ExactSetCoverResult result = SolveExactSetCover(system, options);
+      ASSERT_TRUE(result.feasible);
+      const std::vector<SetId> chosen(result.solution.chosen.begin(),
+                                      result.solution.chosen.end());
+      EXPECT_TRUE(system.IsFeasibleCover(chosen));
+      std::vector<SetId> sorted = chosen;
+      std::sort(sorted.begin(), sorted.end());
+      EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()),
+                sorted.end());
+      EXPECT_LE(chosen.size(), previous_size);
+      improved += chosen.size() < previous_size && budget > 1 ? 1 : 0;
+      previous_size = chosen.size();
+      if (reached_complete) {
+        EXPECT_TRUE(result.complete);
+        EXPECT_EQ(chosen, complete_cover);
+      } else if (result.complete) {
+        reached_complete = true;
+        ++completed;
+        complete_cover = chosen;
+        EXPECT_LE(result.nodes, budget);
+      } else {
+        EXPECT_EQ(result.nodes, budget + 1);
+      }
+    }
+  }
+  // Some search must improve on the budget-1 cover, and some must finish.
+  EXPECT_GT(improved, 0u);
+  EXPECT_GT(completed, 0u);
+}
 
 }  // namespace
 }  // namespace streamsc

@@ -42,11 +42,13 @@ chrono        No direct `std::chrono` (or `#include <chrono>`) in src/
               trace/export pipeline and scatters clock choices
               (steady vs system) across layers.
 raw-popcount  No `std::popcount`, `__builtin_popcount*`, popcnt or pext
-              intrinsic in src/ outside util/word_kernels.cc: bit counts
-              and gathers go through the word kernels, which bind
-              POPCNT/BMI2 once per process. Elsewhere the default build
-              (no -mpopcnt) compiles a popcount to a libgcc
-              `__popcountdi2` call per word.
+              intrinsic (`_mm_popcnt_u*`, `_mm{,256,512}_popcnt_epi*`,
+              `_pext_u*`) and no `#include <immintrin.h>`/
+              `<x86intrin.h>` in src/ outside util/word_kernels.cc: bit
+              counts and gathers go through the word kernels, which bind
+              AVX-512 VPOPCNTDQ, POPCNT and BMI2 once per process.
+              Elsewhere the default build (no -mpopcnt) compiles a
+              popcount to a libgcc `__popcountdi2` call per word.
 raw-pass      No `BeginPass(`, `Next(&` or `ItemAt(` outside src/stream,
               src/storage and src/dynamic (the layers that implement
               streams and their pass primitives): every other layer
@@ -142,8 +144,12 @@ CHRONO_RE = re.compile(r"std\s*::\s*chrono")
 
 POPCOUNT_RE = re.compile(
     r"(?<![_A-Za-z0-9])(?:std\s*::\s*popcount|__builtin_popcount\w*"
-    r"|__builtin_ia32_pext_\w+|_pext_u(?:32|64)|_mm_popcnt_u(?:32|64))"
+    r"|__builtin_ia32_pext_\w+|_pext_u(?:32|64)|_mm_popcnt_u(?:32|64)"
+    r"|_mm(?:256|512)?_popcnt_epi(?:32|64))"
     r"(?![_A-Za-z0-9])")
+# The x86 intrinsic headers: only the kernel home includes them.
+INTRIN_INCLUDE_RE = re.compile(
+    r"^\s*#\s*include\s+<(?:immintrin|x86intrin)\.h>")
 
 # The one file that may count and gather bits with the builtins.
 POPCOUNT_HOME = "src/util/word_kernels.cc"
@@ -342,13 +348,14 @@ def lint_file(path: pathlib.Path, layer: str,
                 "util/stopwatch.h (Stopwatch) or obs/trace.h "
                 "(TraceRecorder::NowNs) so clock choice and trace export "
                 "stay centralized"))
-        if rel.as_posix() != POPCOUNT_HOME and POPCOUNT_RE.search(line):
+        if rel.as_posix() != POPCOUNT_HOME and (
+                POPCOUNT_RE.search(line) or INTRIN_INCLUDE_RE.match(line)):
             violations.append(Violation(
                 rel, lineno, "raw-popcount",
-                "raw popcount/pext in src/ — call the util/word_kernels.h "
-                "kernels (CountAndWords, PopcountWords, GatherWords, "
-                "RankMembers, ...), which bind the hardware instruction "
-                "once per process"))
+                "raw popcount/pext or x86 intrinsic header in src/ — call "
+                "the util/word_kernels.h kernels (CountAndWords, "
+                "PopcountWords, GatherWords, RankMembers, ...), which bind "
+                "the hardware instruction once per process"))
         if layer not in RAW_PASS_EXEMPT_LAYERS and RAW_PASS_RE.search(line):
             violations.append(Violation(
                 rel, lineno, "raw-pass",

@@ -23,9 +23,14 @@
 ///  - When the compiler already targets POPCNT (`__POPCNT__`, e.g. a
 ///    `-march=native` build), the kernels are plain loops that compile to
 ///    the hardware instructions, the gather to pext where `__BMI2__` is
-///    set too; there is no dispatch.
+///    set too; there is no dispatch. Where the target has AVX-512
+///    VPOPCNTDQ as well (`__AVX512VPOPCNTDQ__`), the counts run the same
+///    wide loop the dispatched set below does.
 ///  - Otherwise, on x86-64 under GCC or Clang, the first call asks the CPU
-///    (`__builtin_cpu_supports`) and binds, in this order of preference, a
+///    (`__builtin_cpu_supports`) and binds, in this order of preference:
+///    an AVX-512 VPOPCNTDQ set (the counts take eight words per vpopcntq,
+///    the tail of fewer than eight one masked load; the prefix, rank and
+///    gather kernels are those of the next two sets), a
 ///    `target("bmi2,popcnt")` set (the gather is one pext per source word;
 ///    the rest is the POPCNT build), a `target("popcnt")` build of the
 ///    same loops, or the portable ones.
@@ -123,10 +128,11 @@ void ForEachSetBit(const std::uint64_t* a, std::size_t n, Fn&& fn) {
   }
 }
 
-/// Name of the kernel set the counting calls above run: "native-popcnt"
-/// (compiled for POPCNT, no dispatch), "popcnt" (hardware, picked at run
-/// time) or "portable". Lets a test fail when a CPU that has POPCNT does
-/// not get it.
+/// Name of the kernel set the counting calls above run:
+/// "native-avx512-vpopcntdq" or "native-popcnt" (compiled for that ISA, no
+/// dispatch), "avx512-vpopcntdq" or "popcnt" (hardware, picked at run
+/// time) or "portable". Lets a test fail when a CPU that has VPOPCNTDQ or
+/// POPCNT does not get it.
 std::string_view WordKernelName();
 
 /// Name of the kernel set the projection calls (PrefixPopcountWords,

@@ -93,12 +93,10 @@ class LintStreamscTest(unittest.TestCase):
                              "chrono")
         # Raw popcount and pext outside util/word_kernels.cc, in a solver
         # layer and in util/ itself; the kernel home is exempt.
-        self.assert_reported(result, "src/core/bad_popcount.cc", 5,
-                             "raw-popcount")
-        self.assert_reported(result, "src/core/bad_popcount.cc", 6,
-                             "raw-popcount")
-        self.assert_reported(result, "src/core/bad_popcount.cc", 8,
-                             "raw-popcount")
+        # The x86 intrinsic headers and the vector popcounts count too.
+        for line in (3, 4, 9, 10, 12, 14, 15, 16):
+            self.assert_reported(result, "src/core/bad_popcount.cc", line,
+                                 "raw-popcount")
         self.assert_reported(result, "src/util/bad_rank.h", 3,
                              "raw-popcount")
         self.assertNotIn("src/util/word_kernels.cc", result.stdout)
@@ -157,7 +155,7 @@ class LintStreamscTest(unittest.TestCase):
         from comments, string literals, or the clean lines around them."""
         result = run_linter("--root", str(FIXTURES / "violations"))
         reported = [l for l in result.stdout.splitlines() if "[" in l]
-        self.assertEqual(len(reported), 36, result.stdout)
+        self.assertEqual(len(reported), 41, result.stdout)
 
     def test_real_tree_is_clean(self):
         """The wall starts (and stays) at zero violations on the repo."""

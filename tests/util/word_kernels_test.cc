@@ -4,6 +4,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -69,6 +70,55 @@ TEST(WordKernelsTest, RawKernelsMatchReference) {
               Reference(a.data(), b.data(), n, Op::kAndNot));
     EXPECT_EQ(CountXorWords(a.data(), b.data(), n),
               Reference(a.data(), b.data(), n, Op::kXor));
+  }
+}
+
+// n words that end at the last word of their own heap allocation, so an
+// ASan build reports any read past word n. A skewed run starts one word
+// past a 64-byte boundary.
+class WordRun {
+ public:
+  WordRun(std::size_t n, bool skewed)
+      : skew_(skewed ? 1 : 0),
+        base_(static_cast<Word*>(::operator new(
+            (n + skew_) * sizeof(Word), std::align_val_t{64}))) {}
+  ~WordRun() { ::operator delete(base_, std::align_val_t{64}); }
+  WordRun(const WordRun&) = delete;
+  WordRun& operator=(const WordRun&) = delete;
+
+  Word* data() { return base_ + skew_; }
+
+ private:
+  std::size_t skew_;
+  Word* base_;
+};
+
+TEST(WordKernelsTest, CountsAgreeWithAScalarReferenceAtEveryLength) {
+  Rng rng(27);
+  for (const std::size_t n : {0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 1563}) {
+    for (const bool skewed : {false, true}) {
+      for (const bool all_ones : {false, true}) {
+        SCOPED_TRACE("n=" + std::to_string(n) +
+                     (skewed ? " skewed" : " aligned") +
+                     (all_ones ? " all-ones" : " random"));
+        WordRun a(n, skewed);
+        WordRun b(n, skewed);
+        const std::vector<Word> ra = RandomWords(rng, n);
+        const std::vector<Word> rb = RandomWords(rng, n);
+        for (std::size_t i = 0; i < n; ++i) {
+          a.data()[i] = all_ones ? ~Word{0} : ra[i];
+          b.data()[i] = rb[i];
+        }
+        EXPECT_EQ(PopcountWords(a.data(), n),
+                  Reference(a.data(), a.data(), n, Op::kFirst));
+        EXPECT_EQ(CountAndWords(a.data(), b.data(), n),
+                  Reference(a.data(), b.data(), n, Op::kAnd));
+        EXPECT_EQ(CountAndNotWords(a.data(), b.data(), n),
+                  Reference(a.data(), b.data(), n, Op::kAndNot));
+        EXPECT_EQ(CountXorWords(a.data(), b.data(), n),
+                  Reference(a.data(), b.data(), n, Op::kXor));
+      }
+    }
   }
 }
 
@@ -256,10 +306,14 @@ TEST(WordKernelsTest, HardwarePopcountIsActiveWhenTheCpuHasIt) {
     EXPECT_EQ(WordKernelName(), "portable");
     return;
   }
-#if defined(__POPCNT__)
+#if defined(__AVX512F__) && defined(__AVX512VPOPCNTDQ__)
+  EXPECT_EQ(WordKernelName(), "native-avx512-vpopcntdq");
+#elif defined(__POPCNT__)
   EXPECT_EQ(WordKernelName(), "native-popcnt");
 #else
-  EXPECT_EQ(WordKernelName(), "popcnt");
+  const bool vpopcntdq = __builtin_cpu_supports("avx512f") &&
+                         __builtin_cpu_supports("avx512vpopcntdq");
+  EXPECT_EQ(WordKernelName(), vpopcntdq ? "avx512-vpopcntdq" : "popcnt");
 #endif
 #else
   EXPECT_EQ(WordKernelName(), "portable");

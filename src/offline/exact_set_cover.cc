@@ -17,6 +17,9 @@ namespace {
 /// brackets it with a checkpoint.
 struct SearchState {
   ExactSetCoverOptions options;
+  // Every set's exact gain against the call's universe, counted once
+  // before the set-up (they refute the root or seed its gains).
+  const Count* root_gains = nullptr;
   // The system's sets, resolved to views once per call.
   ArenaVector<SetView> sets{ArenaAllocator<SetView>::Table()};
   // The sets containing element e are covering[first[e] .. first[e + 1]),
@@ -61,15 +64,15 @@ ElementId PickBranchElement(const SearchState& state,
 }
 
 // Expands the node whose uncovered region is \p uncovered. \p bounds is
-// null at the root; below it, it is the parent's gain array, whose entries
-// bound this node's gains from above: a child's uncovered region is a
-// subset of its parent's, so no set's gain ever grows on the way down. A
-// set that contains an uncovered element gains at least 1, so an entry of
-// 0 there marks it as excluded from this subtree: an earlier sibling's
-// subtree, here or at an ancestor, already took it. A node counts a gain
-// exactly only where the answer can change what it does, so every prune
-// decision, candidate gain and candidate order is the one a full sweep of
-// the live sets would give.
+// null at the root, whose gains are state.root_gains; below it, it is the
+// parent's gain array, whose entries bound this node's gains from above: a
+// child's uncovered region is a subset of its parent's, so no set's gain
+// ever grows on the way down. A set that contains an uncovered element
+// gains at least 1, so an entry of 0 there marks it as excluded from this
+// subtree: an earlier sibling's subtree, here or at an ancestor, already
+// took it. A node counts a gain exactly only where the answer can change
+// what it or its children do, so every prune decision, candidate gain and
+// candidate order is the one a full sweep of the live sets would give.
 void Search(SearchState& state, const DynamicBitset& uncovered,
             const Count* bounds) {
   if (state.budget_exhausted) return;
@@ -112,18 +115,15 @@ void Search(SearchState& state, const DynamicBitset& uncovered,
   // gains[i] is set i's exact gain against `uncovered` where it was
   // counted, its inherited upper bound elsewhere, and 0 while it is
   // excluded (an excluded set never reaches `cut`); the children read
-  // it as their bounds. The root counts every set. Below it, only sets
-  // whose bound reaches `cut` are counted, up to the first that does: the
-  // counted sets are those below scan_end whose bound reached cut.
+  // it as their bounds. The root's gains are all exact. Below it, only
+  // sets whose bound reaches `cut` are counted, up to the first that does:
+  // the counted sets are those below scan_end whose bound reached cut.
   ArenaVector<Count> gains{ArenaAllocator<Count>(&scratch)};
   bool alive = false;
   std::size_t scan_end = m;
   if (bounds == nullptr) {
-    gains.resize(m);
-    for (SetId i = 0; i < m; ++i) {
-      gains[i] = state.sets[i].CountAnd(uncovered);
-      alive = alive || gains[i] >= cut;
-    }
+    gains.assign(state.root_gains, state.root_gains + m);
+    for (SetId i = 0; i < m && !alive; ++i) alive = gains[i] >= cut;
   } else {
     gains.assign(bounds, bounds + m);
     for (SetId i = 0; i < m && !alive; ++i) {
@@ -160,6 +160,32 @@ void Search(SearchState& state, const DynamicBitset& uncovered,
   std::sort(candidates.begin(), candidates.end(),
             [](const auto& x, const auto& y) { return x.first > y.first; });
 
+  // A child takes at most g_max more elements and has at most
+  // budget - depth - 1 sets of slack, so its cut is at least
+  // ceil((remaining - g_max) / (budget - depth - 1)); clamping that slack
+  // to `remaining`, as above, lowers the figure only where a child's cut
+  // is 1 anyway. Counting every set whose bound reaches it (a cut of at
+  // least 1, so excluded sets stay out) hands the children exact gains
+  // where their bound scans look, instead of bounds inherited from
+  // further up. The candidates are counted already and
+  // are exactly the live sets on e's incidence list, which is in
+  // increasing id order, so the sweep walks it alongside to skip them. No
+  // child scans when no slack is left, or when the largest candidate
+  // covers the rest: that child is a cover, which leaves its siblings no
+  // budget.
+  const Count g_max = candidates.front().first;
+  if (budget - depth > 1 && g_max < remaining) {
+    const Count child_cut = CeilDiv(
+        remaining - g_max, std::min<Count>(budget - depth - 1, remaining));
+    std::uint32_t k = state.first[e];
+    for (SetId i = 0; i < m; ++i) {
+      while (k < state.first[e + 1] && state.covering[k] < i) ++k;
+      if (k < state.first[e + 1] && state.covering[k] == i) continue;
+      if (gains[i] < child_cut || counted(i)) continue;
+      gains[i] = state.sets[i].CountAnd(uncovered);
+    }
+  }
+
   // A candidate's subtree searches every cover that extends `current` by
   // that candidate, so once it returns the later siblings' subtrees
   // exclude it: its gain reads 0 from then on, which also drops it from
@@ -195,6 +221,33 @@ ExactSetCoverResult SolveExactSetCover(const SetSystem& system,
     return result;
   }
 
+  // The root's gains, on the scratch arena under a checkpoint that
+  // outlives the search's own LIFO scratch use. If the root's counting
+  // bound refutes size_limit on its own (no set reaches the cut, or the
+  // limit is 0), no cover fits the limit, greedy's included, so the
+  // search would stop at its first node: answer that without building
+  // anything. A node budget of 0 stops the search before the bound is
+  // read, so that call takes the full path.
+  MonotonicArena& scratch = ThreadScratchArena();
+  const ArenaCheckpoint scratch_checkpoint(scratch);
+  const std::size_t m = system.num_sets();
+  ArenaVector<Count> root_gains{ArenaAllocator<Count>(&scratch)};
+  root_gains.resize(m);
+  Count max_gain = 0;
+  for (SetId i = 0; i < m; ++i) {
+    root_gains[i] = system.set(i).CountAnd(universe);
+    max_gain = std::max(max_gain, root_gains[i]);
+  }
+  if (options.max_nodes > 0) {
+    const Count remaining = universe.CountSet();
+    const Count slack = std::min<Count>(options.size_limit, remaining);
+    if (slack == 0 || max_gain < CeilDiv(remaining, slack)) {
+      result.complete = true;
+      result.nodes = 1;
+      return result;
+    }
+  }
+
   // Bracket the call-scoped search state (set views, incidence lists,
   // incumbent vectors) on the table arena. The checkpoint outlives the
   // inner scope, so the containers are destroyed (deallocate is a no-op)
@@ -204,14 +257,15 @@ ExactSetCoverResult SolveExactSetCover(const SetSystem& system,
   {
     SearchState state;
     state.options = options;
-    state.sets.reserve(system.num_sets());
+    state.root_gains = root_gains.data();
+    state.sets.reserve(m);
     // Incidence lists: count each element's sets into first[e], turn the
     // counts into running ends, then fill every list back to front from
     // the highest set id down, which leaves first[e] at the list's start
     // and each list in increasing id order.
     const std::size_t n = system.universe_size();
     state.first.assign(n + 1, 0);
-    for (SetId i = 0; i < system.num_sets(); ++i) {
+    for (SetId i = 0; i < m; ++i) {
       const SetView set = system.set(i);
       state.sets.push_back(set);
       set.ForEach([&state](ElementId e) { ++state.first[e]; });
@@ -219,22 +273,23 @@ ExactSetCoverResult SolveExactSetCover(const SetSystem& system,
     for (std::size_t e = 1; e < n; ++e) state.first[e] += state.first[e - 1];
     state.first[n] = state.first[n - 1];
     state.covering.resize(state.first[n]);
-    for (SetId i = system.num_sets(); i-- > 0;) {
+    for (SetId i = m; i-- > 0;) {
       state.sets[i].ForEach(
           [&state, i](ElementId e) { state.covering[--state.first[e]] = i; });
     }
 
     // Greedy warm start gives the incumbent upper bound (if feasible and
-    // within the requested size limit). The warm-start solution is
-    // call-scoped too, so it lands on the table arena alongside the state.
+    // within the requested size limit). Its picks stop at size_limit: they
+    // are a prefix of the full greedy cover, and a longer cover could never
+    // be the incumbent. The warm-start solution is call-scoped too, so it
+    // lands on the table arena alongside the state.
     const Solution greedy =
-        GreedySetCover(system, universe, ArenaAllocator<SetId>::Table());
+        GreedyMaxCoverage(system, universe, std::min(options.size_limit, m),
+                          ArenaAllocator<SetId>::Table());
     {
-      MonotonicArena& scratch = ThreadScratchArena();
       const ArenaCheckpoint checkpoint(scratch);
       if (universe.IsSubsetOf(system.UnionOf(
-              greedy.chosen, DynamicBitset::Allocator(&scratch))) &&
-          greedy.chosen.size() <= options.size_limit) {
+              greedy.chosen, DynamicBitset::Allocator(&scratch)))) {
         state.best.assign(greedy.chosen.begin(), greedy.chosen.end());
         state.best_feasible = true;
       }

@@ -24,33 +24,45 @@
 /// and from the branching rule, whose degree counts only the live sets
 /// covering an element.
 ///
-/// Work that never changes during a search is done once per call: the
-/// sets are resolved to SetViews, and incidence lists (n + 1 offsets and
-/// one set id per element-set incidence, two passes over the sets) give
-/// each element's covering sets in increasing id order, so the branching
-/// rule walks one list per element it scans and a candidate list costs
-/// one entry per covering set.
+/// A call first counts all m gains against the universe. If the root's
+/// counting bound already refutes options.size_limit (or the limit is 0),
+/// no cover fits it and the call answers infeasible and complete after
+/// one node, before any set-up (a node budget of 0 stops the search before
+/// that bound is read, so such a call takes the full path and answers
+/// incomplete). Otherwise work that never changes during a search is done
+/// once: the sets are resolved to SetViews, and
+/// incidence lists (n + 1 offsets and one set id per element-set
+/// incidence, two passes over the sets) give each element's covering sets
+/// in increasing id order, so the branching rule walks one list per
+/// element it scans and a candidate list costs one entry per covering
+/// set. The greedy warm start stops after size_limit picks: a longer
+/// greedy cover could never be the incumbent.
 ///
-/// Only the root counts all m gains. A child's uncovered region is a
+/// Only the root has all m gains exact. A child's uncovered region is a
 /// subset of its parent's, so the parent's gains bound the child's from
 /// above, and a node counts a gain exactly only where it can matter: for
 /// the counting bound, the sets whose bound reaches the gain the bound
 /// needs, up to the first that really does; for the branch order, the
-/// live sets containing the branch element. Nodes the bound cuts
-/// therefore pay for the few sets that could have kept them alive, and
-/// every prune decision, candidate gain and search order is the one a
-/// full sweep would give. A node further costs a popcount of the
-/// uncovered bitset (the bound), an m-entry copy of its parent's gains,
-/// and one word-level copy per child.
+/// live sets containing the branch element; and, once the node has sorted
+/// its candidates, every other live set whose bound reaches the lowest cut
+/// any child can have, ceil((remaining - g_max) / (budget - depth - 1))
+/// with g_max the largest candidate gain. That last sweep hands the
+/// children exact gains where their bound scans look, so a child the
+/// bound cuts pays for the few sets that could have kept it alive, not
+/// for bounds gone stale further up the tree. Every prune decision,
+/// candidate gain and search order is the one a full sweep would give. A
+/// node further costs a popcount of the uncovered bitset (the bound), an
+/// m-entry copy of its parent's gains, and one word-level copy per child.
 ///
-/// Arena discipline: per-node temporaries (gain and candidate lists,
-/// branch bitsets) stage LIFO in the calling thread's scratch arena; the
-/// call-scoped search state (set views, incidence lists, incumbent)
-/// brackets the thread's table arena and is rewound before returning, so
-/// a call's memory is bounded by the instance and the search depth, never
-/// by its node count. \p result_alloc backs the returned solution and
-/// therefore must be neither the scratch nor the table binding — pass a
-/// pinned run arena or the heap default.
+/// Arena discipline: the root's gains and the per-node temporaries (gain
+/// and candidate lists, branch bitsets) stage LIFO in the calling
+/// thread's scratch arena; the call-scoped search state (set views,
+/// incidence lists, incumbent) brackets the thread's table arena and is
+/// rewound before returning, so a call's memory is bounded by the
+/// instance and the search depth, never by its node count. A call the
+/// root refutes never touches the table arena. \p result_alloc backs the
+/// returned solution and therefore must be neither the scratch nor the
+/// table binding — pass a pinned run arena or the heap default.
 
 namespace streamsc {
 

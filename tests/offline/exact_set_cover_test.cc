@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <iterator>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -482,6 +483,122 @@ TEST(ExactSetCoverTest, TableArenaPeakDoesNotGrowWithTheNodeBudget) {
   }
   EXPECT_GT(peaks[0], 0u);
   EXPECT_EQ(peaks[0], peaks[1]);
+}
+
+// On this E7-shape instance no set has more than 512 of the 4096
+// elements, so the root's counting bound refutes limit 7 (a cut of 586)
+// but not limit 8 (a cut of 512). A refuted call answers at its first
+// node, and builds no search state on the table arena to do so. Node
+// budget 0 and size limit 0 keep their answers: the first stops the
+// search before the bound is read, after the greedy warm start, and the
+// second leaves the root no slack.
+TEST(ExactSetCoverTest, RootRefutedLimitBuildsNothing) {
+  Rng rng(11);
+  const SetSystem system = UniformRandomInstance(4096, 128, 512, rng);
+  const auto solve = [&](std::size_t size_limit, std::uint64_t max_nodes) {
+    ExactSetCoverOptions options;
+    options.size_limit = size_limit;
+    options.max_nodes = max_nodes;
+    ThreadTableArena().ResetHighWater();
+    return SolveExactSetCover(system, options);
+  };
+  ASSERT_EQ(ThreadTableArena().bytes_used(), 0u);
+
+  for (const std::size_t limit : {std::size_t{0}, std::size_t{7}}) {
+    SCOPED_TRACE("limit=" + std::to_string(limit));
+    const ExactSetCoverResult refuted = solve(limit, 2000);
+    EXPECT_EQ(ThreadTableArena().high_water(), 0u);
+    EXPECT_EQ(refuted.nodes, 1u);
+    EXPECT_TRUE(refuted.complete);
+    EXPECT_FALSE(refuted.feasible);
+    EXPECT_FALSE(refuted.proven_optimal);
+    EXPECT_TRUE(refuted.solution.chosen.empty());
+
+    const ExactSetCoverResult stopped = solve(limit, 0);
+    EXPECT_EQ(stopped.nodes, 1u);
+    EXPECT_FALSE(stopped.complete);
+    EXPECT_FALSE(stopped.feasible);
+    EXPECT_TRUE(stopped.solution.chosen.empty());
+  }
+
+  // Limit 8 survives the root, so the search state is built.
+  const ExactSetCoverResult searched = solve(8, 2000);
+  EXPECT_GT(ThreadTableArena().high_water(), 0u);
+  EXPECT_EQ(searched.nodes, 11u);
+  EXPECT_TRUE(searched.complete);
+  EXPECT_FALSE(searched.feasible);
+
+  // Without a limit, node budget 0 returns the greedy cover unproven.
+  const Solution greedy = GreedySetCover(system);
+  const ExactSetCoverResult unproven = solve(kNoLimit, 0);
+  EXPECT_EQ(unproven.nodes, 1u);
+  EXPECT_FALSE(unproven.complete);
+  EXPECT_TRUE(unproven.feasible);
+  EXPECT_FALSE(unproven.proven_optimal);
+  EXPECT_EQ(std::vector<SetId>(unproven.solution.chosen.begin(),
+                               unproven.solution.chosen.end()),
+            std::vector<SetId>(greedy.chosen.begin(), greedy.chosen.end()));
+}
+
+// The search reads a set only through its SetView, so storing every set
+// densely (threshold 0.0) or sparsely (threshold 1.1) must not change
+// it: the same nodes, completion and chosen ids at a limit the root
+// refutes, at the size of the best cover the unlimited search finds, and
+// with no limit, from a one-node budget to one that finishes the small
+// shapes.
+TEST(ExactSetCoverTest, DenseAndSparseStorageSearchAlike) {
+  struct Shape {
+    std::size_t n, m, set_size;
+  };
+  const Shape shapes[] = {{60, 30, 6}, {200, 40, 30}, {512, 96, 12},
+                          {4096, 128, 512}};
+  std::size_t refuted = 0;
+  for (const Shape& shape : shapes) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      Rng rng(seed);
+      const SetSystem system =
+          UniformRandomInstance(shape.n, shape.m, shape.set_size, rng);
+      SetSystem dense(system.universe_size(), 0.0);
+      SetSystem sparse(system.universe_size(), 1.1);
+      Count largest = 0;
+      for (SetId i = 0; i < system.num_sets(); ++i) {
+        dense.AddSetFromView(system.set(i));
+        sparse.AddSetFromView(system.set(i));
+        ASSERT_FALSE(dense.IsSparse(i));
+        ASSERT_TRUE(sparse.IsSparse(i));
+        largest = std::max(largest, system.set(i).CountSet());
+      }
+      ExactSetCoverOptions unlimited;
+      unlimited.max_nodes = 2000;
+      const std::size_t best =
+          SolveExactSetCover(system, unlimited).solution.size();
+      const std::size_t refuting = CeilDiv(shape.n, largest) - 1;
+      for (const std::size_t limit : {refuting, best, kNoLimit}) {
+        for (const std::uint64_t budget : {1, 50, 2000}) {
+          SCOPED_TRACE("n=" + std::to_string(shape.n) +
+                       " m=" + std::to_string(shape.m) +
+                       " seed=" + std::to_string(seed) +
+                       " limit=" + std::to_string(limit) +
+                       " budget=" + std::to_string(budget));
+          ExactSetCoverOptions options;
+          options.max_nodes = budget;
+          options.size_limit = limit;
+          const ExactSetCoverResult d = SolveExactSetCover(dense, options);
+          const ExactSetCoverResult s = SolveExactSetCover(sparse, options);
+          EXPECT_EQ(d.nodes, s.nodes);
+          EXPECT_EQ(d.complete, s.complete);
+          EXPECT_EQ(d.feasible, s.feasible);
+          EXPECT_EQ(std::vector<SetId>(d.solution.chosen.begin(),
+                                       d.solution.chosen.end()),
+                    std::vector<SetId>(s.solution.chosen.begin(),
+                                       s.solution.chosen.end()));
+          refuted += limit == refuting && d.nodes == 1 && d.complete ? 1 : 0;
+        }
+      }
+    }
+  }
+  // Every refuting limit is refuted at the root, at every budget.
+  EXPECT_EQ(refuted, std::size(shapes) * 3 * 3);
 }
 
 // Whenever the search reports no cover, greedy on the same system and

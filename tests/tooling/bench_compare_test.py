@@ -5,8 +5,10 @@ Runs the compare script as a subprocess against synthetic perfbench
 results and a small benchmark declaration, and checks its verdicts: a
 metric worse than its bound fails the run, one within it passes, either
 direction of "better" is honoured, and a missing metric, a larger failure
-share or unreadable input are reported. One case reads the repository's
-own BENCHMARK.json so the script keeps up with its format.
+share or unreadable input are reported. The --pairs cases check the
+medians, quartiles and lower-pair counts it prints and that it judges the
+medians, not single runs. One case reads the repository's own
+BENCHMARK.json so the script keeps up with its format.
 
 Runs directly too: `python3 tests/tooling/bench_compare_test.py`.
 """
@@ -133,6 +135,55 @@ class BenchCompareTest(unittest.TestCase):
             capture_output=True, text=True, check=False)
         self.assertEqual(run.returncode, 2)
         self.assertIn("no perfbench result line", run.stderr)
+
+    def compare_pairs(self, parents, changes):
+        args = [sys.executable, str(SCRIPT), "--pairs", "--parent"]
+        args += [self.write("p%d.json" % i, r, stamp=True)
+                 for i, r in enumerate(parents)]
+        args += ["--change"]
+        args += [self.write("c%d.json" % i, r) for i, r in enumerate(changes)]
+        return subprocess.run(args + ["--benchmark", self.benchmark],
+                              capture_output=True, text=True, check=False)
+
+    def test_pairs_print_medians_quartiles_and_lower_count(self):
+        run = self.compare_pairs(
+            [result(solve_s=v) for v in (1.0, 1.2, 1.1, 1.3, 0.9)],
+            [result(solve_s=v) for v in (0.6, 0.7, 0.65, 1.4, 0.62)])
+        self.assertEqual(run.returncode, 0, run.stdout + run.stderr)
+        self.assertIn("5 pairs", run.stdout)
+        self.assertRegex(run.stdout,
+                         r"solve_s\s+s\s+lower\s+1\.1\s+1-1\.2\s+0\.65\s+"
+                         r"0\.62-0\.7\s+4/5\s+-40\.9%\s+25%\s+better")
+        self.assertRegex(run.stdout, r"warm_frac .*0/5 .*ok")
+
+    def test_pairs_judge_the_median_not_single_runs(self):
+        # One slow change run does not fail the change...
+        run = self.compare_pairs([result()] * 3,
+                                 [result(solve_s=v) for v in (1.0, 1.1, 5.0)])
+        self.assertEqual(run.returncode, 0, run.stdout)
+        # ...but a median beyond the bound does, however many pairs won.
+        run = self.compare_pairs([result()] * 3,
+                                 [result(solve_s=v) for v in (0.9, 1.3, 1.4)])
+        self.assertEqual(run.returncode, 1, run.stdout)
+        self.assertRegex(run.stdout, r"solve_s .*1/3 .*WORSE")
+        self.assertIn("REGRESSION: solve_s", run.stdout)
+
+    def test_pairs_metric_missing_from_one_change_run_fails(self):
+        run = self.compare_pairs([result()] * 2,
+                                 [result(), result(drop=("warm_frac",))])
+        self.assertEqual(run.returncode, 1)
+        self.assertIn("REGRESSION: warm_frac: missing", run.stdout)
+
+    def test_pairs_sum_the_failure_shares(self):
+        run = self.compare_pairs([result()] * 2, [result(failed=1), result()])
+        self.assertEqual(run.returncode, 1)
+        self.assertIn("change: 1 of 200 operations failed", run.stdout)
+        self.assertIn("larger share", run.stdout)
+
+    def test_pairs_need_as_many_change_runs_as_parent_runs(self):
+        run = self.compare_pairs([result()] * 2, [result()])
+        self.assertEqual(run.returncode, 2)
+        self.assertIn("as many --change runs", run.stderr)
 
     def test_reads_the_repository_benchmark(self):
         with open(REPO_ROOT / "BENCHMARK.json") as f:

@@ -164,14 +164,12 @@ def compare_pairs(parents, changes, end_to_end, out):
             continue
         side = []
         for values in (ps, cs):
-            if any(v is None for v in values):
+            if None in values:
                 side.append((None, "-", "-"))
                 continue
-            ordered = sorted(values)
-            side.append((quantile(ordered, 0.5),
-                         "%.6g" % quantile(ordered, 0.5),
-                         "%.6g-%.6g" % (quantile(ordered, 0.25),
-                                        quantile(ordered, 0.75))))
+            q1, median, q3 = (quantile(sorted(values), q)
+                              for q in (0.25, 0.5, 0.75))
+            side.append((median, "%.6g" % median, "%.6g-%.6g" % (q1, q3)))
         lower = "-"
         if side[0][0] is not None and side[1][0] is not None:
             lower = "%d/%d" % (sum(c < p for p, c in zip(ps, cs)), pairs)

@@ -4,7 +4,6 @@
 #
 #   scripts/check.sh                 # Release build in ./build + project lint
 #   BUILD_DIR=ci-build scripts/check.sh
-#   CMAKE_ARGS="-DSTREAMSC_NATIVE=ON" scripts/check.sh
 #   SANITIZE=1 scripts/check.sh      # + ASan/UBSan build over
 #                                    #   unit|property|io + parallel +
 #                                    #   alloc (zero-allocation) slices

@@ -89,6 +89,13 @@ offline-table No `std::unordered_map`, `std::unordered_set`, `std::map`
               table keyed by search state grows with every node a search
               expands, so a long search's memory would have no bound but
               its node budget. Comments and strings do not count.
+isa-macro     No preprocessor test (`#if`, `#ifdef`, `#elif`, ... and
+              their continuation lines) of `__POPCNT__`, `__BMI2__`,
+              `__AVX*__` or `__SSE*__` anywhere in src/, the word
+              kernels' home included: util/word_kernels.cc picks the
+              instruction set at run time, so every build runs the same
+              kernel code and no compile flag forks it into a second
+              path. Comments and strings do not count.
 
 Usage
 -----
@@ -204,6 +211,13 @@ OFFLINE_TABLE_RE = re.compile(
 # The layer whose sub-solves must keep memory bounded by search depth.
 OFFLINE_TABLE_LAYERS = {"offline"}
 
+# A conditional directive, whose condition may continue on the next line.
+CONDITIONAL_RE = re.compile(
+    r"^\s*#\s*(?:if|ifdef|ifndef|elif|elifdef|elifndef)(?![_A-Za-z0-9])")
+# An instruction-set macro the compiler defines from its target flags.
+ISA_MACRO_RE = re.compile(
+    r"(?<![_A-Za-z0-9])__(?:POPCNT|BMI2|AVX\w*|SSE\w*)__(?![_A-Za-z0-9])")
+
 # Layers that may touch std::chrono directly: util/ owns Stopwatch, obs/
 # owns TraceRecorder's clock. Everything else must time through those.
 CHRONO_EXEMPT_LAYERS = {"util", "obs"}
@@ -296,6 +310,7 @@ def lint_file(path: pathlib.Path, layer: str,
         return [Violation(rel, 0, "io", f"unreadable: {err}")]
     code = strip_comments_and_strings(raw)
     allowed = LAYER_CLOSURE.get(layer)
+    in_condition = False
     for lineno, line in enumerate(code, start=1):
         # The stripper blanks string-literal contents, which would erase
         # the include path — match includes on the raw line, but only
@@ -401,6 +416,15 @@ def lint_file(path: pathlib.Path, layer: str,
                 "std::map/set/unordered_map/unordered_set in offline/ — a "
                 "sub-solve's memory stays bounded by the instance and its "
                 "search depth; keep per-call state in arrays sized once"))
+        condition = in_condition or CONDITIONAL_RE.match(line) is not None
+        in_condition = condition and line.rstrip().endswith("\\")
+        if condition and ISA_MACRO_RE.search(line):
+            violations.append(Violation(
+                rel, lineno, "isa-macro",
+                "compile-time instruction-set test in src/ — the word "
+                "kernels (util/word_kernels.h) bind VPOPCNTDQ/POPCNT/BMI2 "
+                "at run time; branch on the CPU there, not on the "
+                "build's target flags"))
     return violations
 
 
@@ -436,7 +460,7 @@ def main() -> int:
         for rule in ("layer-dag", "raw-assert", "determinism", "engine-ptr",
                      "arena-ptr", "chrono", "raw-popcount", "raw-pass",
                      "cover-state", "instance-open", "blocking-read",
-                     "raw-thread", "offline-table"):
+                     "raw-thread", "offline-table", "isa-macro"):
             print(rule)
         return 0
 

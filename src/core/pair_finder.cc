@@ -38,9 +38,10 @@ PairFinderResult ExactPairFinder::Run(SetStream& stream,
   SpaceMeter& meter = ctx.meter();
   result.solution = Solution(ctx.alloc<SetId>());
 
-  // Candidate pairs (i <= j) surviving all chunks seen so far. Seeded from
-  // the first chunk instead of materializing all m² pairs. Run-lived:
-  // run arena.
+  // Candidate pairs of set ids surviving all chunks seen so far, the
+  // earlier of the two in the first pass's order first. Seeded from the
+  // first chunk instead of materializing all m² pairs. Run-lived: run
+  // arena.
   using Pair = std::pair<SetId, SetId>;
   ArenaVector<Pair> candidates{ctx.alloc<Pair>()};
   bool seeded = false;
@@ -53,8 +54,10 @@ PairFinderResult ExactPairFinder::Run(SetStream& stream,
     const std::size_t width = hi - lo;
     if (width == 0) continue;
 
-    // One pass: store all projections onto this chunk (m·n/p bits). The
-    // per-item slice extraction is pure, so the pass shards when the
+    // One pass: store all projections onto this chunk (m·n/p bits), row i
+    // for set id i, so the candidates read the same sets whichever order
+    // this pass streams them in. The seeding pass also records that order.
+    // The per-item slice extraction is pure, so the pass shards when the
     // stream can buffer it. The stored projections are chunk-lived: they
     // bracket the thread's table arena. Workers slice into their own
     // scratch; the commit *copy*-assigns, which re-homes each slice into
@@ -68,8 +71,8 @@ PairFinderResult ExactPairFinder::Run(SetStream& stream,
     for (std::size_t i = 0; i < m; ++i) {
       proj.emplace_back(width, DynamicBitset::Allocator(table));
     }
-    ArenaVector<SetId> ids(m, kInvalidSetId, table);
-    std::size_t pos = 0;
+    ArenaVector<SetId> order{table};
+    if (!seeded) order.reserve(m);
     ctx.TransformPass<DynamicBitset>(
         [&](const StreamItem& it) {
           DynamicBitset slice(width, DynamicBitset::Allocator::Scratch());
@@ -79,10 +82,12 @@ PairFinderResult ExactPairFinder::Run(SetStream& stream,
           return slice;
         },
         [&](const StreamItem& it, const DynamicBitset& slice) {
-          meter.Charge(slice.ByteSize() + sizeof(SetId), kProjectionsCat);
-          proj[pos] = slice;
-          ids[pos] = it.id;
-          ++pos;
+          meter.Charge(slice.ByteSize(), kProjectionsCat);
+          proj[it.id] = slice;
+          if (!seeded) {
+            meter.Charge(sizeof(SetId), kProjectionsCat);
+            order.push_back(it.id);
+          }
         });
 
     // Runs on worker threads inside the row scans: the union is staged in
@@ -117,11 +122,10 @@ PairFinderResult ExactPairFinder::Run(SetStream& stream,
           found.emplace_back(ArenaAllocator<Pair>::Scratch());
         }
         ctx.ParallelFor(rows, [&](std::size_t r) {
-          const std::size_t i = row0 + r;
-          for (std::size_t j = i; j < m; ++j) {
-            if (pair_covers_chunk(i, j)) {
-              found[r].emplace_back(static_cast<SetId>(i),
-                                    static_cast<SetId>(j));
+          const SetId i = order[row0 + r];
+          for (std::size_t k = row0 + r; k < m; ++k) {
+            if (pair_covers_chunk(i, order[k])) {
+              found[r].emplace_back(i, order[k]);
             }
           }
         });
@@ -167,9 +171,6 @@ PairFinderResult ExactPairFinder::Run(SetStream& stream,
 
     if (!aborted && !candidates.empty()) {
       // Prefer a singleton candidate (i, i) — a 1-set cover beats a pair.
-      // NOTE: candidates store stream *positions*; ids[] maps position ->
-      // SetId for the most recent pass. For kRandomEachPass streams the
-      // mapping is not stable; Run() requires a pass-stable order.
       Pair pick = candidates.front();
       for (const auto& cand : candidates) {
         if (cand.first == cand.second) {
@@ -177,7 +178,7 @@ PairFinderResult ExactPairFinder::Run(SetStream& stream,
           break;
         }
       }
-      result.solution.chosen = {ids[pick.first], ids[pick.second]};
+      result.solution.chosen = {pick.first, pick.second};
     }
   }
 

@@ -217,7 +217,6 @@ ExactSetCoverResult SolveExactSetCover(const SetSystem& system,
   if (universe.None()) {
     result.feasible = true;
     result.complete = true;
-    result.proven_optimal = true;
     return result;
   }
 
@@ -300,7 +299,6 @@ ExactSetCoverResult SolveExactSetCover(const SetSystem& system,
     result.solution.chosen.assign(state.best.begin(), state.best.end());
     result.feasible = state.best_feasible;
     result.complete = !state.budget_exhausted;
-    result.proven_optimal = state.best_feasible && result.complete;
     result.nodes = state.nodes;
   }
   return result;

@@ -14,7 +14,7 @@
 /// in-memory sub-instance. This solver provides that: min-degree element
 /// branching, greedy warm start, a counting lower bound, and a node budget
 /// after which it degrades gracefully to the best solution found (flagged
-/// as not proven optimal).
+/// with `complete` false).
 ///
 /// A node branches on an uncovered element e over the sets containing it,
 /// largest gain first. Once a candidate's subtree returns, every cover
@@ -84,12 +84,11 @@ struct ExactSetCoverResult {
   /// True iff `solution` covers the requested universe.
   bool feasible = false;
   /// True iff the search ran to completion (node budget not hit). When
-  /// complete && !feasible, there is provably no cover within
-  /// options.size_limit — the decision primitive the D_SC experiments use.
+  /// complete && feasible, `solution` is proven minimum among covers of
+  /// size <= options.size_limit; when complete && !feasible, there is
+  /// provably no cover within options.size_limit — the decision primitive
+  /// the D_SC experiments use.
   bool complete = false;
-  /// True iff the solver proved `solution` minimum among covers of size
-  /// <= options.size_limit.
-  bool proven_optimal = false;
   /// Search nodes expanded.
   std::uint64_t nodes = 0;
 };

@@ -51,60 +51,6 @@ template <Combine kOp>
   return t0 + t1 + t2 + t3;
 }
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-
-// The ISA of the wide counting loop below.
-#define STREAMSC_VPOPCNT_TARGET "avx512f,avx512vpopcntdq"
-
-// The popcounts of eight words of the kernel's input, Apply on a vector.
-// (GNU vector operators rather than _mm512_andnot_si512 and friends: GCC 12
-// flags the _mm512_undefined_* inside those as uninitialized under -Werror.)
-template <Combine kOp>
-[[gnu::always_inline]] inline __attribute__((target(STREAMSC_VPOPCNT_TARGET)))
-__m512i PopcountLanes(__m512i a, __m512i b) {
-  if constexpr (kOp == Combine::kAnd) a &= b;
-  if constexpr (kOp == Combine::kAndNot) a &= ~b;
-  if constexpr (kOp == Combine::kXor) a ^= b;
-  return _mm512_popcnt_epi64(a);
-}
-
-// The counting loop on AVX-512 VPOPCNTDQ: eight words per vpopcntq, two
-// zmm accumulators. A tail of fewer than eight words is one masked load,
-// which reads nothing past word n. Always inlined, like CountLoop, so the
-// same body serves the target(...) wrappers and a -march=native build.
-// The lanes are added up after one aligned store (GCC 12 rejects
-// _mm512_reduce_add_epi64 for the same reason as above).
-template <Combine kOp>
-[[gnu::always_inline]] inline __attribute__((target(STREAMSC_VPOPCNT_TARGET)))
-Count VpopcntLoop(const Word* a, const Word* b, std::size_t n) {
-  __m512i s0 = _mm512_setzero_si512();
-  __m512i s1 = _mm512_setzero_si512();
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    s0 += PopcountLanes<kOp>(_mm512_loadu_si512(a + i),
-                             _mm512_loadu_si512(b + i));
-    s1 += PopcountLanes<kOp>(_mm512_loadu_si512(a + i + 8),
-                             _mm512_loadu_si512(b + i + 8));
-  }
-  if (i + 8 <= n) {
-    s0 += PopcountLanes<kOp>(_mm512_loadu_si512(a + i),
-                             _mm512_loadu_si512(b + i));
-    i += 8;
-  }
-  if (i < n) {
-    const auto tail = static_cast<__mmask8>((1u << (n - i)) - 1);
-    s1 += PopcountLanes<kOp>(_mm512_maskz_loadu_epi64(tail, a + i),
-                             _mm512_maskz_loadu_epi64(tail, b + i));
-  }
-  alignas(64) std::uint64_t lanes[8];
-  _mm512_store_si512(lanes, s0 + s1);
-  Count total = 0;
-  for (const std::uint64_t lane : lanes) total += static_cast<Count>(lane);
-  return total;
-}
-
-#endif
-
 // The loop bodies of the projection kernels, always inlined for the same
 // reason as CountLoop: each build below compiles them for its own target.
 
@@ -183,78 +129,6 @@ template <bool kToBits>
   }
 }
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-
-// The gather with BMI2. It repeats GatherLoop around the instruction
-// rather than sharing it, because GCC refuses to inline a BMI2 intrinsic
-// into an always-inline helper that is not itself compiled for BMI2.
-// (Unused in a build that targets POPCNT but not BMI2.)
-[[maybe_unused]] __attribute__((target("bmi2,popcnt"))) void Bmi2Gather(
-    const Word* src, const GatherBlock* blocks, std::size_t n, Word* dst) {
-  for (std::size_t i = 0; i < n; ++i) {
-    PlaceBits(dst, blocks[i].dst_bit,
-              _pext_u64(src[blocks[i].src_word], blocks[i].mask));
-  }
-}
-
-#endif
-
-#if defined(__POPCNT__)
-
-// The compiler targets POPCNT already: call the loops directly, the wide
-// counting loop where the target has VPOPCNTDQ too.
-#if defined(__AVX512F__) && defined(__AVX512VPOPCNTDQ__)
-
-template <Combine kOp>
-Count Run(const Word* a, const Word* b, std::size_t n) {
-  return VpopcntLoop<kOp>(a, b, n);
-}
-
-std::string_view ActiveName() { return "native-avx512-vpopcntdq"; }
-
-#else
-
-template <Combine kOp>
-Count Run(const Word* a, const Word* b, std::size_t n) {
-  return CountLoop<kOp>(a, b, n);
-}
-
-std::string_view ActiveName() { return "native-popcnt"; }
-
-#endif
-
-void RunPrefix(const Word* a, std::size_t n, std::uint32_t* rank) {
-  PrefixLoop(a, n, rank);
-}
-
-template <bool kToBits>
-std::size_t RunRank(const ElementId* ids, std::size_t k, const Word* mask,
-                    const std::uint32_t* rank, ElementId* out, Word* dst) {
-  return RankLoop<kToBits>(ids, k, mask, rank, out, dst);
-}
-
-#if defined(__BMI2__)
-
-void RunGather(const Word* src, const GatherBlock* blocks, std::size_t n,
-               Word* dst) {
-  Bmi2Gather(src, blocks, n, dst);
-}
-
-std::string_view ActiveGatherName() { return "native-bmi2"; }
-
-#else
-
-void RunGather(const Word* src, const GatherBlock* blocks, std::size_t n,
-               Word* dst) {
-  GatherLoop(src, blocks, n, dst);
-}
-
-std::string_view ActiveGatherName() { return "native-popcnt"; }
-
-#endif
-
-#else
-
 using CountFn = Count (*)(const Word*, const Word*, std::size_t);
 using PrefixFn = void (*)(const Word*, std::size_t, std::uint32_t*);
 using RankFn = std::size_t (*)(const ElementId*, std::size_t, const Word*,
@@ -303,6 +177,66 @@ constexpr KernelSet kPortable = {
     "portable"};
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+
+// The ISA of the wide counting loop below.
+#define STREAMSC_VPOPCNT_TARGET "avx512f,avx512vpopcntdq"
+
+// The popcounts of eight words of the kernel's input, Apply on a vector.
+// (GNU vector operators rather than _mm512_andnot_si512 and friends: GCC 12
+// flags the _mm512_undefined_* inside those as uninitialized under -Werror.)
+template <Combine kOp>
+[[gnu::always_inline]] inline __attribute__((target(STREAMSC_VPOPCNT_TARGET)))
+__m512i PopcountLanes(__m512i a, __m512i b) {
+  if constexpr (kOp == Combine::kAnd) a &= b;
+  if constexpr (kOp == Combine::kAndNot) a &= ~b;
+  if constexpr (kOp == Combine::kXor) a ^= b;
+  return _mm512_popcnt_epi64(a);
+}
+
+// The counting loop on AVX-512 VPOPCNTDQ: eight words per vpopcntq, two
+// zmm accumulators. A tail of fewer than eight words is one masked load,
+// which reads nothing past word n. Always inlined into the VpopcntCount
+// wrappers below, like CountLoop into its callers. The lanes are added up after one aligned store (GCC 12 rejects
+// _mm512_reduce_add_epi64 for the same reason as above).
+template <Combine kOp>
+[[gnu::always_inline]] inline __attribute__((target(STREAMSC_VPOPCNT_TARGET)))
+Count VpopcntLoop(const Word* a, const Word* b, std::size_t n) {
+  __m512i s0 = _mm512_setzero_si512();
+  __m512i s1 = _mm512_setzero_si512();
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    s0 += PopcountLanes<kOp>(_mm512_loadu_si512(a + i),
+                             _mm512_loadu_si512(b + i));
+    s1 += PopcountLanes<kOp>(_mm512_loadu_si512(a + i + 8),
+                             _mm512_loadu_si512(b + i + 8));
+  }
+  if (i + 8 <= n) {
+    s0 += PopcountLanes<kOp>(_mm512_loadu_si512(a + i),
+                             _mm512_loadu_si512(b + i));
+    i += 8;
+  }
+  if (i < n) {
+    const auto tail = static_cast<__mmask8>((1u << (n - i)) - 1);
+    s1 += PopcountLanes<kOp>(_mm512_maskz_loadu_epi64(tail, a + i),
+                             _mm512_maskz_loadu_epi64(tail, b + i));
+  }
+  alignas(64) std::uint64_t lanes[8];
+  _mm512_store_si512(lanes, s0 + s1);
+  Count total = 0;
+  for (const std::uint64_t lane : lanes) total += static_cast<Count>(lane);
+  return total;
+}
+
+// The gather with BMI2. It repeats GatherLoop around the instruction
+// rather than sharing it, because GCC refuses to inline a BMI2 intrinsic
+// into an always-inline helper that is not itself compiled for BMI2.
+__attribute__((target("bmi2,popcnt"))) void Bmi2Gather(
+    const Word* src, const GatherBlock* blocks, std::size_t n, Word* dst) {
+  for (std::size_t i = 0; i < n; ++i) {
+    PlaceBits(dst, blocks[i].dst_bit,
+              _pext_u64(src[blocks[i].src_word], blocks[i].mask));
+  }
+}
 
 template <Combine kOp>
 __attribute__((target("popcnt"))) Count PopcntCount(const Word* a,
@@ -383,27 +317,6 @@ Count Run(const Word* a, const Word* b, std::size_t n) {
   return Active().count[static_cast<std::size_t>(kOp)](a, b, n);
 }
 
-void RunPrefix(const Word* a, std::size_t n, std::uint32_t* rank) {
-  Active().prefix(a, n, rank);
-}
-
-template <bool kToBits>
-std::size_t RunRank(const ElementId* ids, std::size_t k, const Word* mask,
-                    const std::uint32_t* rank, ElementId* out, Word* dst) {
-  return Active().rank[kToBits](ids, k, mask, rank, out, dst);
-}
-
-void RunGather(const Word* src, const GatherBlock* blocks, std::size_t n,
-               Word* dst) {
-  Active().gather(src, blocks, n, dst);
-}
-
-std::string_view ActiveName() { return Active().name; }
-
-std::string_view ActiveGatherName() { return Active().gather_name; }
-
-#endif
-
 }  // namespace
 
 Count PopcountWords(const std::uint64_t* a, std::size_t n) {
@@ -463,28 +376,28 @@ void OrWords(std::uint64_t* dst, const std::uint64_t* src, std::size_t n) {
 
 void PrefixPopcountWords(const std::uint64_t* a, std::size_t n,
                          std::uint32_t* rank) {
-  RunPrefix(a, n, rank);
+  Active().prefix(a, n, rank);
 }
 
 void GatherWords(const std::uint64_t* src, const GatherBlock* blocks,
                  std::size_t n, std::uint64_t* dst) {
-  RunGather(src, blocks, n, dst);
+  Active().gather(src, blocks, n, dst);
 }
 
 std::size_t RankMembers(const ElementId* ids, std::size_t k,
                         const std::uint64_t* mask, const std::uint32_t* rank,
                         ElementId* out) {
-  return RunRank<false>(ids, k, mask, rank, out, nullptr);
+  return Active().rank[false](ids, k, mask, rank, out, nullptr);
 }
 
 void RankMembersToBits(const ElementId* ids, std::size_t k,
                        const std::uint64_t* mask, const std::uint32_t* rank,
                        std::uint64_t* dst) {
-  RunRank<true>(ids, k, mask, rank, nullptr, dst);
+  Active().rank[true](ids, k, mask, rank, nullptr, dst);
 }
 
-std::string_view WordKernelName() { return ActiveName(); }
+std::string_view WordKernelName() { return Active().name; }
 
-std::string_view GatherKernelName() { return ActiveGatherName(); }
+std::string_view GatherKernelName() { return Active().gather_name; }
 
 }  // namespace streamsc

@@ -20,13 +20,7 @@
 ///
 /// Instruction set for the counting and projection kernels, chosen once
 /// per process:
-///  - When the compiler already targets POPCNT (`__POPCNT__`, e.g. a
-///    `-march=native` build), the kernels are plain loops that compile to
-///    the hardware instructions, the gather to pext where `__BMI2__` is
-///    set too; there is no dispatch. Where the target has AVX-512
-///    VPOPCNTDQ as well (`__AVX512VPOPCNTDQ__`), the counts run the same
-///    wide loop the dispatched set below does.
-///  - Otherwise, on x86-64 under GCC or Clang, the first call asks the CPU
+///  - On x86-64 under GCC or Clang, the first call asks the CPU
 ///    (`__builtin_cpu_supports`) and binds, in this order of preference:
 ///    an AVX-512 VPOPCNTDQ set (the counts take eight words per vpopcntq,
 ///    the tail of fewer than eight one masked load; the prefix, rank and
@@ -128,17 +122,14 @@ void ForEachSetBit(const std::uint64_t* a, std::size_t n, Fn&& fn) {
   }
 }
 
-/// Name of the kernel set the counting calls above run:
-/// "native-avx512-vpopcntdq" or "native-popcnt" (compiled for that ISA, no
-/// dispatch), "avx512-vpopcntdq" or "popcnt" (hardware, picked at run
-/// time) or "portable". Lets a test fail when a CPU that has VPOPCNTDQ or
-/// POPCNT does not get it.
+/// Name of the kernel set the counting calls above run: "avx512-vpopcntdq"
+/// or "popcnt" (hardware, picked at run time) or "portable". Lets a test
+/// fail when a CPU that has VPOPCNTDQ or POPCNT does not get it.
 std::string_view WordKernelName();
 
 /// Name of the kernel set the projection calls (PrefixPopcountWords,
-/// GatherWords, RankMembers*) run: "native-bmi2" or "native-popcnt" (no
-/// dispatch), "bmi2" (the POPCNT set with a pext gather) or "popcnt"
-/// (picked at run time) or "portable".
+/// GatherWords, RankMembers*) run: "bmi2" (the POPCNT set with a pext
+/// gather), "popcnt" or "portable".
 std::string_view GatherKernelName();
 
 }  // namespace streamsc

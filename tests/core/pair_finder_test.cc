@@ -64,6 +64,31 @@ TEST(PairFinderTest, FindsPlantedPairOnHardDistribution) {
   }
 }
 
+TEST(PairFinderTest, FindsPlantedPairInEveryStreamOrder) {
+  // Candidates name sets, not stream positions, so a stream that reorders
+  // its sets before every pass keeps the planted pair alive.
+  HardSetCoverParams params;
+  params.n = 512;
+  params.m = 12;
+  params.alpha = 2.0;
+  params.t_scale = 1.0;
+  HardSetCoverDistribution dist(params);
+  Rng rng(4);
+  for (const StreamOrder order :
+       {StreamOrder::kAdversarial, StreamOrder::kRandomOnce,
+        StreamOrder::kRandomEachPass}) {
+    for (int trial = 0; trial < 5; ++trial) {
+      const SetSystem system = dist.SampleThetaOne(rng).ToSetSystem();
+      Rng order_rng(100 + trial);
+      VectorSetStream stream(system, order, &order_rng);
+      ExactPairFinder finder(PairFinderConfig{4, 100000});
+      const PairFinderResult result = finder.Run(stream);
+      ASSERT_TRUE(result.found) << "order " << static_cast<int>(order);
+      EXPECT_TRUE(system.IsFeasibleCover(result.solution.chosen));
+    }
+  }
+}
+
 TEST(PairFinderTest, RejectsThetaZeroInstances) {
   HardSetCoverParams params;
   params.n = 512;

@@ -25,7 +25,7 @@ TEST(ExactSetCoverTest, TrivialSingleSet) {
   system.AddSetFromIndices({0, 1, 2, 3});
   const ExactSetCoverResult result = SolveExactSetCover(system);
   ASSERT_TRUE(result.feasible);
-  EXPECT_TRUE(result.proven_optimal);
+  EXPECT_TRUE(result.feasible && result.complete);
   EXPECT_EQ(result.solution.size(), 1u);
 }
 
@@ -36,7 +36,7 @@ TEST(ExactSetCoverTest, EmptyUniverse) {
       SolveExactSetCover(system, DynamicBitset(4));
   EXPECT_TRUE(result.feasible);
   EXPECT_TRUE(result.complete);
-  EXPECT_TRUE(result.proven_optimal);
+  EXPECT_TRUE(result.feasible && result.complete);
   EXPECT_TRUE(result.solution.empty());
 }
 
@@ -58,7 +58,7 @@ TEST(ExactSetCoverTest, BeatsGreedyOnAdversarialInstance) {
   const Solution greedy = GreedySetCover(system);
   const ExactSetCoverResult exact = SolveExactSetCover(system);
   ASSERT_TRUE(exact.feasible);
-  EXPECT_TRUE(exact.proven_optimal);
+  EXPECT_TRUE(exact.feasible && exact.complete);
   EXPECT_EQ(exact.solution.size(), 2u);
   EXPECT_EQ(greedy.size(), 3u);  // greedy really does fall for it
 }
@@ -71,7 +71,7 @@ TEST(ExactSetCoverTest, MatchesPlantedOptimum) {
         PlantedCoverInstance(60, 15, 3 + trial % 3, rng, &planted);
     const ExactSetCoverResult result = SolveExactSetCover(system);
     ASSERT_TRUE(result.feasible);
-    EXPECT_TRUE(result.proven_optimal);
+    EXPECT_TRUE(result.feasible && result.complete);
     EXPECT_EQ(result.solution.size(), planted.size());
   }
 }
@@ -110,7 +110,7 @@ TEST(ExactSetCoverTest, NeverLargerThanGreedy) {
     const SetSystem system = UniformRandomInstance(40, 10, 8, rng);
     const Solution greedy = GreedySetCover(system);
     const ExactSetCoverResult exact = SolveExactSetCover(system);
-    if (exact.proven_optimal && system.IsFeasibleCover(greedy.chosen)) {
+    if (exact.feasible && exact.complete && system.IsFeasibleCover(greedy.chosen)) {
       EXPECT_LE(exact.solution.size(), greedy.size());
     }
   }
@@ -126,7 +126,7 @@ TEST(ExactSetCoverTest, NodeBudgetDegradesGracefully) {
   // Still returns the greedy warm start when feasible.
   if (result.feasible) {
     EXPECT_TRUE(system.IsFeasibleCover(result.solution.chosen));
-    EXPECT_FALSE(result.proven_optimal);
+    EXPECT_FALSE(result.feasible && result.complete);
   }
 }
 
@@ -511,7 +511,7 @@ TEST(ExactSetCoverTest, RootRefutedLimitBuildsNothing) {
     EXPECT_EQ(refuted.nodes, 1u);
     EXPECT_TRUE(refuted.complete);
     EXPECT_FALSE(refuted.feasible);
-    EXPECT_FALSE(refuted.proven_optimal);
+    EXPECT_FALSE(refuted.feasible && refuted.complete);
     EXPECT_TRUE(refuted.solution.chosen.empty());
 
     const ExactSetCoverResult stopped = solve(limit, 0);
@@ -534,7 +534,7 @@ TEST(ExactSetCoverTest, RootRefutedLimitBuildsNothing) {
   EXPECT_EQ(unproven.nodes, 1u);
   EXPECT_FALSE(unproven.complete);
   EXPECT_TRUE(unproven.feasible);
-  EXPECT_FALSE(unproven.proven_optimal);
+  EXPECT_FALSE(unproven.feasible && unproven.complete);
   EXPECT_EQ(std::vector<SetId>(unproven.solution.chosen.begin(),
                                unproven.solution.chosen.end()),
             std::vector<SetId>(greedy.chosen.begin(), greedy.chosen.end()));
@@ -666,7 +666,7 @@ TEST_P(ExactSetCoverBruteForceTest, MatchesBruteForce) {
     EXPECT_FALSE(result.feasible);
   } else {
     ASSERT_TRUE(result.feasible);
-    EXPECT_TRUE(result.proven_optimal);
+    EXPECT_TRUE(result.feasible && result.complete);
     EXPECT_EQ(result.solution.size(), best);
   }
 }
@@ -814,7 +814,7 @@ TEST_P(ExactSetCoverDecisionTest, MatchesBruteForceAtEveryLimit) {
         continue;
       }
       ++found;
-      EXPECT_TRUE(result.proven_optimal);
+      EXPECT_TRUE(result.feasible && result.complete);
       const std::vector<SetId> chosen(result.solution.chosen.begin(),
                                       result.solution.chosen.end());
       EXPECT_EQ(chosen.size(), best);

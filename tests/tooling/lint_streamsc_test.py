@@ -149,13 +149,19 @@ class LintStreamscTest(unittest.TestCase):
         self.assert_reported(result, "src/offline/bad_table.cc", 12,
                              "offline-table")
         self.assertNotIn("src/core/table_ok.cc", result.stdout)
+        # Compile-time instruction-set tests, a continued condition
+        # included; the comment, the string literal and the architecture
+        # test do not count.
+        for line in (4, 6, 9, 13):
+            self.assert_reported(result, "src/util/bad_isa.h", line,
+                                 "isa-macro")
 
     def test_violation_count_is_exact(self):
         """No over-reporting: exactly the planted violations, nothing
         from comments, string literals, or the clean lines around them."""
         result = run_linter("--root", str(FIXTURES / "violations"))
         reported = [l for l in result.stdout.splitlines() if "[" in l]
-        self.assertEqual(len(reported), 41, result.stdout)
+        self.assertEqual(len(reported), 45, result.stdout)
 
     def test_real_tree_is_clean(self):
         """The wall starts (and stays) at zero violations on the repo."""
@@ -172,7 +178,7 @@ class LintStreamscTest(unittest.TestCase):
             rules, ["layer-dag", "raw-assert", "determinism", "engine-ptr",
                     "arena-ptr", "chrono", "raw-popcount", "raw-pass",
                     "cover-state", "instance-open", "blocking-read",
-                    "raw-thread", "offline-table"])
+                    "raw-thread", "offline-table", "isa-macro"])
 
 
 class TidyGatingTest(unittest.TestCase):

@@ -306,26 +306,16 @@ TEST(WordKernelsTest, HardwarePopcountIsActiveWhenTheCpuHasIt) {
     EXPECT_EQ(WordKernelName(), "portable");
     return;
   }
-#if defined(__AVX512F__) && defined(__AVX512VPOPCNTDQ__)
-  EXPECT_EQ(WordKernelName(), "native-avx512-vpopcntdq");
-#elif defined(__POPCNT__)
-  EXPECT_EQ(WordKernelName(), "native-popcnt");
-#else
   const bool vpopcntdq = __builtin_cpu_supports("avx512f") &&
                          __builtin_cpu_supports("avx512vpopcntdq");
   EXPECT_EQ(WordKernelName(), vpopcntdq ? "avx512-vpopcntdq" : "popcnt");
-#endif
 #else
   EXPECT_EQ(WordKernelName(), "portable");
 #endif
 }
 
 TEST(WordKernelsTest, Bmi2GatherIsActiveWhenTheCpuHasIt) {
-#if defined(__POPCNT__) && defined(__BMI2__)
-  EXPECT_EQ(GatherKernelName(), "native-bmi2");
-#elif defined(__POPCNT__)
-  EXPECT_EQ(GatherKernelName(), "native-popcnt");
-#elif defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
   __builtin_cpu_init();
   if (!__builtin_cpu_supports("popcnt")) {
     EXPECT_EQ(GatherKernelName(), "portable");
